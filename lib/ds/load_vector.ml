@@ -7,149 +7,129 @@ let c_compares = Obs.Metrics.counter "ds.loadvec.compares"
 
 type t = {
   loads : float array;
-  mutable sorted : float array; (* descending multiset of [loads] values *)
+  (* Comparison scratch: [ua] holds a's new values and b's old ones, [ub]
+     b's new values and a's old ones. *)
+  mutable ua : float array;
+  mutable ub : float array;
 }
+
+type delta = { procs : int array; amounts : float array; mutable len : int }
 
 let create p =
   if p < 0 then invalid_arg "Load_vector.create";
-  { loads = Array.make p 0.0; sorted = Array.make p 0.0 }
+  { loads = Array.make p 0.0; ua = [||]; ub = [||] }
 
 let size t = Array.length t.loads
 let load t u = t.loads.(u)
-let max_load t = if Array.length t.sorted = 0 then 0.0 else t.sorted.(0)
 
-let desc a b = compare (b : float) a
+let max_load t =
+  let p = Array.length t.loads in
+  if p = 0 then 0.0
+  else begin
+    let m = ref t.loads.(0) in
+    for u = 1 to p - 1 do
+      if t.loads.(u) > !m then m := t.loads.(u)
+    done;
+    !m
+  end
 
-(* Multisets of old values of [procs] and of their updated values, both
-   descending.  Works for both uniform-w and general-delta updates. *)
-let changed_values t procs amount_of =
-  let k = Array.length procs in
-  let removed = Array.make k 0.0 and added = Array.make k 0.0 in
-  for i = 0 to k - 1 do
-    let old = t.loads.(procs.(i)) in
-    removed.(i) <- old;
-    added.(i) <- old +. amount_of i
-  done;
-  Array.sort desc removed;
-  Array.sort desc added;
-  (removed, added)
-
-(* Rebuild [sorted] in one linear merge: walk the old sorted array skipping
-   one occurrence of each removed value, interleaving the added values. *)
-let remerge t removed added =
-  let p = Array.length t.sorted in
-  let out = Array.make p 0.0 in
-  let i = ref 0 (* base *) and j = ref 0 (* removed *) and k = ref 0 (* added *) in
-  for o = 0 to p - 1 do
-    (* Skip base entries matched by pending removals.  Values are exact
-       copies, so float equality is the right test. *)
-    let rec skip () =
-      if !i < p && !j < Array.length removed && t.sorted.(!i) = removed.(!j) then begin
-        incr i;
-        incr j;
-        skip ()
-      end
-    in
-    skip ();
-    let take_base = !i < p && (!k >= Array.length added || t.sorted.(!i) >= added.(!k)) in
-    if take_base then begin
-      out.(o) <- t.sorted.(!i);
-      incr i
-    end
-    else begin
-      out.(o) <- added.(!k);
-      incr k
-    end
-  done;
-  t.sorted <- out
-
-let apply_delta t ~procs ~amounts =
-  if Array.length procs <> Array.length amounts then
-    invalid_arg "Load_vector.apply_delta: length mismatch";
-  Obs.Metrics.incr c_applies;
-  let removed, added = changed_values t procs (fun i -> amounts.(i)) in
-  Array.iteri (fun i u -> t.loads.(u) <- t.loads.(u) +. amounts.(i)) procs;
-  remerge t removed added
+let delta t = { procs = Array.make (size t) 0; amounts = Array.make (size t) 0.0; len = 0 }
 
 let apply t ~procs ~w =
   Obs.Metrics.incr c_applies;
-  let removed, added = changed_values t procs (fun _ -> w) in
-  Array.iter (fun u -> t.loads.(u) <- t.loads.(u) +. w) procs;
-  remerge t removed added
+  for i = 0 to Array.length procs - 1 do
+    let u = procs.(i) in
+    t.loads.(u) <- t.loads.(u) +. w
+  done
 
 let add t ~proc ~w = apply t ~procs:[| proc |] ~w
 
-let sorted_desc t = Array.copy t.sorted
+let apply_delta t d =
+  Obs.Metrics.incr c_applies;
+  for i = 0 to d.len - 1 do
+    let u = d.procs.(i) in
+    t.loads.(u) <- t.loads.(u) +. d.amounts.(i)
+  done
 
-(* Lazy iterator over the hypothetical vector merge(base \ removed, added). *)
-type cursor = {
-  base : float array;
-  removed : float array;
-  added : float array;
-  mutable bi : int;
-  mutable ri : int;
-  mutable ai : int;
-}
+let desc a b = compare (b : float) a
 
-let cursor t (removed, added) = { base = t.sorted; removed; added; bi = 0; ri = 0; ai = 0 }
+let sorted_desc t =
+  let v = Array.copy t.loads in
+  Array.sort desc v;
+  v
 
-let cursor_next c =
-  let rec skip () =
-    if
-      c.bi < Array.length c.base
-      && c.ri < Array.length c.removed
-      && c.base.(c.bi) = c.removed.(c.ri)
-    then begin
-      c.bi <- c.bi + 1;
-      c.ri <- c.ri + 1;
-      skip ()
+let hypothetical_sorted t d =
+  let v = Array.copy t.loads in
+  for i = 0 to d.len - 1 do
+    let u = d.procs.(i) in
+    v.(u) <- v.(u) +. d.amounts.(i)
+  done;
+  Array.sort desc v;
+  v
+
+(* Fill the scratch buffers with the values that decide the comparison and
+   return how many each holds.  Loads outside both deltas are common to the
+   two hypothetical vectors and cancel.  Deltas over one [procs] array also
+   share their old values, and a processor both move to the same value
+   cancels too. *)
+let fill t a b =
+  let cap = a.len + b.len in
+  if Array.length t.ua < cap then begin
+    t.ua <- Array.make cap 0.0;
+    t.ub <- Array.make cap 0.0
+  end;
+  let ua = t.ua and ub = t.ub in
+  if a.procs == b.procs && a.len = b.len then begin
+    let n = ref 0 in
+    for i = 0 to a.len - 1 do
+      let l = t.loads.(a.procs.(i)) in
+      let x = l +. a.amounts.(i) and y = l +. b.amounts.(i) in
+      if x <> y then begin
+        ua.(!n) <- x;
+        ub.(!n) <- y;
+        incr n
+      end
+    done;
+    !n
+  end
+  else begin
+    for i = 0 to a.len - 1 do
+      let l = t.loads.(a.procs.(i)) in
+      ua.(i) <- l +. a.amounts.(i);
+      ub.(i) <- l
+    done;
+    for i = 0 to b.len - 1 do
+      let l = t.loads.(b.procs.(i)) in
+      ua.(a.len + i) <- l;
+      ub.(a.len + i) <- l +. b.amounts.(i)
+    done;
+    cap
+  end
+
+(* Compare the descending orders of ua.(0 .. n-1) and ub.(0 .. n-1) by
+   repeatedly taking the largest value out of each: the first pair that
+   differs decides, usually within a step or two, and equal pairs leave
+   (swapped with the last entry). *)
+let compare_desc (ua : float array) (ub : float array) n =
+  let n = ref n and r = ref 0 in
+  while !r = 0 && !n > 0 do
+    let ia = ref 0 and ib = ref 0 in
+    for i = 1 to !n - 1 do
+      if ua.(i) > ua.(!ia) then ia := i;
+      if ub.(i) > ub.(!ib) then ib := i
+    done;
+    let x = ua.(!ia) and y = ub.(!ib) in
+    if x < y then r := -1
+    else if x > y then r := 1
+    else begin
+      decr n;
+      ua.(!ia) <- ua.(!n);
+      ub.(!ib) <- ub.(!n)
     end
-  in
-  skip ();
-  let have_base = c.bi < Array.length c.base in
-  let have_added = c.ai < Array.length c.added in
-  if have_base && ((not have_added) || c.base.(c.bi) >= c.added.(c.ai)) then begin
-    let v = c.base.(c.bi) in
-    c.bi <- c.bi + 1;
-    Some v
-  end
-  else if have_added then begin
-    let v = c.added.(c.ai) in
-    c.ai <- c.ai + 1;
-    Some v
-  end
-  else None
+  done;
+  !r
 
-let compare_cursors ca cb =
-  let rec walk () =
-    match (cursor_next ca, cursor_next cb) with
-    | None, None -> 0
-    | Some _, None -> 1
-    | None, Some _ -> -1
-    | Some va, Some vb -> if va < vb then -1 else if va > vb then 1 else walk ()
-  in
-  walk ()
-
-let compare_hypothetical t ~a:(procs_a, wa) ~b:(procs_b, wb) =
+let compare_hypothetical t a b =
   Obs.Metrics.incr c_compares;
-  let ca = cursor t (changed_values t procs_a (fun _ -> wa)) in
-  let cb = cursor t (changed_values t procs_b (fun _ -> wb)) in
-  compare_cursors ca cb
-
-let compare_hypothetical_delta t ~a:(procs_a, am_a) ~b:(procs_b, am_b) =
-  Obs.Metrics.incr c_compares;
-  let ca = cursor t (changed_values t procs_a (fun i -> am_a.(i))) in
-  let cb = cursor t (changed_values t procs_b (fun i -> am_b.(i))) in
-  compare_cursors ca cb
-
-let hypothetical_sorted t ~procs ~w =
-  let v = Array.copy t.loads in
-  Array.iter (fun u -> v.(u) <- v.(u) +. w) procs;
-  Array.sort desc v;
-  v
-
-let hypothetical_sorted_delta t ~procs ~amounts =
-  let v = Array.copy t.loads in
-  Array.iteri (fun i u -> v.(u) <- v.(u) +. amounts.(i)) procs;
-  Array.sort desc v;
-  v
+  let n = fill t a b in
+  compare_desc t.ua t.ub n

@@ -25,9 +25,9 @@ let vector_variants ?(seeds = 3) spec =
   let rows =
     [
       row Gh.Vector_greedy_hyp Gh.Naive "VGH naive (paper's implementation)";
-      row Gh.Vector_greedy_hyp Gh.Merged "VGH merged list (Sec. IV-D3 idea)";
+      row Gh.Vector_greedy_hyp Gh.Merged "VGH changed values (Sec. IV-D3 idea)";
       row Gh.Expected_vector_greedy_hyp Gh.Naive "EVG naive";
-      row Gh.Expected_vector_greedy_hyp Gh.Merged "EVG merged list";
+      row Gh.Expected_vector_greedy_hyp Gh.Merged "EVG changed values";
     ]
   in
   Printf.sprintf "Ablation: vector-heuristic variant on %s (related weights, %d seeds)\n\n%s"

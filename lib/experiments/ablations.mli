@@ -3,9 +3,9 @@
     Each function measures on one instance specification over several seeds
     and renders a small table:
 
-    - {!vector_variants}: naive re-sorting vs merged-list lazy comparison in
-      the two vector heuristics (Sec. IV-D3's unimplemented improvement) —
-      identical outputs, different costs.
+    - {!vector_variants}: naive re-sorting vs comparing only the changed
+      values in the two vector heuristics (Sec. IV-D3's unimplemented
+      improvement) — identical outputs, different costs.
     - {!matching_engines}: the exact SINGLEPROC-UNIT algorithm under each
       maximum-matching engine.
     - {!exact_strategies}: incremental vs bisection deadline search

@@ -44,26 +44,42 @@ let refine ?params ?(should_stop = fun () -> false) rng h start =
   let n1 = h.H.n1 in
   let choice = Array.copy start.Hyp_assignment.choice in
   let loads = Hyp_assignment.loads h start in
-  let makespan_of () = Array.fold_left Float.max 0.0 loads in
+  let makespan_of () =
+    let m = ref 0.0 in
+    for u = 0 to Array.length loads - 1 do
+      if loads.(u) > !m then m := loads.(u)
+    done;
+    !m
+  in
   let energy_delta ~e_old ~e_new =
     (* Apply: -w_old on e_old's procs, +w_new on e_new's; overlapping
        processors see both. *)
     let delta = ref 0.0 in
-    let w_old = H.h_weight h e_old and w_new = H.h_weight h e_new in
+    let w_old = h.H.w.(e_old) and w_new = h.H.w.(e_new) in
     (* First remove, then add; account sequentially for overlap exactness. *)
-    H.iter_h_procs h e_old (fun u ->
-        let l = loads.(u) in
-        delta := !delta -. (2.0 *. l *. w_old) +. (w_old *. w_old);
-        loads.(u) <- l -. w_old);
-    H.iter_h_procs h e_new (fun u ->
-        let l = loads.(u) in
-        delta := !delta +. (2.0 *. l *. w_new) +. (w_new *. w_new);
-        loads.(u) <- l +. w_new);
+    for i = h.H.h_off.(e_old) to h.H.h_off.(e_old + 1) - 1 do
+      let u = h.H.h_adj.(i) in
+      let l = loads.(u) in
+      delta := !delta -. (2.0 *. l *. w_old) +. (w_old *. w_old);
+      loads.(u) <- l -. w_old
+    done;
+    for i = h.H.h_off.(e_new) to h.H.h_off.(e_new + 1) - 1 do
+      let u = h.H.h_adj.(i) in
+      let l = loads.(u) in
+      delta := !delta +. (2.0 *. l *. w_new) +. (w_new *. w_new);
+      loads.(u) <- l +. w_new
+    done;
     !delta
   in
   let undo ~e_old ~e_new =
-    H.iter_h_procs h e_new (fun u -> loads.(u) <- loads.(u) -. H.h_weight h e_new);
-    H.iter_h_procs h e_old (fun u -> loads.(u) <- loads.(u) +. H.h_weight h e_old)
+    for i = h.H.h_off.(e_new) to h.H.h_off.(e_new + 1) - 1 do
+      let u = h.H.h_adj.(i) in
+      loads.(u) <- loads.(u) -. h.H.w.(e_new)
+    done;
+    for i = h.H.h_off.(e_old) to h.H.h_off.(e_old + 1) - 1 do
+      let u = h.H.h_adj.(i) in
+      loads.(u) <- loads.(u) +. h.H.w.(e_old)
+    done
   in
   let best_choice = Array.copy choice in
   let best_makespan = ref (makespan_of ()) in

@@ -1,4 +1,5 @@
 module H = Hyper.Graph
+module Lv = Ds.Load_vector
 
 (* Probe points shared by the four greedy variants: [candidates] counts
    configuration evaluations (the outer work term), [pin_scans] the
@@ -110,50 +111,55 @@ let run_expected h =
     (degree_order h);
   choice
 
-(* Uniform-increment candidate comparison for VGH, per variant. *)
-let better_uniform ~variant lv ~cand:(procs, w) ~best:(bprocs, bw) =
+(* Does realizing [cand] give a lexicographically smaller load vector than
+   realizing [best]?  Both variants answer the same; [Naive] re-sorts the
+   whole vector per candidate. *)
+let better ~variant lv cand best =
   match variant with
-  | Merged -> Ds.Load_vector.compare_hypothetical lv ~a:(procs, w) ~b:(bprocs, bw) < 0
-  | Naive ->
-      let va = Ds.Load_vector.hypothetical_sorted lv ~procs ~w in
-      let vb = Ds.Load_vector.hypothetical_sorted lv ~procs:bprocs ~w:bw in
-      compare va vb < 0
+  | Merged -> Lv.compare_hypothetical lv cand best < 0
+  | Naive -> compare (Lv.hypothetical_sorted lv cand) (Lv.hypothetical_sorted lv best) < 0
+
+(* The two vector heuristics keep the incumbent and the candidate in two
+   reusable deltas and swap them when the candidate wins. *)
+let swap cand best =
+  let d = !cand in
+  cand := !best;
+  best := d
 
 let run_vector ~variant h =
-  let lv = Ds.Load_vector.create h.H.n2 in
+  let lv = Lv.create h.H.n2 in
+  let cand = ref (Lv.delta lv) and best = ref (Lv.delta lv) in
   let choice = Array.make h.H.n1 (-1) in
   Array.iter
     (fun v ->
-      let best = ref (-1) and best_cand = ref ([||], 0.0) in
-      H.iter_task_hyperedges h v (fun e ->
-          Obs.Metrics.incr c_candidates;
-          let cand = (H.h_procs h e, H.h_weight h e) in
-          if !best < 0 || better_uniform ~variant lv ~cand ~best:!best_cand then begin
-            best := e;
-            best_cand := cand
-          end);
-      choice.(v) <- !best;
+      let best_e = ref (-1) in
+      for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
+        Obs.Metrics.incr c_candidates;
+        let d = !cand and w = h.H.w.(e) and first = h.H.h_off.(e) in
+        d.len <- h.H.h_off.(e + 1) - first;
+        for i = 0 to d.len - 1 do
+          d.procs.(i) <- h.H.h_adj.(first + i);
+          d.amounts.(i) <- w
+        done;
+        if !best_e < 0 || better ~variant lv d !best then begin
+          best_e := e;
+          swap cand best
+        end
+      done;
+      choice.(v) <- !best_e;
       Obs.Metrics.incr c_realized;
-      let procs, w = !best_cand in
-      Ds.Load_vector.apply lv ~procs ~w)
+      Lv.apply_delta lv !best)
     (degree_order h);
   choice
-
-let better_delta ~variant lv ~cand ~best =
-  match variant with
-  | Merged -> Ds.Load_vector.compare_hypothetical_delta lv ~a:cand ~b:best < 0
-  | Naive ->
-      let procs_a, am_a = cand and procs_b, am_b = best in
-      let va = Ds.Load_vector.hypothetical_sorted_delta lv ~procs:procs_a ~amounts:am_a in
-      let vb = Ds.Load_vector.hypothetical_sorted_delta lv ~procs:procs_b ~amounts:am_b in
-      compare va vb < 0
 
 (* EVG: the load vector holds *expected* loads.  For task v, every candidate
    h perturbs the processors in v's whole neighbourhood: −w_h'/d_v for each
    sibling option h' (tentatively discarded) and additionally +w_h on h's own
-   processors (tentatively realized). *)
+   processors (tentatively realized).  All of v's candidates share one
+   [procs] array, which lets the comparison cancel the processors on which
+   two candidates agree. *)
 let run_expected_vector ~variant h =
-  let lv = Ds.Load_vector.create h.H.n2 in
+  let lv = Lv.create h.H.n2 in
   (* Initial expectations, as in Algorithm 5. *)
   let o0 = Array.make h.H.n2 0.0 in
   for v = 0 to h.H.n1 - 1 do
@@ -163,48 +169,56 @@ let run_expected_vector ~variant h =
         H.iter_h_procs h e (fun u -> o0.(u) <- o0.(u) +. contribution))
   done;
   for u = 0 to h.H.n2 - 1 do
-    if o0.(u) <> 0.0 then Ds.Load_vector.add lv ~proc:u ~w:o0.(u)
+    if o0.(u) <> 0.0 then Lv.add lv ~proc:u ~w:o0.(u)
   done;
-  (* Scratch space to aggregate per-processor deltas of one task. *)
+  (* Scratch space to aggregate per-processor deltas of one task: [base]
+     is the "discard everything" delta over v's neighbourhood. *)
   let stamp = Array.make h.H.n2 (-1) in
   let index_of = Array.make h.H.n2 (-1) in
+  let base = Array.make h.H.n2 0.0 in
+  let best = ref (Lv.delta lv) in
+  let cand = ref { !best with Lv.amounts = Array.make h.H.n2 0.0 } in
+  let procs = !best.Lv.procs in
   let choice = Array.make h.H.n1 (-1) in
   Array.iter
     (fun v ->
       let dv = float_of_int (H.task_degree h v) in
-      (* Union of processors across v's configurations, with the "discard
-         everything" base delta. *)
-      let union = Ds.Vec.create () in
-      H.iter_task_hyperedges h v (fun e ->
-          H.iter_h_procs h e (fun u ->
-              if stamp.(u) <> v then begin
-                stamp.(u) <- v;
-                index_of.(u) <- Ds.Vec.length union;
-                Ds.Vec.push union u
-              end));
-      let procs = Ds.Vec.to_array union in
-      let base = Array.make (Array.length procs) 0.0 in
-      H.iter_task_hyperedges h v (fun e ->
-          let w' = H.h_weight h e /. dv in
-          H.iter_h_procs h e (fun u -> base.(index_of.(u)) <- base.(index_of.(u)) -. w'));
-      let candidate e =
-        let amounts = Array.copy base in
-        let w = H.h_weight h e in
-        H.iter_h_procs h e (fun u -> amounts.(index_of.(u)) <- amounts.(index_of.(u)) +. w);
-        (procs, amounts)
-      in
-      let best = ref (-1) and best_cand = ref (procs, base) in
-      H.iter_task_hyperedges h v (fun e ->
-          Obs.Metrics.incr c_candidates;
-          let cand = candidate e in
-          if !best < 0 || better_delta ~variant lv ~cand ~best:!best_cand then begin
-            best := e;
-            best_cand := cand
-          end);
-      choice.(v) <- !best;
+      let k = ref 0 in
+      for i = h.H.h_off.(h.H.task_off.(v)) to h.H.h_off.(h.H.task_off.(v + 1)) - 1 do
+        let u = h.H.h_adj.(i) in
+        if stamp.(u) <> v then begin
+          stamp.(u) <- v;
+          index_of.(u) <- !k;
+          procs.(!k) <- u;
+          base.(!k) <- 0.0;
+          incr k
+        end
+      done;
+      for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
+        let w' = h.H.w.(e) /. dv in
+        for i = h.H.h_off.(e) to h.H.h_off.(e + 1) - 1 do
+          let j = index_of.(h.H.h_adj.(i)) in
+          base.(j) <- base.(j) -. w'
+        done
+      done;
+      let best_e = ref (-1) in
+      for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
+        Obs.Metrics.incr c_candidates;
+        let d = !cand and w = h.H.w.(e) in
+        Array.blit base 0 d.Lv.amounts 0 !k;
+        d.Lv.len <- !k;
+        for i = h.H.h_off.(e) to h.H.h_off.(e + 1) - 1 do
+          let j = index_of.(h.H.h_adj.(i)) in
+          d.Lv.amounts.(j) <- d.Lv.amounts.(j) +. w
+        done;
+        if !best_e < 0 || better ~variant lv d !best then begin
+          best_e := e;
+          swap cand best
+        end
+      done;
+      choice.(v) <- !best_e;
       Obs.Metrics.incr c_realized;
-      let bprocs, bamounts = !best_cand in
-      Ds.Load_vector.apply_delta lv ~procs:bprocs ~amounts:bamounts)
+      Lv.apply_delta lv !best)
     (degree_order h);
   choice
 

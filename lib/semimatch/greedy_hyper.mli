@@ -18,10 +18,13 @@
 
     The vector heuristics come in two variants: [Naive] re-sorts the whole
     load vector per candidate (O(Σ d_v·|V2| log |V2|), what the paper
-    benchmarked) and [Merged] keeps the vector sorted and lazily merges
-    (O(Σ d_v·|V2|), the improvement the paper describes in Sec. IV-D3 but
-    left unimplemented).  Both return identical assignments; the ablation
-    bench measures the gap. *)
+    benchmarked) and [Merged] compares only the changed values, the
+    candidate's new loads merged with the incumbent's old ones and the
+    other way round ({!Ds.Load_vector.compare_hypothetical}): O(k²) per
+    candidate, k the number of processors the two touch, and independent
+    of |V2| — the improvement Sec. IV-D3 asks for but left unimplemented.
+    Both return identical assignments; the ablation bench measures the
+    gap. *)
 
 type algorithm =
   | Sorted_greedy_hyp

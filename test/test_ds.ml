@@ -238,6 +238,9 @@ let test_stats_misc () =
 
 (* ---------------------------------------------------------- Load_vector *)
 
+let delta_of procs amounts = { Lv.procs; amounts; len = Array.length procs }
+let uniform procs w = delta_of procs (Array.map (fun _ -> w) procs)
+
 let test_load_vector_apply () =
   let lv = Lv.create 4 in
   Lv.apply lv ~procs:[| 0; 2 |] ~w:3.0;
@@ -251,27 +254,44 @@ let test_load_vector_compare () =
   let lv = Lv.create 3 in
   Lv.add lv ~proc:0 ~w:2.0;
   (* a: +1 on proc 1 -> [2;1;0]; b: +1 on proc 0 -> [3;0;0]. *)
-  check "a better" true (Lv.compare_hypothetical lv ~a:([| 1 |], 1.0) ~b:([| 0 |], 1.0) < 0);
-  check "symmetric" true (Lv.compare_hypothetical lv ~a:([| 0 |], 1.0) ~b:([| 1 |], 1.0) > 0);
+  check "a better" true (Lv.compare_hypothetical lv (uniform [| 1 |] 1.0) (uniform [| 0 |] 1.0) < 0);
+  check "symmetric" true (Lv.compare_hypothetical lv (uniform [| 0 |] 1.0) (uniform [| 1 |] 1.0) > 0);
   Alcotest.(check int) "equal candidates" 0
-    (Lv.compare_hypothetical lv ~a:([| 1 |], 1.0) ~b:([| 2 |], 1.0))
+    (Lv.compare_hypothetical lv (uniform [| 1 |] 1.0) (uniform [| 2 |] 1.0));
+  Alcotest.(check int) "no change vs no change" 0
+    (Lv.compare_hypothetical lv (Lv.delta lv) (Lv.delta lv))
 
 let test_load_vector_delta () =
   let lv = Lv.create 3 in
   Lv.add lv ~proc:0 ~w:5.0;
   Lv.add lv ~proc:1 ~w:1.0;
-  Lv.apply_delta lv ~procs:[| 0; 2 |] ~amounts:[| -2.0; 4.0 |];
+  Lv.apply_delta lv (delta_of [| 0; 2 |] [| -2.0; 4.0 |]);
   Alcotest.(check (array (float 1e-9))) "after delta" [| 4.0; 3.0; 1.0 |] (Lv.sorted_desc lv);
   Alcotest.(check (float 1e-9)) "loads tracked" 3.0 (Lv.load lv 0)
+
+(* EVG's expected loads can go below zero; the maximum must then be the
+   largest negative load, not 0. *)
+let test_load_vector_max_negative () =
+  let lv = Lv.create 3 in
+  Lv.apply_delta lv (delta_of [| 0; 1; 2 |] [| -1.5; -0.25; -2.0 |]);
+  Alcotest.(check (float 0.0)) "max of negative loads" (-0.25) (Lv.max_load lv);
+  Alcotest.(check (float 0.0)) "empty vector" 0.0 (Lv.max_load (Lv.create 0))
+
+(* Non-integer weights from a small set: loads tie often, deep in the
+   vector, and sums round (0.1 +. 0.2 <> 0.3). *)
+let random_weight rng = [| 0.25; 0.5; 1.0; 0.1; 0.2; 0.3; 1.0 /. 3.0 |].(Randkit.Prng.int rng 7)
+let random_amount rng = if Randkit.Prng.int rng 2 = 0 then random_weight rng else -.random_weight rng
+
+let random_procs rng p =
+  Randkit.Prng.sample_without_replacement rng ~k:(1 + Randkit.Prng.int rng (min 12 p)) ~n:p
 
 (* Reference model: loads as plain arrays, hypothetical vectors by sort. *)
 let random_lv_scenario rng p steps =
   let lv = Lv.create p in
   let model = Array.make p 0.0 in
   for _ = 1 to steps do
-    let k = 1 + Randkit.Prng.int rng (min 4 p) in
-    let procs = Randkit.Prng.sample_without_replacement rng ~k ~n:p in
-    let w = float_of_int (1 + Randkit.Prng.int rng 5) in
+    let procs = random_procs rng p in
+    let w = random_weight rng in
     Lv.apply lv ~procs ~w;
     Array.iter (fun u -> model.(u) <- model.(u) +. w) procs
   done;
@@ -279,60 +299,72 @@ let random_lv_scenario rng p steps =
 
 let load_vector_matches_model =
   QCheck.Test.make ~name:"load vector sorted view matches model" ~count:200
-    QCheck.(pair (int_range 1 12) (int_bound 1000000))
+    QCheck.(pair (int_range 1 200) (int_bound 1000000))
     (fun (p, seed) ->
       let rng = Randkit.Prng.create ~seed in
-      let lv, model = random_lv_scenario rng p 20 in
+      let lv, model = random_lv_scenario rng p (Randkit.Prng.int rng (p + 1)) in
       let sorted_model = Array.copy model in
       Array.sort (fun a b -> compare b a) sorted_model;
       Lv.sorted_desc lv = sorted_model
-      && Array.for_all2 (fun a b -> a = b) (Array.init p (Lv.load lv)) model)
+      && Array.for_all2 (fun a b -> a = b) (Array.init p (Lv.load lv)) model
+      && Lv.max_load lv = sorted_model.(0))
+
+(* [compare_hypothetical] must order two candidates exactly as re-sorting
+   both hypothetical vectors does. *)
+let agrees_with_naive lv a b =
+  let naive = compare (Lv.hypothetical_sorted lv a) (Lv.hypothetical_sorted lv b) in
+  compare (Lv.compare_hypothetical lv a b) 0 = compare naive 0
 
 let lazy_compare_matches_naive =
   QCheck.Test.make ~name:"lazy lexicographic compare = naive compare" ~count:300
-    QCheck.(pair (int_range 2 10) (int_bound 1000000))
+    QCheck.(pair (int_range 2 200) (int_bound 1000000))
     (fun (p, seed) ->
       let rng = Randkit.Prng.create ~seed in
-      let lv, _ = random_lv_scenario rng p 10 in
-      let random_cand () =
-        let k = 1 + Randkit.Prng.int rng (min 3 p) in
-        let procs = Randkit.Prng.sample_without_replacement rng ~k ~n:p in
-        let w = float_of_int (1 + Randkit.Prng.int rng 4) in
-        (procs, w)
-      in
+      let lv, _ = random_lv_scenario rng p (Randkit.Prng.int rng (p + 1)) in
+      (* VGH's candidates: one weight on each processor of a hyperedge. *)
+      let random_cand () = uniform (random_procs rng p) (random_weight rng) in
       let ok = ref true in
       for _ = 1 to 10 do
-        let (pa, wa) as a = random_cand () and (pb, wb) as b = random_cand () in
-        let lazy_cmp = Lv.compare_hypothetical lv ~a ~b in
-        let naive =
-          compare (Lv.hypothetical_sorted lv ~procs:pa ~w:wa) (Lv.hypothetical_sorted lv ~procs:pb ~w:wb)
-        in
-        if compare lazy_cmp 0 <> compare naive 0 then ok := false
+        if not (agrees_with_naive lv (random_cand ()) (random_cand ())) then ok := false
       done;
       !ok)
 
 let lazy_delta_compare_matches_naive =
   QCheck.Test.make ~name:"delta compare = naive delta compare" ~count:300
-    QCheck.(pair (int_range 2 10) (int_bound 1000000))
+    QCheck.(pair (int_range 2 200) (int_bound 1000000))
     (fun (p, seed) ->
       let rng = Randkit.Prng.create ~seed in
-      let lv, _ = random_lv_scenario rng p 10 in
+      let lv, _ = random_lv_scenario rng p (Randkit.Prng.int rng (p + 1)) in
+      Lv.apply_delta lv (delta_of (random_procs rng p) (Array.init p (fun _ -> random_amount rng)));
       let random_delta () =
-        let k = 1 + Randkit.Prng.int rng (min 3 p) in
-        let procs = Randkit.Prng.sample_without_replacement rng ~k ~n:p in
-        let amounts = Array.map (fun _ -> float_of_int (Randkit.Prng.int_in_range rng ~lo:(-3) ~hi:3)) procs in
-        (procs, amounts)
+        let procs = random_procs rng p in
+        delta_of procs (Array.map (fun _ -> random_amount rng) procs)
+      in
+      (* EVG's candidates: one [procs] array filled into a reusable delta,
+         amounts that agree on some processors and differ on others. *)
+      let shared_pair () =
+        let a = Lv.delta lv in
+        let procs = random_procs rng p in
+        a.Lv.len <- Array.length procs;
+        Array.blit procs 0 a.Lv.procs 0 a.Lv.len;
+        for i = 0 to a.Lv.len - 1 do
+          a.Lv.amounts.(i) <- random_amount rng
+        done;
+        let b = { a with Lv.amounts = Array.copy a.Lv.amounts } in
+        for i = 0 to b.Lv.len - 1 do
+          if Randkit.Prng.int rng 2 = 0 then b.Lv.amounts.(i) <- b.Lv.amounts.(i) +. random_amount rng
+        done;
+        (a, b)
       in
       let ok = ref true in
       for _ = 1 to 10 do
-        let (pa, aa) as a = random_delta () and (pb, ab) as b = random_delta () in
-        let lazy_cmp = Lv.compare_hypothetical_delta lv ~a ~b in
-        let naive =
-          compare
-            (Lv.hypothetical_sorted_delta lv ~procs:pa ~amounts:aa)
-            (Lv.hypothetical_sorted_delta lv ~procs:pb ~amounts:ab)
+        let a, b =
+          match Randkit.Prng.int rng 3 with
+          | 0 -> shared_pair ()
+          | 1 -> (random_delta (), Lv.delta lv) (* a move vs staying put *)
+          | _ -> (random_delta (), random_delta ())
         in
-        if compare lazy_cmp 0 <> compare naive 0 then ok := false
+        if not (agrees_with_naive lv a b && agrees_with_naive lv b a) then ok := false
       done;
       !ok)
 
@@ -358,6 +390,7 @@ let suite =
     Alcotest.test_case "load vector apply" `Quick test_load_vector_apply;
     Alcotest.test_case "load vector compare" `Quick test_load_vector_compare;
     Alcotest.test_case "load vector delta" `Quick test_load_vector_delta;
+    Alcotest.test_case "load vector max below zero" `Quick test_load_vector_max_negative;
     QCheck_alcotest.to_alcotest load_vector_matches_model;
     QCheck_alcotest.to_alcotest lazy_compare_matches_naive;
     QCheck_alcotest.to_alcotest lazy_delta_compare_matches_naive;

@@ -352,6 +352,81 @@ let local_search_never_worse_prop =
       let refined, _moves = Ls.refine h a in
       Ha.is_valid h refined && Ha.makespan h refined <= Ha.makespan h a +. 1e-9)
 
+(* Test-local reference for [Ls.refine]: the same pass structure, but every
+   move is ranked by re-sorting the whole hypothetical load vector. *)
+let reference_refine ~max_passes h (a : Ha.t) =
+  let module Lv = Ds.Load_vector in
+  let choice = Array.copy a.Ha.choice in
+  let lv = Lv.create h.H.n2 in
+  Array.iter (fun e -> Lv.apply lv ~procs:(H.h_procs h e) ~w:(H.h_weight h e)) choice;
+  let move e_old e_new =
+    let old_procs = H.h_procs h e_old and new_procs = H.h_procs h e_new in
+    let procs =
+      Array.append old_procs (Array.of_list (List.filter (fun u -> not (Array.mem u old_procs)) (Array.to_list new_procs)))
+    in
+    let amounts =
+      Array.map
+        (fun u ->
+          (if Array.mem u old_procs then 0.0 -. H.h_weight h e_old else 0.0)
+          +. if Array.mem u new_procs then H.h_weight h e_new else 0.0)
+        procs
+    in
+    { Lv.procs; amounts; len = Array.length procs }
+  in
+  let moves = ref 0 in
+  let rec loop passes =
+    if passes > 0 then begin
+      let improved = ref false in
+      for v = 0 to h.H.n1 - 1 do
+        let e_old = choice.(v) in
+        let best = ref e_old and best_vec = ref (Lv.sorted_desc lv) in
+        H.iter_task_hyperedges h v (fun e_new ->
+            if e_new <> e_old then begin
+              let vec = Lv.hypothetical_sorted lv (move e_old e_new) in
+              if compare vec !best_vec < 0 then begin
+                best := e_new;
+                best_vec := vec
+              end
+            end);
+        if !best <> e_old then begin
+          Lv.apply_delta lv (move e_old !best);
+          choice.(v) <- !best;
+          incr moves;
+          improved := true
+        end
+      done;
+      if !improved then loop (passes - 1)
+    end
+  in
+  loop max_passes;
+  (choice, !moves)
+
+let local_search_matches_reference_prop =
+  QCheck.Test.make ~name:"local search = re-sorting reference" ~count:200
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Randkit.Prng.create ~seed in
+      let n1 = 1 + Randkit.Prng.int rng 40 and n2 = 1 + Randkit.Prng.int rng 12 in
+      (* Non-integer weights that tie and round, up to four configurations
+         of up to five processors. *)
+      let weights = [| 0.1; 0.2; 0.3; 0.25; 1.0 /. 3.0; 1.0; 2.5 |] in
+      let hyperedges =
+        List.concat
+          (List.init n1 (fun v ->
+               List.init
+                 (1 + Randkit.Prng.int rng 4)
+                 (fun _ ->
+                   let k = 1 + Randkit.Prng.int rng (min 5 n2) in
+                   (v, Randkit.Prng.sample_without_replacement rng ~k ~n:n2, weights.(Randkit.Prng.int rng 7)))))
+      in
+      let h = H.create ~n1 ~n2 ~hyperedges in
+      let start =
+        Ha.of_choices h (Array.init n1 (fun v -> h.H.task_off.(v) + Randkit.Prng.int rng (H.task_degree h v)))
+      in
+      let max_passes = [| 1; 2; 50 |].(Randkit.Prng.int rng 3) in
+      let refined, moves = Ls.refine ~max_passes h start in
+      (refined.Ha.choice, moves) = reference_refine ~max_passes h start)
+
 let test_local_search_improves_fig3 () =
   (* One-task moves cannot always reach the optimum (swapping two tasks on a
      loaded processor never improves the vector), but they provably get the
@@ -486,6 +561,7 @@ let suite =
     QCheck_alcotest.to_alcotest expected_hyper_specializes_prop;
     Alcotest.test_case "hypergraph greedy rejects isolated" `Quick test_greedy_hyper_rejects_isolated;
     QCheck_alcotest.to_alcotest local_search_never_worse_prop;
+    QCheck_alcotest.to_alcotest local_search_matches_reference_prop;
     Alcotest.test_case "local search improves fig3" `Quick test_local_search_improves_fig3;
     Alcotest.test_case "X3C reduction shapes" `Quick test_reduction_shapes;
     Alcotest.test_case "X3C yes-instance" `Quick test_reduction_yes;
