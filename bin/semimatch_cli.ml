@@ -560,8 +560,9 @@ let exact_cmd =
                   (Semimatch.Exact_unit.exact_engine_name exact)
                   (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee)
             | None when jobs > 1 ->
-                (* Race every exact engine; all compute the same optimum, so
-                   only the winner (and its bookkeeping) depends on timing. *)
+                (* Race bs-hk against gen-hk; both compute the same optimum,
+                   so only the winner (and its bookkeeping) depends on
+                   timing. *)
                 let s, exact = Semimatch.Portfolio.solve_exact_unit ~jobs g in
                 Printf.printf
                   "optimal makespan: %d (%d deadlines tried, %s engine won the race, %s)\n"
@@ -580,7 +581,7 @@ let exact_cmd =
   in
   let strategy =
     Arg.(value & opt strategy_conv Semimatch.Exact_unit.Incremental
-         & info [ "strategy" ] ~docv:"S" ~doc:"incremental or bisection (binary search only)")
+         & info [ "strategy" ] ~docv:"S" ~doc:"incremental or bisection (deadline search engines only)")
   in
   let engine_conv =
     Arg.enum
@@ -593,10 +594,10 @@ let exact_cmd =
          & info [ "engine" ]
              ~docv:"E"
              ~doc:
-               "exact engine: bs-dfs, bs-hk or bs-pr (deadline binary search over a matching \
+               "exact engine: bs-dfs, bs-hk or bs-pr (deadline search over a matching \
                 engine; makespan-optimal), harvey, gen-hk or dnc (direct cost-reducing-path \
-                solvers; load-vector-optimal).  Default: binary search, or a race of all six \
-                with --jobs > 1.")
+                solvers; load-vector-optimal).  Default: the deadline search over Hopcroft-Karp, \
+                or with --jobs > 1 a race of bs-hk against gen-hk.")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact optimum for SINGLEPROC-UNIT instances")

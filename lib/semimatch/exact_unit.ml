@@ -22,12 +22,76 @@ let check g =
   if G.has_isolated_task g then invalid_arg "Exact_unit: task with no allowed processor";
   if g.G.n1 > 0 && g.G.n2 = 0 then invalid_arg "Exact_unit: no processors"
 
-let feasible ?engine g ~d =
+(* One maximum matching of G_d: every processor takes up to [d] tasks. *)
+let matching_at ?engine g ~d =
   if d < 0 then invalid_arg "Exact_unit.feasible: negative deadline";
-  let caps = Array.make g.G.n2 d in
-  let result = Matching.solve ?engine ~capacities:caps g in
+  Matching.solve ?engine ~capacities:(Array.make g.G.n2 d) g
+
+let feasible ?engine g ~d =
+  let result = matching_at ?engine g ~d in
   if result.Matching.size = g.G.n1 then Some (Bip_assignment.of_mates g result.Matching.mate1)
   else None
+
+(* The Hall witness of a maximum matching of G_d that leaves k tasks
+   exposed.  S is every task an alternating path from an exposed task
+   reaches (task -> any neighbour column -> that column's occupants), N(S)
+   the columns it reaches.  N(S) is the whole neighbourhood of S, and each
+   of its columns is full with tasks of S, so |S| = d*|N(S)| + k and every
+   schedule puts at least d + ceil(k/|N(S)|) tasks on some column of N(S).
+   Each task of S enters the queue once and scans its edges once, so the
+   search is O(n + m). *)
+let hall_bound g ~d mate1 =
+  let n1 = g.G.n1 and n2 = g.G.n2 in
+  if Array.length mate1 <> n1 then invalid_arg "Exact_unit.hall_bound: mate1 length mismatch";
+  (* occupants of each column, grouped by a counting sort on [mate1] *)
+  let start = Array.make (n2 + 1) 0 in
+  Array.iter
+    (fun u ->
+      if u >= n2 then invalid_arg "Exact_unit.hall_bound: mate out of range";
+      if u >= 0 then start.(u + 1) <- start.(u + 1) + 1)
+    mate1;
+  for u = 0 to n2 - 1 do
+    if start.(u + 1) > d then invalid_arg "Exact_unit.hall_bound: a column exceeds capacity d";
+    start.(u + 1) <- start.(u) + start.(u + 1)
+  done;
+  let occupants = Array.make start.(n2) 0 and fill = Array.sub start 0 n2 in
+  let queue = Array.make n1 0 and tail = ref 0 in
+  Array.iteri
+    (fun v u ->
+      if u >= 0 then begin
+        occupants.(fill.(u)) <- v;
+        fill.(u) <- fill.(u) + 1
+      end
+      else begin
+        queue.(!tail) <- v;
+        incr tail
+      end)
+    mate1;
+  let exposed = !tail in
+  if exposed = 0 then invalid_arg "Exact_unit.hall_bound: the matching covers every task";
+  let reached = Bytes.make n2 '\000' and columns = ref 0 and head = ref 0 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
+    for e = g.G.off.(v) to g.G.off.(v + 1) - 1 do
+      let u = g.G.adj.(e) in
+      if Bytes.get reached u = '\000' then begin
+        Bytes.set reached u '\001';
+        incr columns;
+        (* A column with room next to an exposed task's alternating path
+           means the matching was not maximum, and the bound would be
+           unsound. *)
+        if start.(u + 1) - start.(u) < d then
+          invalid_arg "Exact_unit.hall_bound: the matching is not maximum";
+        for i = start.(u) to start.(u + 1) - 1 do
+          queue.(!tail) <- occupants.(i);
+          incr tail
+        done
+      end
+    done
+  done;
+  if !columns = 0 then invalid_arg "Exact_unit.hall_bound: exposed tasks with no allowed processor";
+  d + ((exposed + !columns - 1) / !columns)
 
 let solve ?engine ?(strategy = Incremental) g =
   check g;
@@ -47,11 +111,20 @@ let solve ?engine ?(strategy = Incremental) g =
     let lo0 = Lower_bound.singleproc_unit g in
     match strategy with
     | Incremental ->
+        (* Every deadline tried is at most the optimum: ceil(n/p) is a lower
+           bound, and so is each failed matching's Hall witness bound, which
+           can sit far above d + 1. *)
         let rec search d =
-          match attempt d with
-          | Some assignment ->
-              { makespan = d; assignment; deadlines_tried = !tried; guarantee = Makespan_optimal }
-          | None -> search (d + 1)
+          incr tried;
+          let result = matching_at ?engine g ~d in
+          if result.Matching.size = g.G.n1 then
+            {
+              makespan = d;
+              assignment = Bip_assignment.of_mates g result.Matching.mate1;
+              deadlines_tried = !tried;
+              guarantee = Makespan_optimal;
+            }
+          else search (hall_bound g ~d result.Matching.mate1)
         in
         search lo0
     | Bisection ->

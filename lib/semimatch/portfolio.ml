@@ -141,7 +141,10 @@ let solve ?pool ?(jobs = 1) ?(cutoff = true) ?timeout_s ?(solvers = default_solv
   in
   { best_makespan; assignment; winner = solvers.(!winner_idx); lower_bound = lb; outcomes }
 
-let solve_exact_unit ?pool ?(jobs = 1) ?(engines = Exact_unit.all_exact_engines) g =
+(* One engine per guarantee: contenders ignore their cancel token, so every
+   extra engine that starts delays the race's answer. *)
+let solve_exact_unit ?pool ?(jobs = 1)
+    ?(engines = Exact_unit.[ Binary_search Matching.Hopcroft_karp; Gen_hk ]) g =
   if engines = [] then invalid_arg "Portfolio.solve_exact_unit: engines must be non-empty";
   let engines = Array.of_list engines in
   let contenders =

@@ -68,12 +68,16 @@ val solve_exact_unit :
   ?engines:Exact_unit.exact_engine list ->
   Bipartite.Graph.t ->
   Exact_unit.solution * Exact_unit.exact_engine
-(** Race the exact engines — the three binary searches and the three direct
-    cost-reducing-path solvers — on the same SINGLEPROC-UNIT instance and
-    return the first solution to arrive with the engine that produced it.
-    All engines compute the same optimal {e makespan}, so that value is
-    engine- and timing-independent; the assignment, [deadlines_tried]
-    bookkeeping, the winning engine and its [guarantee] (makespan- vs
-    load-vector-optimal — see {!Exact_unit.guarantee}) vary with the
-    winner.  With [jobs = 1] the first engine in [engines] (default
-    {!Exact_unit.all_exact_engines}) wins deterministically. *)
+(** Race exact engines on the same SINGLEPROC-UNIT instance and return
+    the first solution to arrive with the engine that produced it.  The
+    default [engines] are one per guarantee: [Binary_search Hopcroft_karp]
+    (bs-hk, makespan-optimal) then [Gen_hk] (load-vector-optimal); pass
+    {!Exact_unit.all_exact_engines} to race all six.  All engines compute
+    the same optimal {e makespan}, so that value is engine- and
+    timing-independent; the assignment, [deadlines_tried] bookkeeping, the
+    winning engine and its [guarantee] (makespan- vs load-vector-optimal —
+    see {!Exact_unit.guarantee}) vary with the winner.  With [jobs = 1]
+    only the first engine in [engines] runs, and it wins deterministically.
+    Contenders do not poll the cancel token, so with [jobs >= 2] the race
+    waits for every engine that started: a slow engine in [engines] (bs-dfs
+    or harvey on large instances) delays the answer even when it loses. *)

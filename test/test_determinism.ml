@@ -111,7 +111,8 @@ let test_exact_engines_identical_across_jobs () =
               reference (edges_of s))
           [ 1; 4; 8 ])
       [ E.Gen_hk; E.Divide_conquer ];
-    (* The full six-engine race: makespan independent of jobs. *)
+    (* The default race, bs-hk against gen-hk: makespan independent of
+       jobs. *)
     let m jobs = (fst (Semimatch.Portfolio.solve_exact_unit ~jobs g)).E.makespan in
     let sequential = m 1 in
     Alcotest.(check int) "race jobs=4" sequential (m 4);

@@ -245,10 +245,98 @@ let test_portfolio_race_covers_all_engines () =
     let reference = (E.solve g).E.makespan in
     List.iter
       (fun jobs ->
-        let s, _winner = Semimatch.Portfolio.solve_exact_unit ~jobs g in
+        let s, _winner = Semimatch.Portfolio.solve_exact_unit ~jobs ~engines g in
         Alcotest.(check int) "raced makespan" reference s.E.makespan)
       [ 1; 4 ]
   done
+
+(* --- the incremental search's Hall witness --------------------------- *)
+
+(* Skewed unit instances: most edges go to the first third of the
+   processors, so optima sit well above ceil(n/p) and the witness has
+   room to jump. *)
+let skewed_instance seed =
+  let r = Prng.create ~seed in
+  let n1 = 1 + Prng.int r 60 and n2 = 1 + Prng.int r 12 in
+  let hot = (n2 + 2) / 3 in
+  let edges = ref [] in
+  for v = 0 to n1 - 1 do
+    let procs = ref [] in
+    for _ = 0 to Prng.int r 3 do
+      let u = if Prng.int r 5 < 4 then Prng.int r hot else Prng.int r n2 in
+      if not (List.mem u !procs) then procs := u :: !procs
+    done;
+    List.iter (fun u -> edges := (v, u) :: !edges) !procs
+  done;
+  G.unit_weights ~n1 ~n2 ~edges:(List.rev !edges)
+
+let hall_bound_prop =
+  QCheck.Test.make ~name:"Hall witness bound lies in (d, opt] for every engine" ~count:500
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let g = skewed_instance seed in
+      let opt = (E.solve_with ~exact:E.Gen_hk g).E.makespan in
+      for d = 1 to opt - 1 do
+        let bounds =
+          List.map
+            (fun engine ->
+              let r = Matching.solve ~engine ~capacities:(Array.make g.G.n2 d) g in
+              if r.Matching.size = g.G.n1 then
+                QCheck.Test.fail_reportf "%s covers every task at d = %d < opt = %d"
+                  (Matching.engine_name engine) d opt;
+              E.hall_bound g ~d r.Matching.mate1)
+            Matching.all_engines
+        in
+        List.iter
+          (fun b ->
+            if b <= d || b > opt then
+              QCheck.Test.fail_reportf "bound %d at d = %d outside (d, %d]" b d opt;
+            if b <> List.hd bounds then
+              QCheck.Test.fail_reportf "bounds [%s] at d = %d differ across engines"
+                (String.concat "," (List.map string_of_int bounds)) d)
+          bounds
+      done;
+      true)
+
+(* HLF-20-4 with d = 2: optimum 43 from ceil(n/p) = 5.  The first matching's
+   witness proves 43 at once, where stepping by one took 39 matchings. *)
+let hilo_far_optimum () =
+  let spec =
+    List.find
+      (fun s -> s.Experiments.Instances.sp_name = "HLF-20-4")
+      (Experiments.Instances.paper_grid_singleproc ~d:2 ())
+  in
+  Experiments.Instances.generate_singleproc ~seed:0 spec
+
+let test_witness_jump_count () =
+  let g = hilo_far_optimum () in
+  Alcotest.(check int) "ceil(n/p)" 5 (Semimatch.Lower_bound.singleproc_unit g);
+  List.iter
+    (fun engine ->
+      let s = E.solve ~engine g in
+      let name = Matching.engine_name engine in
+      Alcotest.(check int) (name ^ " optimum") 43 s.E.makespan;
+      Alcotest.(check int) (name ^ " deadlines tried") 2 s.E.deadlines_tried;
+      Alcotest.(check bool) (name ^ " valid") true (Ba.is_valid g s.E.assignment))
+    Matching.all_engines
+
+let test_sequential_race_runs_bs_hk () =
+  let s, winner = Semimatch.Portfolio.solve_exact_unit ~jobs:1 (hilo_far_optimum ()) in
+  Alcotest.(check string) "winner" "bs-hk" (E.exact_engine_name winner);
+  Alcotest.(check int) "optimum" 43 s.E.makespan
+
+let test_hall_bound_rejects_non_maximum () =
+  (* Two tasks on one processor of capacity 2, nothing matched: the column
+     has room, so the empty matching is not maximum. *)
+  let g = G.unit_weights ~n1:2 ~n2:1 ~edges:[ (0, 0); (1, 0) ] in
+  Alcotest.check_raises "spare capacity"
+    (Invalid_argument "Exact_unit.hall_bound: the matching is not maximum") (fun () ->
+      ignore (E.hall_bound g ~d:2 [| -1; -1 |]));
+  Alcotest.check_raises "complete matching"
+    (Invalid_argument "Exact_unit.hall_bound: the matching covers every task") (fun () ->
+      ignore (E.hall_bound g ~d:2 [| 0; 0 |]));
+  Alcotest.(check int) "one exposed task over one full column" 2
+    (E.hall_bound g ~d:1 [| 0; -1 |])
 
 let suite =
   [
@@ -261,4 +349,10 @@ let suite =
       test_engine_guarantees_reported;
     Alcotest.test_case "portfolio race over all six engines" `Quick
       test_portfolio_race_covers_all_engines;
+    QCheck_alcotest.to_alcotest hall_bound_prop;
+    Alcotest.test_case "witness jump: HLF-20-4/d2 in 2 deadlines" `Quick
+      test_witness_jump_count;
+    Alcotest.test_case "sequential race runs bs-hk" `Quick test_sequential_race_runs_bs_hk;
+    Alcotest.test_case "hall_bound rejects a non-maximum matching" `Quick
+      test_hall_bound_rejects_non_maximum;
   ]
