@@ -518,7 +518,7 @@ let gate_recovery_workload () =
       ~g:4 ~weights:Hyper.Weights.Unit
   in
   let persist, _ = Server.Persist.open_ ~dir ~policy:Server.Journal.Never ~version:"bench" in
-  let lb = Server.Loopback.create ~persist () in
+  let lb = Server.Loopback.create (Server.Engine.create ~persist ()) in
   let req fields = ignore (Server.Loopback.request lb (Obs.Json.to_string (Obs.Json.Obj fields))) in
   let module J = Obs.Json in
   req [ ("op", J.Str "load"); ("session", J.Str "r"); ("instance", J.Str (Hyper.Io.to_string h)) ];

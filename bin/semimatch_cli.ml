@@ -1013,23 +1013,28 @@ let parse_hostport hostport =
       | Some port -> ("127.0.0.1", port)
       | None -> die "bad --tcp %S (expected HOST:PORT or PORT)" hostport)
 
+(* The endpoint named by --socket / --tcp: its name for diagnostics and a
+   dial that raises [Unix.Unix_error] on connection failure. *)
+let endpoint socket tcp =
+  match (socket, tcp) with
+  | Some path, None -> (path, fun () -> Server.Client.connect_unix path)
+  | None, Some hostport ->
+      let host, port = parse_hostport hostport in
+      ( hostport,
+        fun () ->
+          try Server.Client.connect_tcp ~host ~port
+          with Not_found -> die "cannot resolve host %S" host )
+  | Some _, Some _ -> die "--socket and --tcp are mutually exclusive"
+  | None, None -> die "needs --socket PATH or --tcp HOST:PORT"
+
 (* One-shot client connections retry once with a short backoff before the
    exit-2 diagnostic, so a script racing a daemon restart (crash recovery,
    a rolling upgrade) does not fail on the connect it could have won 200ms
    later.  [Client.retrying] only retries transient connection errors. *)
 let connect_client socket tcp =
-  match (socket, tcp) with
-  | Some path, None -> (
-      try Server.Client.retrying ~attempts:2 ~delay_s:0.2 (fun () -> Server.Client.connect_unix path)
-      with Unix.Unix_error (err, _, _) -> die "cannot connect to %s: %s" path (Unix.error_message err))
-  | None, Some hostport -> (
-      let host, port = parse_hostport hostport in
-      try Server.Client.retrying ~attempts:2 ~delay_s:0.2 (fun () -> Server.Client.connect_tcp ~host ~port)
-      with
-      | Unix.Unix_error (err, _, _) -> die "cannot connect to %s: %s" hostport (Unix.error_message err)
-      | Not_found -> die "cannot resolve host %S" host)
-  | Some _, Some _ -> die "--socket and --tcp are mutually exclusive"
-  | None, None -> die "needs --socket PATH or --tcp HOST:PORT"
+  let name, dial = endpoint socket tcp in
+  try Server.Client.retrying ~attempts:2 ~delay_s:0.2 dial
+  with Unix.Unix_error (err, _, _) -> die "cannot connect to %s: %s" name (Unix.error_message err)
 
 (* client: one-shot or scripted requests against a running daemon.  Exit 2
    on connection failures, timeouts and any error reply (the protocol-error
@@ -1255,40 +1260,12 @@ let loadgen_cmd =
       write_baseline =
     (* The dial is a closure so Loadgen can redial the same endpoint after
        a dropped connection (--reconnect). *)
-    let connect () =
-      match (socket, tcp) with
-      | Some path, None ->
-          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-          (try Unix.connect fd (Unix.ADDR_UNIX path)
-           with e ->
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             raise e);
-          fd
-      | None, Some hostport ->
-          let host, port = parse_hostport hostport in
-          let addr =
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (
-              match Unix.gethostbyname host with
-              | { Unix.h_addr_list = [||]; _ } -> die "cannot resolve host %S" host
-              | { Unix.h_addr_list; _ } -> h_addr_list.(0)
-              | exception Not_found -> die "cannot resolve host %S" host)
-          in
-          let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-          (try Unix.connect fd (Unix.ADDR_INET (addr, port))
-           with e ->
-             (try Unix.close fd with Unix.Unix_error _ -> ());
-             raise e);
-          fd
-      | Some _, Some _ -> die "--socket and --tcp are mutually exclusive"
-      | None, None -> die "loadgen needs --socket PATH or --tcp HOST:PORT"
-    in
+    let name, dial = endpoint socket tcp in
+    let connect () = Server.Client.fd (dial ()) in
     let fd =
       try connect ()
       with Unix.Unix_error (err, _, _) ->
-        die "cannot connect to %s: %s"
-          (match (socket, tcp) with Some p, _ -> p | _, Some hp -> hp | _ -> "?")
-          (Unix.error_message err)
+        die "cannot connect to %s: %s" name (Unix.error_message err)
     in
     let opts =
       {

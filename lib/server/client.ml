@@ -11,10 +11,19 @@ type t = { fd : Unix.file_descr; mutable buf : string; mutable eof : bool }
 
 let of_fd fd = { fd; buf = ""; eof = false }
 
-let connect_unix path =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX path);
+let fd t = t.fd
+
+(* A failed connect closes its socket: callers retry in a loop while a
+   daemon starts, and must not leak one fd per attempt. *)
+let dial domain addr =
+  let fd = Unix.socket domain Unix.SOCK_STREAM 0 in
+  (try Unix.connect fd addr
+   with e ->
+     (try Unix.close fd with Unix.Unix_error _ -> ());
+     raise e);
   of_fd fd
+
+let connect_unix path = dial Unix.PF_UNIX (Unix.ADDR_UNIX path)
 
 let connect_tcp ~host ~port =
   let addr =
@@ -24,9 +33,7 @@ let connect_tcp ~host ~port =
       | { Unix.h_addr_list = [||]; _ } -> raise Not_found
       | { Unix.h_addr_list; _ } -> h_addr_list.(0))
   in
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_INET (addr, port));
-  of_fd fd
+  dial Unix.PF_INET (Unix.ADDR_INET (addr, port))
 
 let write_all fd s =
   let bytes = Bytes.of_string s in

@@ -10,9 +10,15 @@ type t
 
 val connect_unix : string -> t
 val connect_tcp : host:string -> port:int -> t
+(** Both close their socket when the connect fails.  [connect_tcp] raises
+    [Not_found] when [host] does not resolve. *)
 
 val of_fd : Unix.file_descr -> t
 (** Wrap an already-connected stream socket (tests, custom transports). *)
+
+val fd : t -> Unix.file_descr
+(** The connected socket, for callers that drive it directly
+    ({!Loadgen.run}). *)
 
 val request : ?timeout_s:float -> t -> string -> string
 (** Send one line, read one reply line (the protocol answers every request

@@ -65,8 +65,13 @@ type recovery_info = {
   rec_sessions : int;
   rec_checkpoint : string option;
   rec_replay_us : float;
-  rec_failures : int;  (* sessions that failed restore or the feasibility recompute *)
+  rec_failures : int;  (* restores, replayed steps or feasibility recomputes that failed *)
 }
+
+(* The slow-request log's sampling stride (the 1st slow request, then every
+   10th) and the idempotency reply cache's capacity (FIFO eviction). *)
+let slow_every = 10
+let idem_cap = 4096
 
 type t = {
   registry : (string, Session.t) Hashtbl.t;
@@ -78,7 +83,6 @@ type t = {
   version : string;
   started_ns : int64;
   slow_ms : float;  (* slow-request threshold; <= 0 disables the log *)
-  slow_every : int;  (* sampling: log the 1st, then every nth slow request *)
   mutable slow_seen : int;
   anomaly : Obs.Anomaly.t option;
   bundle_dir : string option;
@@ -90,26 +94,21 @@ type t = {
   mutable posted : int;
   mutable served : int;
   mutable shutdown : bool;
-  (* Durability: the persist layer (journal + checkpoints), the replay
-     flag that suppresses re-journaling during recovery, and the bounded
-     idempotency-id reply cache (FIFO eviction). *)
+  (* Durability: the persist layer (journal + checkpoints) and the bounded
+     idempotency-id reply cache. *)
   persist : Persist.t option;
   checkpoint_secs : float;
   mutable last_ckpt_ns : int64;
-  mutable replaying : bool;
   mutable checkpoints : int;
   mutable recovered : recovery_info option;
   idem_cache : (string, string) Hashtbl.t;
   idem_order : string Queue.t;
-  idem_cap : int;
 }
 
 let create ?(jobs = 1) ?(max_pending = 64) ?(max_frame = P.default_max_frame)
-    ?(version = "dev") ?(slow_ms = 100.0) ?(slow_every = 10) ?anomaly ?bundle_dir ?before_solve
-    ?persist ?(checkpoint_secs = 0.0) ?(idem_cap = 4096) () =
+    ?(version = "dev") ?(slow_ms = 100.0) ?anomaly ?bundle_dir ?before_solve ?persist
+    ?(checkpoint_secs = 0.0) () =
   if max_pending < 1 then invalid_arg "Engine.create: max_pending must be positive";
-  if slow_every < 1 then invalid_arg "Engine.create: slow_every must be positive";
-  if idem_cap < 1 then invalid_arg "Engine.create: idem_cap must be positive";
   {
     registry = Hashtbl.create 8;
     spools = Hashtbl.create 4;
@@ -120,7 +119,6 @@ let create ?(jobs = 1) ?(max_pending = 64) ?(max_frame = P.default_max_frame)
     version;
     started_ns = Obs.Span.now_ns ();
     slow_ms;
-    slow_every;
     slow_seen = 0;
     anomaly;
     bundle_dir;
@@ -133,12 +131,10 @@ let create ?(jobs = 1) ?(max_pending = 64) ?(max_frame = P.default_max_frame)
     persist;
     checkpoint_secs;
     last_ckpt_ns = Obs.Span.now_ns ();
-    replaying = false;
     checkpoints = 0;
     recovered = None;
     idem_cache = Hashtbl.create 64;
     idem_order = Queue.create ();
-    idem_cap;
   }
 
 let max_frame t = t.max_frame
@@ -163,10 +159,15 @@ let repair_fields (r : Semimatch.Repair.t) =
     ("infeasible", int_j (List.length r.Semimatch.Repair.infeasible));
   ]
 
-let find_session t ?id session k =
+(* How a handler refuses a request: [apply] turns it into the error reply. *)
+exception Refused of P.error_code * string
+
+let refuse code msg = raise (Refused (code, msg))
+
+let find_session t session =
   match Hashtbl.find_opt t.registry session with
-  | Some s -> k s
-  | None -> P.error_reply ?id ~code:P.Unknown_session (Printf.sprintf "unknown session %S" session)
+  | Some s -> s
+  | None -> refuse P.Unknown_session (Printf.sprintf "unknown session %S" session)
 
 (* Abort an upload: seal (so the channel flushes), close, delete. *)
 let drop_spool t session =
@@ -177,18 +178,18 @@ let drop_spool t session =
       Hyper.Stream_io.close_writer sp.sp_writer;
       (try Sys.remove sp.sp_path with Sys_error _ -> ())
 
-let load_source = function
-  | `Inline text -> Ok text
-  | `Path path -> (
-      match In_channel.with_open_text path In_channel.input_all with
-      | text -> Ok text
-      | exception Sys_error msg -> Error msg)
-
-let graph_of_text text =
+let load_graph source =
+  let text =
+    match source with
+    | `Inline text -> text
+    | `Path path -> (
+        try In_channel.with_open_text path In_channel.input_all
+        with Sys_error msg -> refuse P.Bad_request msg)
+  in
   match Hyper.Io.of_string text with
-  | h -> Ok h
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error ("invalid instance: " ^ msg)
+  | h -> h
+  | exception Failure msg -> refuse P.Bad_request msg
+  | exception Invalid_argument msg -> refuse P.Bad_request ("invalid instance: " ^ msg)
 
 let non_zero_counters () =
   List.rev
@@ -196,55 +197,31 @@ let non_zero_counters () =
        (fun name v acc -> if v <> 0 then (name, int_j v) :: acc else acc)
        [])
 
-let op_name = function
-  | P.Ping -> "ping"
-  | P.Load _ -> "load"
-  | P.Add_task _ -> "add_task"
-  | P.Remove_task _ -> "remove_task"
-  | P.Kill_proc _ -> "kill_proc"
-  | P.Resolve _ -> "resolve"
-  | P.Solve _ -> "solve"
-  | P.Stats -> "stats"
-  | P.Metrics -> "metrics"
-  | P.Sessions -> "sessions"
-  | P.Snapshot _ -> "snapshot"
-  | P.Restore _ -> "restore"
-  | P.Health -> "health"
-  | P.Dump _ -> "dump"
-  | P.Checkpoint -> "checkpoint"
-  | P.Shutdown -> "shutdown"
-  | P.Stream_begin _ -> "stream_begin"
-  | P.Stream_chunk _ -> "stream_chunk"
-  | P.Stream_end _ -> "stream_end"
-
-let session_of_req = function
-  | P.Load { session; _ }
-  | P.Add_task { session; _ }
-  | P.Remove_task { session; _ }
-  | P.Kill_proc { session; _ }
-  | P.Resolve { session; _ }
-  | P.Solve { session }
-  | P.Snapshot { session }
-  | P.Restore { session; _ }
-  | P.Stream_begin { session; _ }
-  | P.Stream_chunk { session; _ }
-  | P.Stream_end { session; _ } ->
-      Some session
-  | P.Dump { session } -> session
-  | P.Ping | P.Stats | P.Metrics | P.Sessions | P.Health | P.Checkpoint | P.Shutdown -> None
-
-(* The ops whose success changes session state — the ones the journal must
-   capture and the idempotency cache must guard. *)
-let mutating = function
-  | P.Load _ | P.Add_task _ | P.Remove_task _ | P.Kill_proc _ | P.Resolve _ | P.Solve _
-  | P.Restore _ | P.Stream_end _ ->
-      true
+(* Each op's name, the session it names, and whether its success changes
+   session state — the ops the idempotency cache must guard. *)
+let describe = function
+  | P.Ping -> ("ping", None, false)
+  | P.Load { session; _ } -> ("load", Some session, true)
+  | P.Add_task { session; _ } -> ("add_task", Some session, true)
+  | P.Remove_task { session; _ } -> ("remove_task", Some session, true)
+  | P.Kill_proc { session; _ } -> ("kill_proc", Some session, true)
+  | P.Resolve { session; _ } -> ("resolve", Some session, true)
+  | P.Solve { session } -> ("solve", Some session, true)
+  | P.Stats -> ("stats", None, false)
+  | P.Metrics -> ("metrics", None, false)
+  | P.Sessions -> ("sessions", None, false)
+  | P.Snapshot { session } -> ("snapshot", Some session, false)
+  | P.Restore { session; _ } -> ("restore", Some session, true)
+  | P.Health -> ("health", None, false)
+  | P.Dump { session } -> ("dump", session, false)
+  | P.Checkpoint -> ("checkpoint", None, false)
+  | P.Shutdown -> ("shutdown", None, false)
   (* stream_begin/stream_chunk only touch the transient spool, never a
      resident session — journaling them would be a lie (the spool file does
      not survive a restart, so a replayed stream_end would find nothing). *)
-  | P.Ping | P.Stats | P.Metrics | P.Sessions | P.Snapshot _ | P.Health | P.Dump _
-  | P.Checkpoint | P.Shutdown | P.Stream_begin _ | P.Stream_chunk _ ->
-      false
+  | P.Stream_begin { session; _ } -> ("stream_begin", Some session, false)
+  | P.Stream_chunk { session; _ } -> ("stream_chunk", Some session, false)
+  | P.Stream_end { session; _ } -> ("stream_end", Some session, true)
 
 (* The Prometheus exposition: everything Obs holds (counters, phase and
    per-op latency histograms, span totals) plus live engine gauges.  The
@@ -294,92 +271,22 @@ let prom t =
 
 (* ---------- durability: idempotency cache, journaling, checkpoints ---------- *)
 
-let idem_lookup t = function
-  | Some key -> Hashtbl.find_opt t.idem_cache key
-  | None -> None
-
 let seed_idem t key reply =
   if not (Hashtbl.mem t.idem_cache key) then begin
     Queue.push key t.idem_order;
-    if Queue.length t.idem_order > t.idem_cap then
+    if Queue.length t.idem_order > idem_cap then
       Hashtbl.remove t.idem_cache (Queue.pop t.idem_order)
   end;
   Hashtbl.replace t.idem_cache key reply
 
-let reply_is_ok line =
-  match J.of_string line with
-  | j -> J.member "ok" j = Some (J.Bool true)
-  | exception Failure _ -> false
-
-let reply_flag line name =
-  match J.of_string line with
-  | j -> J.member name j = Some (J.Bool true)
-  | exception Failure _ -> false
-
-(* Journal a mutation as the *resulting* session state rather than the raw
-   request when replay could diverge: [load] (a `path` source may change
-   under us), adopted [resolve] and [solve] (time-budgeted, so the search
-   is not replay-deterministic).  Everything else replays its raw line. *)
-let state_record t session =
-  match Hashtbl.find_opt t.registry session with
-  | None -> None
-  | Some s ->
-      Some
-        (J.to_string
-           (J.Obj
-              [
-                ("op", J.Str "restore");
-                ("session", J.Str session);
-                ("state", Session.snapshot s);
-              ]))
-
-(* Record one successful single (non-batched) mutation: seed the idem
-   cache and, with a persist dir, append the journal record — before the
-   caller flushes the reply. *)
-let journal_single t (parsed : P.parsed) ~raw ~reply =
-  if (not t.replaying) && mutating parsed.P.req && reply_is_ok reply then begin
-    (match parsed.P.idem with None -> () | Some k -> seed_idem t k reply) ;
-    match t.persist with
-    | None -> ()
-    | Some p ->
-        let cached = match parsed.P.idem with None -> [] | Some k -> [ (k, reply) ] in
-        let log lines = Persist.log p ~lines ~cached in
-        let log_state session =
-          match state_record t session with None -> () | Some line -> log [ line ]
-        in
-        (match parsed.P.req with
-        | P.Load { session; _ } | P.Solve { session } -> log_state session
-        | P.Resolve { session; _ } ->
-            (* An unadopted resolve left the incumbent untouched: nothing
-               to journal (the idem cache entry above still suppresses an
-               in-process retry). *)
-            if reply_flag reply "replaced" then log_state session
-        | P.Remove_task _ | P.Kill_proc _ | P.Restore _ -> log [ raw ]
-        (* A stream_end that fell back to the in-core tier created a
-           resident session from a spool file that is already gone: the
-           raw line can never replay, so journal the resulting state.  A
-           streamed-tier reply left no session — nothing to journal. *)
-        | P.Stream_end { session; _ } -> if reply_flag reply "resident" then log_state session
-        | _ -> ())
-  end
-
-(* Record one successful add_task batch as a single journal group, so
-   replay reproduces the exact coalescing (batch boundaries change how
-   Repair.place groups the delta). *)
-let journal_batch t ~raws ~idems ~replies =
-  if (not t.replaying) && (match replies with r :: _ -> reply_is_ok r | [] -> false) then begin
-    let cached =
-      List.filter_map
-        (fun (idem, reply) ->
-          match idem with
-          | None -> None
-          | Some k ->
-              seed_idem t k reply;
-              Some (k, reply))
-        (List.combine idems replies)
-    in
-    match t.persist with None -> () | Some p -> Persist.log p ~lines:raws ~cached
-  end
+(* Seed the idempotency cache with a step's replies and, with a persist
+   dir, append its journal group — before the caller flushes any reply. *)
+let journal t (g : Persist.group) =
+  List.iter (fun (k, reply) -> seed_idem t k reply) g.Persist.g_cached;
+  match t.persist with
+  | Some p when g.Persist.g_lines <> [] ->
+      Persist.log p ~lines:g.Persist.g_lines ~cached:g.Persist.g_cached
+  | _ -> ()
 
 let do_checkpoint t =
   match t.persist with
@@ -448,17 +355,17 @@ let write_bundle t ~trigger ?rule ?(detail = []) ?raw ?session () =
             [ Obs.Events.str "trigger" trigger; Obs.Events.str "error" msg ];
           Error msg)
 
-let bundle_of_firing t (f : Obs.Anomaly.firing) ?raw ?session () =
-  ignore
-    (write_bundle t
-       ~trigger:(Obs.Anomaly.rule_kind f.Obs.Anomaly.f_rule)
-       ~rule:(Obs.Anomaly.rule_to_string f.Obs.Anomaly.f_rule)
-       ~detail:f.Obs.Anomaly.f_detail ?raw ?session ())
-
-let maybe_bundle t firing ?raw ?session () =
-  match firing with
+(* Feed one observation to the anomaly rules, when armed, and bundle any
+   firing. *)
+let observe t ?raw ?session check =
+  match Option.bind t.anomaly check with
   | None -> ()
-  | Some f -> bundle_of_firing t f ?raw ?session ()
+  | Some (f : Obs.Anomaly.firing) ->
+      ignore
+        (write_bundle t
+           ~trigger:(Obs.Anomaly.rule_kind f.Obs.Anomaly.f_rule)
+           ~rule:(Obs.Anomaly.rule_to_string f.Obs.Anomaly.f_rule)
+           ~detail:f.Obs.Anomaly.f_detail ?raw ?session ())
 
 (* ---------- health ---------- *)
 
@@ -572,331 +479,326 @@ let health_fields t =
             ] );
       ]
 
-(* One request, already parsed (add_task goes through [handle_adds] so the
-   batch path is the only path).  Total: internal failures become an
-   [internal] error reply, never a dead server. *)
-let handle_one t ({ req; id; _ } : P.parsed) =
-  let op = op_name req in
-  Obs.Metrics.incr c_requests;
-  Obs.Span.timed ("server." ^ op) (fun () ->
-      try
-        match req with
-        | P.Ping ->
-            event op None;
-            P.ok_reply ?id ~op [ ("pong", J.Bool true) ]
-        | P.Load { session; source } -> (
-            event op (Some session);
-            match Result.bind (load_source source) graph_of_text with
-            | Error msg -> P.error_reply ?id ~code:P.Bad_request msg
-            | Ok h ->
-                let s, r = Session.of_graph ~id:session h in
-                Hashtbl.replace t.registry session s;
-                P.ok_reply ?id ~op
-                  ([
-                     ("session", J.Str session);
-                     ("tasks", int_j (Session.n_tasks s));
-                     ("procs", int_j (Session.n_procs s));
-                     ("makespan", J.Num (Session.makespan s));
-                     ("lower_bound", J.Num r.Semimatch.Repair.lower_bound);
-                   ]
-                  @ repair_fields r))
-        | P.Add_task _ -> assert false (* routed through handle_adds *)
-        | P.Remove_task { session; task } ->
-            event op (Some session);
-            find_session t ?id session (fun s ->
-                match Session.remove_task s task with
-                | Error msg -> P.error_reply ?id ~code:P.Bad_request msg
-                | Ok makespan ->
-                    P.ok_reply ?id ~op [ ("task", int_j task); ("makespan", J.Num makespan) ])
-        | P.Kill_proc { session; proc } ->
-            event op (Some session);
-            find_session t ?id session (fun s ->
-                match Session.kill_proc s proc with
-                | Error msg -> P.error_reply ?id ~code:P.Bad_request msg
-                | Ok r ->
-                    P.ok_reply ?id ~op
-                      ([
-                         ("proc", int_j proc);
-                         ("affected", int_j (List.length r.Semimatch.Repair.affected));
-                         ("makespan", J.Num (Session.makespan s));
-                       ]
-                      @ repair_fields r))
-        | P.Resolve { session; budget_ms } ->
-            event op (Some session);
-            find_session t ?id session (fun s ->
-                let d, replaced = Session.resolve ~jobs:t.jobs ~budget_s:(budget_ms /. 1000.0) s in
-                if replaced then Obs.Metrics.incr c_adopted;
-                P.ok_reply ?id ~op
-                  [
-                    ("tier", J.Str (Semimatch.Deadline.tier_name d.Semimatch.Deadline.d_tier));
-                    ("degraded", J.Bool d.Semimatch.Deadline.d_degraded);
-                    ("replaced", J.Bool replaced);
-                    ("makespan", J.Num (Session.makespan s));
-                    ( "lower_bound",
-                      J.Num d.Semimatch.Deadline.d_repair.Semimatch.Repair.lower_bound );
-                    ("elapsed_ms", J.Num (1000.0 *. d.Semimatch.Deadline.d_elapsed_s));
-                  ])
-        | P.Solve { session } ->
-            event op (Some session);
-            find_session t ?id session (fun s ->
-                let d = Session.solve ~jobs:t.jobs s in
-                P.ok_reply ?id ~op
-                  [
-                    ("tier", J.Str (Semimatch.Deadline.tier_name d.Semimatch.Deadline.d_tier));
-                    ("makespan", J.Num (Session.makespan s));
-                    ( "lower_bound",
-                      J.Num d.Semimatch.Deadline.d_repair.Semimatch.Repair.lower_bound );
-                    ( "infeasible",
-                      int_j
-                        (List.length d.Semimatch.Deadline.d_repair.Semimatch.Repair.infeasible) );
-                    ("elapsed_ms", J.Num (1000.0 *. d.Semimatch.Deadline.d_elapsed_s));
-                  ])
-        | P.Stats ->
-            event op None;
-            (* The basics (uptime, version, request totals, sessions,
-               pending) come from the engine's own state and are always
-               live; only the [counters] object depends on Obs being
-               enabled (empty otherwise). *)
-            P.ok_reply ?id ~op
-              [
-                ("uptime_s", J.Num (uptime_s t));
-                ("version", J.Str t.version);
-                ("requests", int_j t.posted);
-                ("served", int_j t.served);
-                ("sessions", int_j (sessions t));
-                ("pending", int_j (pending t));
-                ("counters", J.Obj (if Obs.is_enabled () then non_zero_counters () else []));
-              ]
-        | P.Metrics ->
-            event op None;
-            P.ok_reply ?id ~op [ ("exposition", J.Str (prom t)) ]
-        | P.Sessions ->
-            event op None;
-            let ids =
-              List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.registry [])
-            in
-            P.ok_reply ?id ~op [ ("sessions", J.List (List.map (fun s -> J.Str s) ids)) ]
-        | P.Snapshot { session } ->
-            event op (Some session);
-            find_session t ?id session (fun s ->
-                P.ok_reply ?id ~op [ ("state", Session.snapshot s) ])
-        | P.Restore { session; state } -> (
-            event op (Some session);
-            match Session.restore ~id:session state with
-            | Error msg -> P.error_reply ?id ~code:P.Bad_request msg
-            | Ok s ->
-                Hashtbl.replace t.registry session s;
-                P.ok_reply ?id ~op
-                  [
-                    ("session", J.Str session);
+(* ---------- the step: handlers, [apply] ---------- *)
+
+(* What the journal must record for a successful step. *)
+type record =
+  | Nothing
+  | Raw  (* the request lines: their replay is deterministic *)
+  | State of Session.t
+      (* the session's resulting state, as a synthesized [restore]: replay
+         of the request could diverge (a [path] source may change, a
+         budgeted search is time-dependent, a spool file is gone) *)
+
+(* A run of add_tasks for one session: one graph rebuild and one
+   Repair.place pass.  Returns each request's reply fields, tagged with the
+   batch size it rode in. *)
+let add_tasks t session batch =
+  let s = find_session t session in
+  match Session.add_tasks s batch with
+  | Error msg -> refuse P.Bad_request msg
+  | Ok (tids, r) ->
+      let n = List.length batch in
+      let makespan = Session.makespan s in
+      List.map
+        (fun tid ->
+          [ ("tid", int_j tid); ("batched", int_j n); ("makespan", J.Num makespan) ]
+          @ repair_fields r)
+        tids
+
+(* One request: its reply fields and what the journal must record.  Failures
+   raise [Refused]. *)
+let handle t = function
+  | P.Ping -> ([ ("pong", J.Bool true) ], Nothing)
+  | P.Load { session; source } ->
+      let s, r = Session.of_graph ~id:session (load_graph source) in
+      Hashtbl.replace t.registry session s;
+      ( [
+          ("session", J.Str session);
+          ("tasks", int_j (Session.n_tasks s));
+          ("procs", int_j (Session.n_procs s));
+          ("makespan", J.Num (Session.makespan s));
+          ("lower_bound", J.Num r.Semimatch.Repair.lower_bound);
+        ]
+        @ repair_fields r,
+        State s )
+  | P.Add_task { session; configs } -> (List.hd (add_tasks t session [ configs ]), Raw)
+  | P.Remove_task { session; task } -> (
+      match Session.remove_task (find_session t session) task with
+      | Error msg -> refuse P.Bad_request msg
+      | Ok makespan -> ([ ("task", int_j task); ("makespan", J.Num makespan) ], Raw))
+  | P.Kill_proc { session; proc } -> (
+      let s = find_session t session in
+      match Session.kill_proc s proc with
+      | Error msg -> refuse P.Bad_request msg
+      | Ok r ->
+          ( [
+              ("proc", int_j proc);
+              ("affected", int_j (List.length r.Semimatch.Repair.affected));
+              ("makespan", J.Num (Session.makespan s));
+            ]
+            @ repair_fields r,
+            Raw ))
+  | P.Resolve { session; budget_ms } ->
+      let s = find_session t session in
+      let d, replaced = Session.resolve ~jobs:t.jobs ~budget_s:(budget_ms /. 1000.0) s in
+      if replaced then Obs.Metrics.incr c_adopted;
+      ( [
+          ("tier", J.Str (Semimatch.Deadline.tier_name d.Semimatch.Deadline.d_tier));
+          ("degraded", J.Bool d.Semimatch.Deadline.d_degraded);
+          ("replaced", J.Bool replaced);
+          ("makespan", J.Num (Session.makespan s));
+          ("lower_bound", J.Num d.Semimatch.Deadline.d_repair.Semimatch.Repair.lower_bound);
+          ("elapsed_ms", J.Num (1000.0 *. d.Semimatch.Deadline.d_elapsed_s));
+        ],
+        (* An unadopted resolve left the incumbent untouched. *)
+        if replaced then State s else Nothing )
+  | P.Solve { session } ->
+      let s = find_session t session in
+      let d = Session.solve ~jobs:t.jobs s in
+      ( [
+          ("tier", J.Str (Semimatch.Deadline.tier_name d.Semimatch.Deadline.d_tier));
+          ("makespan", J.Num (Session.makespan s));
+          ("lower_bound", J.Num d.Semimatch.Deadline.d_repair.Semimatch.Repair.lower_bound);
+          ( "infeasible",
+            int_j (List.length d.Semimatch.Deadline.d_repair.Semimatch.Repair.infeasible) );
+          ("elapsed_ms", J.Num (1000.0 *. d.Semimatch.Deadline.d_elapsed_s));
+        ],
+        State s )
+  | P.Stats ->
+      (* The basics (uptime, version, request totals, sessions, pending)
+         come from the engine's own state and are always live; only the
+         [counters] object depends on Obs being enabled (empty otherwise). *)
+      ( [
+          ("uptime_s", J.Num (uptime_s t));
+          ("version", J.Str t.version);
+          ("requests", int_j t.posted);
+          ("served", int_j t.served);
+          ("sessions", int_j (sessions t));
+          ("pending", int_j (pending t));
+          ("counters", J.Obj (if Obs.is_enabled () then non_zero_counters () else []));
+        ],
+        Nothing )
+  | P.Metrics -> ([ ("exposition", J.Str (prom t)) ], Nothing)
+  | P.Sessions ->
+      let ids = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.registry []) in
+      ([ ("sessions", J.List (List.map (fun s -> J.Str s) ids)) ], Nothing)
+  | P.Snapshot { session } -> ([ ("state", Session.snapshot (find_session t session)) ], Nothing)
+  | P.Restore { session; state } -> (
+      match Session.restore ~id:session state with
+      | Error msg -> refuse P.Bad_request msg
+      | Ok s ->
+          Hashtbl.replace t.registry session s;
+          ( [
+              ("session", J.Str session);
+              ("tasks", int_j (Session.n_tasks s));
+              ("procs", int_j (Session.n_procs s));
+              ("makespan", J.Num (Session.makespan s));
+            ],
+            Raw ))
+  | P.Health -> (health_fields t, Nothing)
+  | P.Dump { session } -> (
+      Option.iter (fun sid -> ignore (find_session t sid)) session;
+      match write_bundle t ~trigger:"manual" ?session () with
+      | Ok dir -> ([ ("dir", J.Str dir); ("bundles", int_j t.bundles) ], Nothing)
+      | Error msg -> refuse P.Bad_request msg)
+  | P.Checkpoint -> (
+      match do_checkpoint t with
+      | Ok dir ->
+          ( [
+              ("dir", J.Str dir);
+              ("sessions", int_j (sessions t));
+              ("checkpoints", int_j t.checkpoints);
+            ],
+            Nothing )
+      | Error msg -> refuse P.Bad_request msg)
+  | P.Shutdown ->
+      t.shutdown <- true;
+      ([ ("shutting_down", J.Bool true) ], Nothing)
+  | P.Stream_begin { session; n1; n2 } -> (
+      (* A re-begin replaces any half-built spool for the session — the
+         retry story for a client that lost its connection mid-upload
+         (spools are transient, never journaled). *)
+      drop_spool t session;
+      let path = Filename.temp_file "semimatch-stream-" ".sms" in
+      match Hyper.Stream_io.create_writer ~path ~n1 ~n2 () with
+      | w ->
+          Hashtbl.replace t.spools session { sp_writer = w; sp_path = path };
+          ([ ("session", J.Str session); ("spooling", J.Bool true) ], Nothing)
+      | exception Invalid_argument msg ->
+          (try Sys.remove path with Sys_error _ -> ());
+          refuse P.Bad_request msg)
+  | P.Stream_chunk { session; edges } -> (
+      match Hashtbl.find_opt t.spools session with
+      | None ->
+          refuse P.Bad_request
+            (Printf.sprintf "no open stream upload for session %S (send stream_begin first)"
+               session)
+      | Some sp -> (
+          match
+            List.iter
+              (fun (task, (c : P.config)) ->
+                Hyper.Stream_io.add sp.sp_writer ~task ~procs:c.P.procs ~weight:c.P.weight)
+              edges
+          with
+          | () ->
+              ( [
+                  ("session", J.Str session);
+                  ("records", int_j (Hyper.Stream_io.writer_records sp.sp_writer));
+                ],
+                Nothing )
+          | exception Invalid_argument msg ->
+              (* The spool is poisoned mid-chunk: drop it so the client
+                 restarts cleanly instead of sealing a half-applied batch. *)
+              drop_spool t session;
+              refuse P.Bad_request msg))
+  | P.Stream_end { session; threshold_mb; solver } -> (
+      match Hashtbl.find_opt t.spools session with
+      | None ->
+          refuse P.Bad_request (Printf.sprintf "no open stream upload for session %S" session)
+      | Some sp -> (
+          Hashtbl.remove t.spools session;
+          Hyper.Stream_io.close_writer sp.sp_writer;
+          let o =
+            Fun.protect
+              ~finally:(fun () -> try Sys.remove sp.sp_path with Sys_error _ -> ())
+              (fun () ->
+                let stream_solver =
+                  Option.map
+                    (fun name ->
+                      match Stream.Ingest.stream_solver_of_string name with
+                      | Some s -> s
+                      | None ->
+                          refuse P.Bad_request
+                            (Printf.sprintf
+                               "unknown stream solver %S (auto | one-pass | few-pass)" name))
+                    solver
+                in
+                let threshold_words =
+                  Option.map (fun mb -> mb * (1024 * 1024 / (Sys.word_size / 8))) threshold_mb
+                in
+                match
+                  Stream.Ingest.solve ~jobs:t.jobs ?threshold_words ?stream_solver sp.sp_path
+                with
+                | o -> o
+                | exception Failure msg -> refuse P.Bad_request msg
+                | exception Invalid_argument msg ->
+                    refuse P.Bad_request ("infeasible stream: " ^ msg))
+          in
+          let base =
+            [
+              ("session", J.Str session);
+              ("tier", J.Str (Stream.Ingest.tier_name o.Stream.Ingest.tier));
+              ("makespan", J.Num o.Stream.Ingest.makespan);
+              ("lower_bound", J.Num o.Stream.Ingest.lower_bound);
+              ("guarantee", J.Str o.Stream.Ingest.guarantee);
+              ("passes", int_j o.Stream.Ingest.passes);
+              ("edges", int_j o.Stream.Ingest.edges);
+            ]
+            @
+            if Float.is_finite o.Stream.Ingest.factor then
+              [ ("factor", J.Num o.Stream.Ingest.factor) ]
+            else []
+          in
+          match o.Stream.Ingest.graph with
+          | Some h ->
+              (* In-core fallback: the instance becomes a resident session
+                 exactly as [load] would make it (greedy incumbent; the
+                 client can [solve]/[resolve] from here on). *)
+              let s, r = Session.of_graph ~id:session h in
+              Hashtbl.replace t.registry session s;
+              ( base
+                @ [
+                    ("resident", J.Bool true);
                     ("tasks", int_j (Session.n_tasks s));
                     ("procs", int_j (Session.n_procs s));
-                    ("makespan", J.Num (Session.makespan s));
-                  ])
-        | P.Health ->
-            (* No [event op]: a tight readiness probe must not flood the
-               event ring the recorder is trying to keep useful. *)
-            P.ok_reply ?id ~op (health_fields t)
-        | P.Dump { session } -> (
-            event op session;
-            match session with
-            | Some sid when not (Hashtbl.mem t.registry sid) ->
-                P.error_reply ?id ~code:P.Unknown_session
-                  (Printf.sprintf "unknown session %S" sid)
-            | _ -> (
-                match write_bundle t ~trigger:"manual" ?session () with
-                | Ok dir -> P.ok_reply ?id ~op [ ("dir", J.Str dir); ("bundles", int_j t.bundles) ]
-                | Error msg -> P.error_reply ?id ~code:P.Bad_request msg))
-        | P.Checkpoint -> (
-            event op None;
-            match do_checkpoint t with
-            | Ok dir ->
-                P.ok_reply ?id ~op
-                  [
-                    ("dir", J.Str dir);
-                    ("sessions", int_j (sessions t));
-                    ("checkpoints", int_j t.checkpoints);
+                    ("session_makespan", J.Num (Session.makespan s));
                   ]
-            | Error msg -> P.error_reply ?id ~code:P.Bad_request msg)
-        | P.Shutdown ->
-            event op None;
-            t.shutdown <- true;
-            P.ok_reply ?id ~op [ ("shutting_down", J.Bool true) ]
-        | P.Stream_begin { session; n1; n2 } -> (
-            event op (Some session);
-            (* A re-begin replaces any half-built spool for the session —
-               the retry story for a client that lost its connection
-               mid-upload (spools are transient, never journaled). *)
-            drop_spool t session;
-            let path = Filename.temp_file "semimatch-stream-" ".sms" in
-            match Hyper.Stream_io.create_writer ~path ~n1 ~n2 () with
-            | w ->
-                Hashtbl.replace t.spools session { sp_writer = w; sp_path = path };
-                P.ok_reply ?id ~op [ ("session", J.Str session); ("spooling", J.Bool true) ]
-            | exception Invalid_argument msg ->
-                (try Sys.remove path with Sys_error _ -> ());
-                P.error_reply ?id ~code:P.Bad_request msg)
-        | P.Stream_chunk { session; edges } -> (
-            event op (Some session);
-            match Hashtbl.find_opt t.spools session with
-            | None ->
-                P.error_reply ?id ~code:P.Bad_request
-                  (Printf.sprintf "no open stream upload for session %S (send stream_begin first)"
-                     session)
-            | Some sp -> (
-                match
-                  List.iter
-                    (fun (task, (c : P.config)) ->
-                      Hyper.Stream_io.add sp.sp_writer ~task ~procs:c.P.procs ~weight:c.P.weight)
-                    edges
-                with
-                | () ->
-                    P.ok_reply ?id ~op
-                      [
-                        ("session", J.Str session);
-                        ("records", int_j (Hyper.Stream_io.writer_records sp.sp_writer));
-                      ]
-                | exception Invalid_argument msg ->
-                    (* The spool is poisoned mid-chunk: drop it so the
-                       client restarts cleanly instead of sealing a
-                       half-applied batch. *)
-                    drop_spool t session;
-                    P.error_reply ?id ~code:P.Bad_request msg))
-        | P.Stream_end { session; threshold_mb; solver } -> (
-            event op (Some session);
-            match Hashtbl.find_opt t.spools session with
-            | None ->
-                P.error_reply ?id ~code:P.Bad_request
-                  (Printf.sprintf "no open stream upload for session %S" session)
-            | Some sp -> (
-                Hashtbl.remove t.spools session;
-                Hyper.Stream_io.close_writer sp.sp_writer;
-                let cleanup () = try Sys.remove sp.sp_path with Sys_error _ -> () in
-                let bad msg =
-                  cleanup ();
-                  P.error_reply ?id ~code:P.Bad_request msg
-                in
-                match Option.map Stream.Ingest.stream_solver_of_string solver with
-                | Some None ->
-                    bad
-                      (Printf.sprintf "unknown stream solver %S (auto | one-pass | few-pass)"
-                         (Option.value solver ~default:""))
-                | (None | Some (Some _)) as picked -> (
-                    let stream_solver = Option.join picked in
-                    let threshold_words =
-                      Option.map (fun mb -> mb * (1024 * 1024 / (Sys.word_size / 8))) threshold_mb
-                    in
-                    match
-                      Stream.Ingest.solve ~jobs:t.jobs ?threshold_words ?stream_solver sp.sp_path
-                    with
-                    | exception Failure msg -> bad msg
-                    | exception Invalid_argument msg -> bad ("infeasible stream: " ^ msg)
-                    | o -> (
-                        cleanup ();
-                        let base =
-                          [
-                            ("session", J.Str session);
-                            ("tier", J.Str (Stream.Ingest.tier_name o.Stream.Ingest.tier));
-                            ("makespan", J.Num o.Stream.Ingest.makespan);
-                            ("lower_bound", J.Num o.Stream.Ingest.lower_bound);
-                            ("guarantee", J.Str o.Stream.Ingest.guarantee);
-                            ("passes", int_j o.Stream.Ingest.passes);
-                            ("edges", int_j o.Stream.Ingest.edges);
-                          ]
-                          @
-                          if Float.is_finite o.Stream.Ingest.factor then
-                            [ ("factor", J.Num o.Stream.Ingest.factor) ]
-                          else []
-                        in
-                        match o.Stream.Ingest.graph with
-                        | Some h ->
-                            (* In-core fallback: the instance becomes a
-                               resident session exactly as [load] would
-                               make it (greedy incumbent; the client can
-                               [solve]/[resolve] from here on). *)
-                            let s, r = Session.of_graph ~id:session h in
-                            Hashtbl.replace t.registry session s;
-                            P.ok_reply ?id ~op
-                              (base
-                              @ [
-                                  ("resident", J.Bool true);
-                                  ("tasks", int_j (Session.n_tasks s));
-                                  ("procs", int_j (Session.n_procs s));
-                                  ("session_makespan", J.Num (Session.makespan s));
-                                ]
-                              @ repair_fields r)
-                        | None -> P.ok_reply ?id ~op (base @ [ ("resident", J.Bool false) ])))))
-      with exn ->
-        Obs.Metrics.incr c_errors;
-        P.error_reply ?id ~code:P.Internal (Printexc.to_string exn))
+                @ repair_fields r,
+                State s )
+          | None -> (base @ [ ("resident", J.Bool false) ], Nothing)))
 
-(* One member of a coalesced add_task batch: the parsed configs plus
-   everything the drain loop needs afterwards — the raw line (journaling),
-   the idem key (reply cache), the reply callback and timestamps. *)
-type add_member = {
-  m_configs : P.config list;
-  m_id : J.t option;
-  m_idem : string option;
-  m_raw : string;
-  m_reply : string -> unit;
-  m_posted_ns : int64;
-}
+let state_line s =
+  J.to_string
+    (J.Obj
+       [
+         ("op", J.Str "restore");
+         ("session", J.Str (Session.id s));
+         ("state", Session.snapshot s);
+       ])
 
-(* The batch path: [n] consecutive add_task requests for one session become
-   one graph rebuild and one Repair.place pass; every request still gets
-   its own reply, tagged with the batch size it rode in.  Pure compute —
-   the caller sends the replies so it can time the phases per request. *)
-let handle_adds t session batch =
-  let n = List.length batch in
-  Obs.Metrics.add c_requests n;
-  if n > 1 then Obs.Metrics.add c_batched n;
-  event "add_task" (Some session);
-  Obs.Span.timed "server.add_task" (fun () ->
-      try
-        match Hashtbl.find_opt t.registry session with
-        | None ->
-            List.map
-              (fun m ->
-                P.error_reply ?id:m.m_id ~code:P.Unknown_session
-                  (Printf.sprintf "unknown session %S" session))
-              batch
-        | Some s -> (
-            match Session.add_tasks s (List.map (fun m -> m.m_configs) batch) with
-            | Error msg ->
-                List.map (fun m -> P.error_reply ?id:m.m_id ~code:P.Bad_request msg) batch
-            | Ok (tids, r) ->
-                let makespan = Session.makespan s in
-                List.map2
-                  (fun m tid ->
-                    P.ok_reply ?id:m.m_id ~op:"add_task"
-                      ([
-                         ("tid", int_j tid);
-                         ("batched", int_j n);
-                         ("makespan", J.Num makespan);
-                       ]
-                      @ repair_fields r))
-                  batch tids)
-      with exn ->
-        Obs.Metrics.incr c_errors;
-        List.map
-          (fun m -> P.error_reply ?id:m.m_id ~code:P.Internal (Printexc.to_string exn))
-          batch)
+(* The one step that changes engine state, shared by [drain] (live
+   requests) and [recover] (journal replay): a single request, or a run of
+   add_tasks for one session, each paired with its request line.  Returns
+   one reply per request and, for a step that succeeded, the journal group
+   it must append (no lines when there is nothing to record) carrying the
+   replies that mutations' idem keys cache; a failed step returns its error
+   code and message instead.  Total: an internal failure becomes an
+   [internal] error. *)
+let apply t items =
+  let leader, _ = List.hd items in
+  let op, session, mutates = describe leader.P.req in
+  (* A tight readiness probe must not flood the event ring. *)
+  if leader.P.req <> P.Health then event op session;
+  let outcome =
+    Obs.Span.timed ("server." ^ op) (fun () ->
+        try
+          match items with
+          | [ (p, _) ] ->
+              let fields, record = handle t p.P.req in
+              Ok ([ fields ], record)
+          | _ ->
+              let configs (p, _) =
+                match p.P.req with
+                | P.Add_task { session = s; configs } when Some s = session -> configs
+                | _ -> invalid_arg "Engine.apply: only add_tasks for one session share a step"
+              in
+              Ok (add_tasks t (Option.get session) (List.map configs items), Raw)
+        with
+        | Refused (code, msg) -> Error (code, msg)
+        | exn ->
+            Obs.Metrics.incr c_errors;
+            Error (P.Internal, Printexc.to_string exn))
+  in
+  match outcome with
+  | Error (code, msg) ->
+      (List.map (fun (p, _) -> P.error_reply ?id:p.P.id ~code msg) items, Error (code, msg))
+  | Ok (fields, record) ->
+      let replies = List.map2 (fun (p, _) f -> P.ok_reply ?id:p.P.id ~op f) items fields in
+      let cached =
+        if not mutates then []
+        else
+          List.filter_map
+            (fun ((p, _), reply) -> Option.map (fun k -> (k, reply)) p.P.idem)
+            (List.combine items replies)
+      in
+      let lines =
+        match record with
+        | Nothing -> []
+        | Raw -> List.map snd items
+        | State s -> [ state_line s ]
+      in
+      (replies, Ok { Persist.g_lines = lines; g_cached = cached })
+
+(* ---------- live requests: admission, drain ---------- *)
 
 let us_between later earlier = Int64.to_float (Int64.sub later earlier) /. 1e3
 
-(* End-of-request accounting: phase histograms (queue wait and reply per
-   request; the handler phase is observed once per batch by the caller),
-   per-op end-to-end latency, the always-on served total, and the sampled
-   slow-request log. *)
-let finish t op ?raw ?session ~posted_ns ~done_ns ~replied_ns () =
+(* Send one reply, then the end-of-request accounting: phase histograms
+   (queue wait and reply per request; the handler phase is observed once
+   per step by the caller), per-op end-to-end latency, the always-on
+   served total, the sampled slow-request log and the latency rules. *)
+let finish t op ?session item reply ~done_ns =
+  item.reply reply;
+  let replied_ns = Obs.Span.now_ns () in
   Obs.Metrics.observe h_reply (us_between replied_ns done_ns);
-  let total_us = us_between replied_ns posted_ns in
+  let total_us = us_between replied_ns item.posted_ns in
   Obs.Metrics.observe (latency_hist op) total_us;
   t.served <- t.served + 1;
   let total_ms = total_us /. 1000.0 in
   if t.slow_ms > 0.0 && total_ms >= t.slow_ms then begin
     t.slow_seen <- t.slow_seen + 1;
-    if (t.slow_seen - 1) mod t.slow_every = 0 then
+    if (t.slow_seen - 1) mod slow_every = 0 then
       Obs.Events.emit ~level:Obs.Events.Warn "server.slow_request"
         [
           Obs.Events.str "op" op;
@@ -905,17 +807,13 @@ let finish t op ?raw ?session ~posted_ns ~done_ns ~replied_ns () =
           Obs.Events.int "nth" t.slow_seen;
         ]
   end;
-  match t.anomaly with
-  | None -> ()
-  | Some a -> maybe_bundle t (Obs.Anomaly.observe_request a ~op ~ms:total_ms) ?raw ?session ()
+  observe t ~raw:item.raw ?session (fun a -> Obs.Anomaly.observe_request a ~op ~ms:total_ms)
 
 let post t ~reply line =
   t.posted <- t.posted + 1;
   if Queue.length t.queue >= t.max_pending then begin
     Obs.Metrics.incr c_busy;
-    (match t.anomaly with
-    | None -> ()
-    | Some a -> maybe_bundle t (Obs.Anomaly.observe_busy a) ~raw:line ());
+    observe t ~raw:line Obs.Anomaly.observe_busy;
     (* Best-effort id recovery so the busy reply can still be matched. *)
     let id =
       match P.parse ~max_frame:t.max_frame line with
@@ -931,34 +829,36 @@ let post t ~reply line =
     let t1 = Obs.Span.now_ns () in
     Obs.Metrics.observe h_parse (us_between t1 t0);
     Queue.push { parsed; raw = line; reply; posted_ns = t1 } t.queue;
-    match t.anomaly with
-    | None -> ()
-    | Some a -> maybe_bundle t (Obs.Anomaly.observe_queue a ~pending:(Queue.length t.queue)) ~raw:line ()
+    let pending = Queue.length t.queue in
+    observe t ~raw:line (fun a -> Obs.Anomaly.observe_queue a ~pending)
   end
 
 (* Watchdog bracketing around the handler phase: the in-flight request is
    captured before the handler runs (so a stuck solve can be bundled from
    the watchdog domain), the test-only [before_solve] stall hook runs
-   inside the bracket, and [solve_end]'s post-hoc gap check fires after —
-   then anything beyond a Resolve budget is checked too. *)
+   inside the bracket, and [solve_end]'s post-hoc gap check fires after. *)
 let solve_bracket t ~op ?session ~raw f =
-  (match t.anomaly with
-  | None -> ()
-  | Some a -> Obs.Anomaly.solve_begin a ~op ?session ~request:raw ());
-  (match t.before_solve with None -> () | Some hook -> hook raw);
+  Option.iter (fun a -> Obs.Anomaly.solve_begin a ~op ?session ~request:raw ()) t.anomaly;
+  Option.iter (fun hook -> hook raw) t.before_solve;
   let result = f () in
-  (match t.anomaly with
-  | None -> ()
-  | Some a -> maybe_bundle t (Obs.Anomaly.solve_end a) ~raw ?session ());
+  observe t ~raw ?session Obs.Anomaly.solve_end;
   result
 
-let observe_budget t ~op ~budget_ms ~elapsed_us ~raw ?session () =
-  match t.anomaly with
-  | None -> ()
-  | Some a ->
-      maybe_bundle t
-        (Obs.Anomaly.observe_solve a ~op ~budget_ms ~elapsed_ms:(elapsed_us /. 1000.0))
-        ~raw ?session ()
+(* The add_tasks queued right behind a leading add_task for the same
+   session, popped to share its step.  The run ends at a request whose idem
+   key is cached or already in the step ([keys]): it leads the next step,
+   where the cache answers it with the recorded reply. *)
+let rec coalesce t session keys start_ns =
+  match Queue.peek_opt t.queue with
+  | Some ({ parsed = Ok ({ P.req = P.Add_task { session = s; _ }; idem; _ } as p); _ } as item)
+    when s = session
+         && (match idem with
+            | None -> true
+            | Some k -> not (Hashtbl.mem t.idem_cache k || List.mem k keys)) ->
+      ignore (Queue.pop t.queue);
+      Obs.Metrics.observe h_queue (us_between start_ns item.posted_ns);
+      (item, p) :: coalesce t session (Option.to_list idem @ keys) start_ns
+  | _ -> []
 
 let drain t =
   while not (Queue.is_empty t.queue) do
@@ -968,111 +868,56 @@ let drain t =
     match item.parsed with
     | Error (code, msg, id) ->
         Obs.Metrics.incr c_errors;
-        let line = P.error_reply ?id ~code msg in
-        let done_ns = Obs.Span.now_ns () in
-        item.reply line;
-        finish t "invalid" ~raw:item.raw ~posted_ns:item.posted_ns ~done_ns
-          ~replied_ns:(Obs.Span.now_ns ()) ()
-    (* A mutation whose idempotency id is already cached: answer with the
-       recorded reply verbatim, apply nothing.  This is what makes a
-       client's retry-after-reconnect safe across a daemon restart (the
-       journal carries the cache entries). *)
-    | Ok { req; idem; _ } when mutating req && idem_lookup t idem <> None ->
-        let cached = Option.get (idem_lookup t idem) in
-        Obs.Metrics.incr c_idem_hits;
-        let done_ns = Obs.Span.now_ns () in
-        item.reply cached;
-        finish t (op_name req) ~raw:item.raw ?session:(session_of_req req)
-          ~posted_ns:item.posted_ns ~done_ns ~replied_ns:(Obs.Span.now_ns ()) ()
-    | Ok { req = P.Add_task { session; configs }; id; idem } ->
-        let member configs id idem raw reply posted_ns =
-          { m_configs = configs; m_id = id; m_idem = idem; m_raw = raw; m_reply = reply;
-            m_posted_ns = posted_ns }
-        in
-        let batch = ref [ member configs id idem item.raw item.reply item.posted_ns ] in
-        let continue = ref true in
-        while !continue do
-          match Queue.peek_opt t.queue with
-          | Some
-              {
-                parsed = Ok { req = P.Add_task { session = s2; configs = c2 }; id = id2; idem = idem2 };
-                raw = raw2;
-                reply;
-                posted_ns;
-              }
-            (* A cached-idem member must not ride a batch (its recorded
-               reply would land out of order): leave it as the next
-               leading item, where the cache arm above serves it. *)
-            when s2 = session && idem_lookup t idem2 = None ->
-              ignore (Queue.pop t.queue);
-              Obs.Metrics.observe h_queue (us_between start_ns posted_ns);
-              batch := member c2 id2 idem2 raw2 reply posted_ns :: !batch
-          | _ -> continue := false
-        done;
-        let batch = List.rev !batch in
-        let replies =
-          solve_bracket t ~op:"add_task" ~session ~raw:item.raw (fun () ->
-              handle_adds t session batch)
-        in
-        let done_ns = Obs.Span.now_ns () in
-        Obs.Metrics.observe h_solve (us_between done_ns start_ns);
-        (* Journal (one record, preserving the batch boundary) before any
-           reply is flushed. *)
-        journal_batch t
-          ~raws:(List.map (fun m -> m.m_raw) batch)
-          ~idems:(List.map (fun m -> m.m_idem) batch)
-          ~replies;
-        List.iter2
-          (fun m line ->
-            m.m_reply line;
-            finish t "add_task" ~raw:item.raw ~session ~posted_ns:m.m_posted_ns ~done_ns
-              ~replied_ns:(Obs.Span.now_ns ()) ())
-          batch replies
-    | Ok parsed ->
-        let op = op_name parsed.P.req in
-        let session = session_of_req parsed.P.req in
-        let line =
-          match parsed.P.req with
-          (* The health probe snapshots the watchdog — bracketing it would
-             make every probe report itself as the in-flight solve. *)
-          | P.Health -> handle_one t parsed
-          | _ -> solve_bracket t ~op ?session ~raw:item.raw (fun () -> handle_one t parsed)
-        in
-        let done_ns = Obs.Span.now_ns () in
-        let elapsed_us = us_between done_ns start_ns in
-        Obs.Metrics.observe h_solve elapsed_us;
-        (match parsed.P.req with
-        | P.Resolve { budget_ms; _ } ->
-            observe_budget t ~op ~budget_ms ~elapsed_us ~raw:item.raw ?session ()
-        | _ -> ());
-        (* Write-ahead: the journal record is durable before the reply is
-           flushed, so an acked mutation is never lost to a crash. *)
-        journal_single t parsed ~raw:item.raw ~reply:line;
-        item.reply line;
-        finish t op ~raw:item.raw ?session ~posted_ns:item.posted_ns ~done_ns
-          ~replied_ns:(Obs.Span.now_ns ()) ()
+        finish t "invalid" item (P.error_reply ?id ~code msg) ~done_ns:(Obs.Span.now_ns ())
+    | Ok p -> (
+        let op, session, mutates = describe p.P.req in
+        match if mutates then Option.bind p.P.idem (Hashtbl.find_opt t.idem_cache) else None with
+        | Some cached ->
+            (* A mutation whose idempotency id is already cached: answer
+               with the recorded reply verbatim, apply nothing.  This is
+               what makes a client's retry-after-reconnect safe across a
+               daemon restart (the journal carries the cache entries). *)
+            Obs.Metrics.incr c_idem_hits;
+            finish t op ?session item cached ~done_ns:(Obs.Span.now_ns ())
+        | None ->
+            let step =
+              match p.P.req with
+              | P.Add_task { session; _ } ->
+                  (item, p) :: coalesce t session (Option.to_list p.P.idem) start_ns
+              | _ -> [ (item, p) ]
+            in
+            let n = List.length step in
+            Obs.Metrics.add c_requests n;
+            if n > 1 then Obs.Metrics.add c_batched n;
+            let run () = apply t (List.map (fun (i, p) -> (p, i.raw)) step) in
+            let replies, outcome =
+              match p.P.req with
+              (* The health probe snapshots the watchdog — bracketing it
+                 would make every probe report itself as the in-flight
+                 solve. *)
+              | P.Health -> run ()
+              | _ -> solve_bracket t ~op ?session ~raw:item.raw run
+            in
+            let done_ns = Obs.Span.now_ns () in
+            let elapsed_us = us_between done_ns start_ns in
+            Obs.Metrics.observe h_solve elapsed_us;
+            (match p.P.req with
+            | P.Resolve { budget_ms; _ } ->
+                observe t ~raw:item.raw ?session (fun a ->
+                    Obs.Anomaly.observe_solve a ~op ~budget_ms ~elapsed_ms:(elapsed_us /. 1000.0))
+            | _ -> ());
+            (* Write-ahead: the journal record is durable before any reply
+               is flushed, so an acked mutation is never lost to a crash. *)
+            Result.iter (journal t) outcome;
+            List.iter2
+              (fun (item, _) reply -> finish t op ?session item reply ~done_ns)
+              step replies)
   done
 
 (* ---------- crash recovery ---------- *)
 
-(* Feed journaled request lines through the normal drain path, with replies
-   discarded and re-journaling suppressed.  The replay parser lifts the
-   frame cap (the record was already admitted once) and pushes straight
-   onto the queue — recovery must not be subject to admission control. *)
-let replay_lines t lines =
-  List.iter
-    (fun line ->
-      t.posted <- t.posted + 1;
-      Queue.push
-        { parsed = P.parse ~max_frame:max_int line; raw = line; reply = ignore;
-          posted_ns = Obs.Span.now_ns () }
-        t.queue)
-    lines;
-  drain t
-
 let recover t (r : Persist.recovery) =
   let t0 = Obs.Span.now_ns () in
-  t.replaying <- true;
   let failures = ref 0 in
   let fail what detail =
     incr failures;
@@ -1087,14 +932,24 @@ let recover t (r : Persist.recovery) =
       | Ok s -> Hashtbl.replace t.registry sid s
       | Error msg -> fail ("checkpoint session " ^ sid) msg)
     r.Persist.r_sessions;
-  (* Journal groups replay through the normal drain path, preserving the
-     original add_task batch boundaries: each group is pushed whole, then
-     drained, so coalescing regroups exactly the original batch. *)
+  (* Each journal group is one step, applied as it ran live (an add_task
+     batch keeps its boundary, which affects placement); then its cached
+     replies re-seed the idempotency cache.  The records were admitted
+     once already, so the frame cap is lifted. *)
+  let parse line =
+    match P.parse ~max_frame:max_int line with
+    | Ok p -> (p, line)
+    | Error (code, msg, _) -> refuse code msg
+  in
+  let failed (code, msg) = fail "journal record" (P.code_name code ^ ": " ^ msg) in
   let records = ref 0 in
   List.iter
     (fun (g : Persist.group) ->
       records := !records + List.length g.Persist.g_lines;
-      replay_lines t g.Persist.g_lines;
+      (match List.map parse g.Persist.g_lines with
+      | [] -> ()
+      | items -> Result.iter_error failed (snd (apply t items))
+      | exception Refused (code, msg) -> failed (code, msg));
       List.iter (fun (k, reply) -> seed_idem t k reply) g.Persist.g_cached)
     r.Persist.r_groups;
   (* Feasibility recompute on everything that came back. *)
@@ -1107,7 +962,6 @@ let recover t (r : Persist.recovery) =
           Obs.Events.emit ~level:Obs.Events.Warn "server.recovery.infeasible"
             [ Obs.Events.str "session" sid; Obs.Events.str "error" msg ])
     t.registry;
-  t.replaying <- false;
   let info =
     {
       rec_records = !records;
@@ -1168,10 +1022,7 @@ let tick t =
           ignore (do_checkpoint t : (string, string) result)
         end
       end);
-  match t.anomaly with
-  | None -> ()
-  | Some a -> (
-      match Obs.Anomaly.poll a with None -> () | Some f -> bundle_of_firing t f ())
+  observe t Obs.Anomaly.poll
 
 let bundles_written t = t.bundles
 let last_bundle t = t.last_bundle

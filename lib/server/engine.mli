@@ -8,7 +8,14 @@
     {!post} replies [busy] immediately instead of buffering — backpressure
     the client can see.  {!drain} coalesces consecutive [add_task]
     requests for the same session into one {!Semimatch.Repair.place} pass
-    (each request still gets its own reply, tagged with the batch size).
+    (each request still gets its own reply, tagged with the batch size); a
+    request whose ["idem"] id is already in the batch ends it and is
+    answered from the idempotency cache instead.
+
+    One internal step, [apply], runs either a single request or such a
+    batch and returns the replies plus what the journal must record.  Both
+    {!drain} (live requests) and {!recover} (journal replay) change engine
+    state only through it.
 
     Every request runs under an [Obs.Span] named after its op and emits a
     ["server.request"] event, so traces and the event log show the serve
@@ -31,10 +38,17 @@
     With a {!Persist} handle, every state-mutating request that succeeds
     is appended to the write-ahead journal {e before} its reply is handed
     to the transport, and {!tick} writes periodic atomic checkpoints; a
-    restart calls {!recover} with what {!Persist.open_} found and replays
-    the journal suffix through the normal request path.  Requests carrying
-    an ["idem"] id (see {!Protocol.parsed}) are deduplicated against a
-    bounded reply cache that survives restarts via the journal. *)
+    restart calls {!recover} with what {!Persist.open_} found, which
+    applies each journal group as one step, exactly as it ran live.
+    Requests carrying an ["idem"] id (see {!Protocol.parsed}) are
+    deduplicated against a bounded reply cache that survives restarts via
+    the journal.
+
+    Replayed records count as recovery, not as traffic: [stats]
+    [requests]/[served], the [server.requests] counter, the phase and
+    latency histograms and the anomaly rules see live requests only, and
+    [server.recovery.records] counts the replay.  Replayed steps still run
+    under their [server.<op>] spans and emit ["server.request"] events. *)
 
 type t
 
@@ -44,7 +58,9 @@ type recovery_info = {
   rec_sessions : int;  (** sessions resident after recovery *)
   rec_checkpoint : string option;  (** checkpoint directory restored from *)
   rec_replay_us : float;
-  rec_failures : int;  (** sessions that failed restore or verification *)
+  rec_failures : int;
+      (** checkpoint sessions that failed restore, journal records that
+          failed to parse or apply, sessions that failed verification *)
 }
 
 val create :
@@ -53,22 +69,19 @@ val create :
   ?max_frame:int ->
   ?version:string ->
   ?slow_ms:float ->
-  ?slow_every:int ->
   ?anomaly:Obs.Anomaly.t ->
   ?bundle_dir:string ->
   ?before_solve:(string -> unit) ->
   ?persist:Persist.t ->
   ?checkpoint_secs:float ->
-  ?idem_cap:int ->
   unit ->
   t
 (** [jobs] (default 1: deterministic) is passed to the resolve/solve
     portfolio; [max_pending] (default 64) bounds the queue; [max_frame]
     (default {!Protocol.default_max_frame}) caps request frames.
     [version] (default ["dev"]) is echoed in [stats] replies.  [slow_ms]
-    (default 100, [<= 0] disables) is the slow-request log threshold;
-    [slow_every] (default 10) its sampling stride — the first slow request
-    is logged, then every [slow_every]-th.
+    (default 100, [<= 0] disables) is the slow-request log threshold; the
+    log is sampled — the first slow request is logged, then every 10th.
 
     [anomaly] wires in trigger evaluation: request latencies, busy
     rejections, queue depth, resolve budgets and the watchdog bracket are
@@ -80,8 +93,8 @@ val create :
 
     [persist] wires in the durability layer (journal + checkpoints);
     [checkpoint_secs] (default 0: disabled) is the periodic checkpoint
-    cadence driven from {!tick}.  [idem_cap] (default 4096) bounds the
-    idempotency reply cache (FIFO eviction). *)
+    cadence driven from {!tick}.  The idempotency reply cache holds 4096
+    entries (FIFO eviction). *)
 
 val max_frame : t -> int
 val shutting_down : t -> bool
@@ -128,13 +141,15 @@ val tick : t -> unit
 val recover : t -> Persist.recovery -> recovery_info
 (** Rebuild state from what {!Persist.open_} (or {!Persist.load}) found:
     checkpoint sessions are restored directly via {!Session.restore}, then
-    each journal group is replayed through the normal {!post}/{!drain}
-    path (replies discarded, re-journaling suppressed, admission control
-    and the frame cap bypassed — every record was admitted once already)
-    with the original [add_task] batch boundaries preserved, and the
-    cached idempotency replies are re-seeded.  Every resulting session is
-    checked with {!Session.verify}; failures are Warn events and counted
-    in [rec_failures], never raised.  Call before serving traffic. *)
+    each journal group is applied as one step — the step {!drain} uses,
+    with no queue, no replies, no re-journaling and no frame cap (every
+    record was admitted once already) — so an [add_task] batch keeps its
+    boundary, and the group's cached idempotency replies are re-seeded.
+    Every resulting session is checked with {!Session.verify}.  A
+    checkpoint session that fails to restore, a journal record that fails
+    to parse or apply, and a session that fails verification are each a
+    Warn event counted in [rec_failures], never raised.  Call before
+    serving traffic. *)
 
 val recovered : t -> recovery_info option
 (** The report of the {!recover} call that built this engine, if any. *)

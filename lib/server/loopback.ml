@@ -4,15 +4,7 @@
 
 type t = { engine : Engine.t; mutable acc : string list (* newest first *) }
 
-let create ?jobs ?max_pending ?max_frame ?slow_ms ?anomaly ?bundle_dir ?before_solve ?persist
-    ?checkpoint_secs () =
-  {
-    engine =
-      Engine.create ?jobs ?max_pending ?max_frame ?slow_ms ?anomaly ?bundle_dir ?before_solve
-        ?persist ?checkpoint_secs ();
-    acc = [];
-  }
-
+let create engine = { engine; acc = [] }
 let engine t = t.engine
 let shutting_down t = Engine.shutting_down t.engine
 

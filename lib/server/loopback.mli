@@ -4,21 +4,11 @@
 
 type t
 
-(** The optional arguments of [create] are passed straight to
-    {!Engine.create}, so tests can wire in anomaly triggers, a bundle
-    directory and the [before_solve] stall-injection hook. *)
-val create :
-  ?jobs:int ->
-  ?max_pending:int ->
-  ?max_frame:int ->
-  ?slow_ms:float ->
-  ?anomaly:Obs.Anomaly.t ->
-  ?bundle_dir:string ->
-  ?before_solve:(string -> unit) ->
-  ?persist:Persist.t ->
-  ?checkpoint_secs:float ->
-  unit ->
-  t
+val create : Engine.t -> t
+(** Serve through [engine], built by {!Engine.create} with whatever anomaly
+    triggers, bundle directory, persist layer or [before_solve] stall hook
+    the test needs. *)
+
 val engine : t -> Engine.t
 val shutting_down : t -> bool
 

@@ -29,8 +29,8 @@
 type t
 
 type group = { g_lines : string list; g_cached : (string * string) list }
-(** One journal record: request lines replayed as a single drain, and the
-    idempotency-id cache entries to seed. *)
+(** One journal record: request lines replayed as a single engine step, and
+    the idempotency-id cache entries to seed. *)
 
 type recovery = {
   r_dir : string;

@@ -158,7 +158,7 @@ let tiny_instance () =
 
 let test_idempotency_dedup () =
   Obs.with_recording (fun () ->
-      let lb = Server.Loopback.create () in
+      let lb = Server.Loopback.create (Server.Engine.create ()) in
       ignore
         (expect_ok
            (Server.Loopback.request lb
@@ -205,7 +205,101 @@ let test_idempotency_dedup () =
           ]
       in
       check "error reply" false (is_ok (Server.Loopback.request lb bad));
-      check "error not cached, runs again" false (is_ok (Server.Loopback.request lb bad)))
+      check "error not cached, runs again" false (is_ok (Server.Loopback.request lb bad));
+      (* Two copies posted before one drain: the copy must not ride the
+         first's add_task batch; it leads the next step, where the cache
+         answers it. *)
+      let add5 =
+        line
+          [
+            ("op", J.Str "add_task"); ("session", J.Str "i");
+            ("configs", J.List [ J.Obj [ ("procs", J.List [ J.Num 1.0 ]); ("weight", J.Num 1.0) ] ]);
+            ("idem", J.Str "retry-5");
+          ]
+      in
+      Server.Loopback.post lb add5;
+      Server.Loopback.post lb add5;
+      (match List.map expect_ok (Server.Loopback.drain lb) with
+      | [ r1; r2 ] ->
+          Alcotest.(check string) "same-drain duplicate answered with the first reply" r1 r2
+      | rs -> Alcotest.failf "expected 2 replies, got %d" (List.length rs));
+      match Server.Engine.resident (Server.Loopback.engine lb) with
+      | [ (_, s) ] ->
+          Alcotest.(check int) "same-drain duplicate applied once" 5 (Server.Session.n_tasks s)
+      | _ -> Alcotest.fail "one session expected")
+
+(* --- recovery of a coalesced add_task batch ------------------------------ *)
+
+(* Six add_tasks drained together are one Repair.place pass and one journal
+   group; recovery must replay them as one step.  On this instance the same
+   adds sent one at a time place differently, so a lost batch boundary
+   changes the recovered snapshot. *)
+let test_batch_recovery () =
+  Obs.with_recording (fun () ->
+      with_temp_dir "persist" (fun dir ->
+          let h =
+            Hyper.Generate.generate (Randkit.Prng.create ~seed:3) ~family:Hyper.Generate.Fewg_manyg
+              ~n:30 ~p:6 ~dv:3 ~dh:3 ~g:2 ~weights:Hyper.Weights.Unit
+          in
+          let load =
+            line
+              [
+                ("op", J.Str "load"); ("session", J.Str "b");
+                ("instance", J.Str (Hyper.Io.to_string h));
+              ]
+          in
+          let procs l = J.List (List.map (fun q -> J.Num (float_of_int q)) l) in
+          let adds =
+            List.init 6 (fun i ->
+                line
+                  [
+                    ("op", J.Str "add_task"); ("session", J.Str "b");
+                    ( "configs",
+                      J.List
+                        [
+                          J.Obj
+                            [
+                              ("procs", procs [ i mod 6; (i + 1) mod 6 ]);
+                              ("weight", J.Num (float_of_int (1 + i)));
+                            ];
+                          J.Obj [ ("procs", procs [ (i + 3) mod 6 ]); ("weight", J.Num 2.5) ];
+                        ] );
+                  ])
+          in
+          let snapshot lb =
+            expect_ok
+              (Server.Loopback.request lb (line [ ("op", J.Str "snapshot"); ("session", J.Str "b") ]))
+          in
+          let persist, _ = Persist.open_ ~dir ~policy:Journal.Never ~version:"test" in
+          let live = Server.Loopback.create (Server.Engine.create ~persist ()) in
+          ignore (expect_ok (Server.Loopback.request live load));
+          List.iter (Server.Loopback.post live) adds;
+          List.iter (fun r -> ignore (expect_ok r)) (Server.Loopback.drain live);
+          let want = snapshot live in
+          Persist.close persist;
+          let one_by_one = Server.Loopback.create (Server.Engine.create ()) in
+          List.iter (fun l -> ignore (expect_ok (Server.Loopback.request one_by_one l))) (load :: adds);
+          check "batching changes placement on this instance" true (snapshot one_by_one <> want);
+          let engine = Server.Engine.create () in
+          let info = Server.Engine.recover engine (Persist.load dir) in
+          Alcotest.(check int) "load record + six batch members" 7 info.Server.Engine.rec_records;
+          Alcotest.(check int) "no failures" 0 info.Server.Engine.rec_failures;
+          Alcotest.(check string) "recovered snapshot = live snapshot" want
+            (snapshot (Server.Loopback.create engine))))
+
+(* A journal record that no longer applies — a mutation of a session the
+   checkpoint lacks, a line that does not parse — is a recovery failure,
+   reported and counted, never raised. *)
+let test_failed_replay_counted () =
+  with_temp_dir "persist" (fun dir ->
+      let p, _ = Persist.open_ ~dir ~policy:Journal.Never ~version:"test" in
+      Persist.log p ~lines:[ {|{"op":"remove_task","session":"ghost","task":0}|} ] ~cached:[];
+      Persist.log p ~lines:[ "not json" ] ~cached:[];
+      Persist.log p ~lines:[ {|{"op":"ping"}|} ] ~cached:[];
+      Persist.close p;
+      let info = Server.Engine.recover (Server.Engine.create ()) (Persist.load dir) in
+      Alcotest.(check int) "every record read" 3 info.Server.Engine.rec_records;
+      Alcotest.(check int) "two failed steps" 2 info.Server.Engine.rec_failures)
 
 (* --- the kill -9 chaos harness ------------------------------------------- *)
 
@@ -344,7 +438,7 @@ let snapshot_request = line [ ("op", J.Str "snapshot"); ("session", J.Str chaos_
 (* The oracle: the same acked prefix driven through an in-process engine. *)
 let reference_snapshot prefix =
   Obs.with_recording (fun () ->
-      let lb = Server.Loopback.create () in
+      let lb = Server.Loopback.create (Server.Engine.create ()) in
       List.iter (fun l -> ignore (Server.Loopback.request lb l)) prefix;
       Server.Loopback.request lb snapshot_request)
 
@@ -501,4 +595,6 @@ let suite =
     Alcotest.test_case "kill -9 chaos: resolve state record" `Slow
       test_chaos_resolve_state_record;
     Alcotest.test_case "SIGTERM writes a final checkpoint" `Quick test_sigterm_graceful;
+    Alcotest.test_case "recovery replays a coalesced add_task batch" `Quick test_batch_recovery;
+    Alcotest.test_case "recovery counts a failed replayed step" `Quick test_failed_replay_counted;
   ]

@@ -287,7 +287,7 @@ let test_stalled_solve_bundles () =
               let before_solve raw =
                 if Test_cli.contains ~needle:{|"resolve"|} raw then Unix.sleepf stall_s
               in
-              let lb = L.create ~anomaly ~bundle_dir:dir ~before_solve () in
+              let lb = L.create (Server.Engine.create ~anomaly ~bundle_dir:dir ~before_solve ()) in
               ignore (expect_ok (L.request lb (load_line ~session:"s" (tiny ()))));
               ignore
                 (expect_ok
@@ -322,7 +322,7 @@ let test_fast_run_fires_nothing () =
   Obs.with_recording (fun () ->
       with_temp_dir (fun dir ->
           let anomaly = A.create [ A.rule_of_string "stall:5000"; A.rule_of_string "latency:5000" ] in
-          let lb = L.create ~anomaly ~bundle_dir:dir ~jobs:1 () in
+          let lb = L.create (Server.Engine.create ~anomaly ~bundle_dir:dir ~jobs:1 ()) in
           ignore (expect_ok (L.request lb (load_line ~session:"s" (tiny ()))));
           ignore
             (expect_ok
@@ -343,7 +343,7 @@ let test_health_and_dump_ops () =
           with_temp_dir (fun dir ->
               R.start ();
               let anomaly = A.create [ A.rule_of_string "stall:5000" ] in
-              let lb = L.create ~anomaly ~bundle_dir:dir () in
+              let lb = L.create (Server.Engine.create ~anomaly ~bundle_dir:dir ()) in
               ignore (expect_ok (L.request lb (load_line ~session:"s" (tiny ()))));
               (* health: cheap, in-memory — well under a millisecond even
                  with the recorder running. *)
@@ -385,6 +385,42 @@ let test_health_and_dump_ops () =
                 "exactly one bundle on disk" 1
                 (Array.length (Sys.readdir dir)))))
 
+(* Two add_tasks coalesced into one batch, each slow enough to trip an
+   add_task latency rule with no cooldown: each member's bundle must
+   capture that member's own request line, not the batch leader's. *)
+let test_batch_member_bundles_own_request () =
+  Obs.with_recording (fun () ->
+      with_temp_dir (fun dir ->
+          let anomaly = A.create ~cooldown_s:0.0 [ A.rule_of_string "latency:add_task:1" ] in
+          let before_solve raw =
+            if Test_cli.contains ~needle:{|"add_task"|} raw then Unix.sleepf 0.005
+          in
+          let lb = L.create (Server.Engine.create ~anomaly ~bundle_dir:dir ~before_solve ()) in
+          ignore (expect_ok (L.request lb (load_line ~session:"s" (tiny ()))));
+          let add tag =
+            line
+              [
+                ("id", J.Str tag); ("op", J.Str "add_task"); ("session", J.Str "s");
+                ("configs", J.List [ J.Obj [ ("procs", J.List [ J.Num 0.0 ]); ("weight", J.Num 1.0) ] ]);
+              ]
+          in
+          let a = add "a" and b = add "b" in
+          L.post lb a;
+          L.post lb b;
+          List.iter (fun r -> ignore (expect_ok r)) (L.drain lb);
+          Alcotest.(check int) "one bundle per member" 2
+            (Server.Engine.bundles_written (L.engine lb));
+          let captured =
+            Sys.readdir dir |> Array.to_list
+            |> List.map (fun bundle ->
+                   let path = Filename.concat (Filename.concat dir bundle) "request.json" in
+                   match J.member "raw" (J.of_string (read_file path)) with
+                   | Some (J.Str raw) -> raw
+                   | _ -> Alcotest.failf "bundle %s captured no request" bundle)
+            |> List.sort compare
+          in
+          Alcotest.(check (list string)) "each bundle holds its own request" [ a; b ] captured))
+
 let suite =
   [
     Alcotest.test_case "trigger rule spec grammar" `Quick test_rule_specs;
@@ -398,4 +434,6 @@ let suite =
     Alcotest.test_case "stalled solve produces a bundle" `Quick test_stalled_solve_bundles;
     Alcotest.test_case "fast run fires nothing" `Quick test_fast_run_fires_nothing;
     Alcotest.test_case "health and dump ops" `Quick test_health_and_dump_ops;
+    Alcotest.test_case "batch members bundle their own requests" `Quick
+      test_batch_member_bundles_own_request;
   ]

@@ -105,7 +105,7 @@ let golden_expected =
 
 let test_golden_transcript () =
   Obs.with_recording (fun () ->
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       let replies = List.map (fun l -> normalize (L.request lb l)) (golden_script ()) in
       List.iteri
         (fun i (expected, got) ->
@@ -166,7 +166,7 @@ let test_random_sequence_vs_portfolio () =
                               w )
                         | _ -> assert false))))
       in
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       ignore (expect_ok (L.request lb (load_line ~session:"r" base)));
       let live = ref (List.init 8 Fun.id) in
       for _ = 1 to 40 do
@@ -234,7 +234,7 @@ let snapshot_line session = line [ ("op", J.Str "snapshot"); ("session", J.Str s
 let test_snapshot_restore_identity () =
   Obs.with_recording (fun () ->
       (* Path A: snapshot, restore over the live session, then solve. *)
-      let a = L.create () in
+      let a = L.create (Server.Engine.create ()) in
       preamble a "s";
       let state = field (expect_ok (L.request a (snapshot_line "s"))) "state" in
       ignore
@@ -244,7 +244,7 @@ let test_snapshot_restore_identity () =
       let solve_a = expect_ok (L.request a (solve_line "s")) in
       let snap_a = field (expect_ok (L.request a (snapshot_line "s"))) "state" in
       (* Path B: the same history without ever snapshotting. *)
-      let b = L.create () in
+      let b = L.create (Server.Engine.create ()) in
       preamble b "s";
       let solve_b = expect_ok (L.request b (solve_line "s")) in
       let snap_b = field (expect_ok (L.request b (snapshot_line "s"))) "state" in
@@ -276,7 +276,7 @@ let fuzz_parse_truncations =
           ]
       in
       Obs.with_recording (fun () ->
-          let lb = L.create () in
+          let lb = L.create (Server.Engine.create ()) in
           List.for_all
             (fun len ->
               let prefix = String.sub full 0 len in
@@ -293,7 +293,7 @@ let test_frame_cap () =
       (* The cap is checked before any parsing: even well-formed JSON over
          the limit is refused, so a hostile length never reaches the
          allocator. *)
-      let lb = L.create ~max_frame:64 () in
+      let lb = L.create (Server.Engine.create ~max_frame:64 ()) in
       ignore (expect_error "too_large" (L.request lb (load_line ~session:"s" (tiny ()))));
       ignore (expect_ok (L.request lb (line [ ("op", J.Str "ping") ]))))
 
@@ -301,7 +301,7 @@ let test_frame_cap () =
 
 let test_busy_backpressure () =
   Obs.with_recording (fun () ->
-      let lb = L.create ~max_pending:2 () in
+      let lb = L.create (Server.Engine.create ~max_pending:2 ()) in
       for i = 1 to 5 do
         L.post lb (line [ ("id", J.Num (float_of_int i)); ("op", J.Str "ping") ])
       done;
@@ -318,7 +318,7 @@ let test_busy_backpressure () =
 
 let test_batch_coalescing () =
   Obs.with_recording (fun () ->
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       ignore (expect_ok (L.request lb (load_line ~session:"b" (tiny ()))));
       for i = 0 to 2 do
         L.post lb
@@ -340,7 +340,7 @@ let test_batch_coalescing () =
 
 let test_reply_order_with_malformed () =
   Obs.with_recording (fun () ->
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       L.post lb (line [ ("id", J.Num 1.0); ("op", J.Str "ping") ]);
       L.post lb "{not json";
       L.post lb (line [ ("id", J.Num 3.0); ("op", J.Str "ping") ]);
@@ -360,7 +360,7 @@ let test_kill_proc_and_infeasible () =
         H.create ~n1:2 ~n2:2
           ~hyperedges:[ (0, [| 0 |], 1.0); (1, [| 0 |], 2.0); (1, [| 1 |], 2.0) ]
       in
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       ignore (expect_ok (L.request lb (load_line ~session:"k" h)));
       let kill = line [ ("op", J.Str "kill_proc"); ("session", J.Str "k"); ("proc", J.Num 0.0) ] in
       let r = expect_ok (L.request lb kill) in
@@ -388,13 +388,13 @@ let test_snapshot_restore_after_kill_proc () =
         H.create ~n1:2 ~n2:2
           ~hyperedges:[ (0, [| 0 |], 1.0); (1, [| 0 |], 2.0); (1, [| 1 |], 2.0) ]
       in
-      let a = L.create () in
+      let a = L.create (Server.Engine.create ()) in
       ignore (expect_ok (L.request a (load_line ~session:"k" h)));
       let kill = line [ ("op", J.Str "kill_proc"); ("session", J.Str "k"); ("proc", J.Num 0.0) ] in
       ignore (expect_ok (L.request a kill));
       let state = field (expect_ok (L.request a (snapshot_line "k"))) "state" in
       (* Restore into a *fresh* engine, as crash recovery does. *)
-      let b = L.create () in
+      let b = L.create (Server.Engine.create ()) in
       ignore
         (expect_ok
            (L.request b
@@ -428,7 +428,7 @@ let test_snapshot_restore_after_kill_proc () =
 
 let test_error_codes () =
   Obs.with_recording (fun () ->
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       ignore (expect_error "protocol" (L.request lb "[1,2]"));
       ignore (expect_error "protocol" (L.request lb (line [ ("op", J.Str "frobnicate") ])));
       ignore (expect_error "protocol" (L.request lb (line [ ("ops", J.Str "ping") ])));
@@ -473,7 +473,7 @@ let test_stats_basics_without_obs () =
      are engine state and answer even with the Obs switch off; only the
      counters object goes dark. *)
   check "obs off for this test" false (Obs.is_enabled ());
-  let lb = L.create () in
+  let lb = L.create (Server.Engine.create ()) in
   ignore (expect_ok (L.request lb (line [ ("op", J.Str "ping") ])));
   let r = expect_ok (L.request lb (line [ ("op", J.Str "stats") ])) in
   check "uptime_s present and sane" true (num r "uptime_s" >= 0.0);
@@ -488,7 +488,7 @@ let test_stats_basics_without_obs () =
 
 let test_metrics_exposition () =
   Obs.with_recording (fun () ->
-      let lb = L.create () in
+      let lb = L.create (Server.Engine.create ()) in
       ignore (expect_ok (L.request lb (load_line ~session:"m" (tiny ()))));
       ignore (expect_ok (L.request lb (line [ ("op", J.Str "ping") ])));
       let r = expect_ok (L.request lb (line [ ("op", J.Str "metrics") ])) in
@@ -544,6 +544,35 @@ let test_client_server_death_mid_request () =
   Domain.join killer;
   Server.Client.close c
 
+let test_client_failed_connect_closes_fd () =
+  (* Retry loops dial a starting daemon every few milliseconds: a failed
+     connect must not leave its socket open. *)
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  let missing =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "semimatch-absent-%d.sock" (Unix.getpid ()))
+  in
+  let closed_port =
+    let s = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+    Unix.bind s (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+    let port = match Unix.getsockname s with Unix.ADDR_INET (_, p) -> p | _ -> 0 in
+    Unix.close s;
+    port
+  in
+  let refused dial =
+    match dial () with
+    | c ->
+        Server.Client.close c;
+        Alcotest.fail "connected to an endpoint nobody listens on"
+    | exception Unix.Unix_error ((Unix.ENOENT | Unix.ECONNREFUSED), _, _) -> ()
+  in
+  let before = open_fds () in
+  for _ = 1 to 100 do
+    refused (fun () -> Server.Client.connect_unix missing);
+    refused (fun () -> Server.Client.connect_tcp ~host:"127.0.0.1" ~port:closed_port)
+  done;
+  Alcotest.(check int) "open fds after 200 failed connects" before (open_fds ())
+
 let suite =
   [
     Alcotest.test_case "golden transcript" `Quick test_golden_transcript;
@@ -566,4 +595,6 @@ let suite =
     Alcotest.test_case "client read timeout" `Quick test_client_timeout;
     Alcotest.test_case "client sees EOF when the server dies mid-request" `Quick
       test_client_server_death_mid_request;
+    Alcotest.test_case "failed client connects close their socket" `Quick
+      test_client_failed_connect_closes_fd;
   ]

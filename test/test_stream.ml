@@ -420,7 +420,7 @@ let chunk_line session edges =
     ]
 
 let test_daemon_stream_incore () =
-  let lb = Server.Loopback.create () in
+  let lb = Server.Loopback.create (Server.Engine.create ()) in
   let req l =
     let reply = Server.Loopback.request lb l in
     if not (is_ok reply) then Alcotest.failf "expected ok, got %s" reply;
@@ -440,7 +440,7 @@ let test_daemon_stream_incore () =
   check "resident session solves" true (num solved "makespan" >= 1.0)
 
 let test_daemon_stream_streamed () =
-  let lb = Server.Loopback.create () in
+  let lb = Server.Loopback.create (Server.Engine.create ()) in
   let req l = Server.Loopback.request lb l in
   ignore
     (req (line [ ("op", J.Str "stream_begin"); ("session", J.Str "t"); ("n1", J.Num 6.); ("n2", J.Num 2.) ]));
@@ -464,7 +464,7 @@ let test_daemon_stream_streamed () =
   check "streamed solve left no session" true (field sessions "sessions" = J.List [])
 
 let test_daemon_stream_errors () =
-  let lb = Server.Loopback.create () in
+  let lb = Server.Loopback.create (Server.Engine.create ()) in
   let req l = Server.Loopback.request lb l in
   let expect code reply =
     if is_ok reply then Alcotest.failf "expected %s error, got %s" code reply;
