@@ -30,6 +30,18 @@ let create ~n1 ~n2 ~edges =
     edges;
   { n1; n2; off; adj; w }
 
+let of_csr ~n1 ~n2 ~off ~adj ~w =
+  if n1 < 0 || n2 < 0 then invalid_arg "Bipartite.Graph.of_csr: negative size";
+  let m = Array.length adj in
+  if Array.length off <> n1 + 1 || off.(0) <> 0 || off.(n1) <> m || Array.length w <> m then
+    invalid_arg "Bipartite.Graph.of_csr: malformed offsets";
+  for v = 0 to n1 - 1 do
+    if off.(v) > off.(v + 1) then invalid_arg "Bipartite.Graph.of_csr: malformed offsets"
+  done;
+  Array.iter (fun u -> if u < 0 || u >= n2 then invalid_arg "Bipartite.Graph: V2 endpoint out of range") adj;
+  Array.iter (fun x -> if not (x > 0.0) then invalid_arg "Bipartite.Graph: weight must be positive") w;
+  { n1; n2; off; adj; w }
+
 let of_adjacency ~n2 adjacency =
   let n1 = Array.length adjacency in
   let edges = ref [] in

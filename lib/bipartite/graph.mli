@@ -4,7 +4,10 @@
     dense integers: V1 = [0 .. n1-1], V2 = [0 .. n2-1].  Edges carry a weight
     (the execution time of the task on that processor); unweighted problems
     use weight 1.  Adjacency is stored once from the V1 side; the V2-side view
-    needed by [double-sorted] (processor in-degrees) is derived on demand. *)
+    needed by [double-sorted] (processor in-degrees) is derived on demand.
+
+    The CSR arrays are never mutated after construction, so graphs may share
+    them ({!of_csr}; [Hyper.Graph.of_bipartite]/[to_bipartite]). *)
 
 type t = private {
   n1 : int;  (** number of V1 (task) vertices *)
@@ -20,6 +23,12 @@ val create : n1:int -> n2:int -> edges:(int * int * float) list -> t
     [Invalid_argument] otherwise.  Parallel edges are allowed (a task may
     legitimately offer the same processor at different costs), self-structure
     is impossible by typing. *)
+
+val of_csr : n1:int -> n2:int -> off:int array -> adj:int array -> w:float array -> t
+(** The graph whose CSR arrays these are, taken as they are (not copied).
+    Validates the offsets (length [n1+1], from 0 to [length adj],
+    nondecreasing), endpoint ranges and strictly positive weights; raises
+    [Invalid_argument] otherwise. *)
 
 val of_adjacency : n2:int -> (int * float) list array -> t
 (** [of_adjacency ~n2 adj] where [adj.(v)] lists the [(processor, weight)]

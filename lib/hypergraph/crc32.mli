@@ -1,0 +1,11 @@
+(** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, as in zip/png),
+    computed on native ints eight bytes at a time (slicing-by-8).  One
+    implementation frames both the edge-stream chunks ({!Stream_io}) and the
+    daemon's journal records. *)
+
+val bytes : Bytes.t -> pos:int -> len:int -> int
+(** CRC of [len] bytes from [pos], in [0, 2^32).  Raises
+    [Invalid_argument] when the range is not inside the buffer. *)
+
+val string : string -> int
+(** CRC of a whole string: [string "123456789" = 0xCBF43926]. *)

@@ -7,53 +7,214 @@ type t = {
   w : float array;
 }
 
-let validate_hyperedge ~n1 ~n2 (task, procs, weight) =
-  if task < 0 || task >= n1 then invalid_arg "Hyper.Graph: task out of range";
-  if not (weight > 0.0) then invalid_arg "Hyper.Graph: weight must be positive";
-  if Array.length procs = 0 then invalid_arg "Hyper.Graph: empty processor set";
-  let seen = Hashtbl.create (Array.length procs) in
-  Array.iter
-    (fun u ->
-      if u < 0 || u >= n2 then invalid_arg "Hyper.Graph: processor out of range";
-      if Hashtbl.mem seen u then invalid_arg "Hyper.Graph: duplicate processor in hyperedge";
-      Hashtbl.add seen u ())
-    procs
+(* {2 Sized builder}
 
-let create ~n1 ~n2 ~hyperedges =
+   Every constructor goes through one builder: pins are appended to the
+   hyperedge under construction, and [end_hyperedge] closes it with its task
+   and weight.  The arrays are sized up front from the caller's counts, so
+   exact counts mean [build] allocates nothing but the final CSR arrays
+   (which it shares with the builder).  More input grows them; less is
+   trimmed at [build].
+
+   Validation runs per hyperedge, in input order, but a failure is only
+   recorded: [build] raises the first one.  That lets the text parser finish
+   its scan first, so a line-numbered syntax error anywhere in a file wins
+   over a semantic error on an earlier line.
+
+   Task grouping: [b_count] counts hyperedges per task (it becomes
+   [task_off] at [build]).  While tasks arrive in nondecreasing order the
+   hyperedges are already grouped and no per-hyperedge task is stored; the
+   first out-of-order task switches to [b_tasks], rebuilt for the hyperedges
+   so far from the counts, and [build] regroups with a stable counting
+   sort. *)
+
+type builder = {
+  b_n1 : int;
+  b_n2 : int;
+  b_count : int array;
+  mutable b_off : int array;  (* hyperedge e owns b_adj.(b_off.(e) .. b_off.(e+1) - 1) *)
+  mutable b_adj : int array;
+  mutable b_w : float array;
+  mutable b_nh : int;
+  mutable b_np : int;
+  mutable b_grouped : bool;
+  mutable b_tasks : int array;  (* task per hyperedge, once not grouped *)
+  mutable b_last : int;  (* task of the previous hyperedge *)
+  mutable b_error : string option;  (* first validation failure *)
+  mutable b_built : bool;
+}
+
+let builder ~n1 ~n2 ~hyperedges ~pins =
   if n1 < 0 || n2 < 0 then invalid_arg "Hyper.Graph.create: negative size";
-  List.iter (validate_hyperedge ~n1 ~n2) hyperedges;
-  let nh = List.length hyperedges in
-  let task_off = Array.make (n1 + 1) 0 in
-  List.iter (fun (v, _, _) -> task_off.(v + 1) <- task_off.(v + 1) + 1) hyperedges;
+  let hyperedges = max 0 hyperedges in
+  {
+    b_n1 = n1;
+    b_n2 = n2;
+    b_count = Array.make (n1 + 1) 0;
+    b_off = Array.make (hyperedges + 1) 0;
+    b_adj = Array.make (max 0 pins) 0;
+    b_w = Array.make hyperedges 0.0;
+    b_nh = 0;
+    b_np = 0;
+    b_grouped = true;
+    b_tasks = [||];
+    b_last = 0;
+    b_error = None;
+    b_built = false;
+  }
+
+let check_open b = if b.b_built then invalid_arg "Hyper.Graph: builder used after build"
+
+let add_pin b u =
+  check_open b;
+  if b.b_np = Array.length b.b_adj then begin
+    let a = Array.make (max 8 (2 * b.b_np)) 0 in
+    Array.blit b.b_adj 0 a 0 b.b_np;
+    b.b_adj <- a
+  end;
+  Array.unsafe_set b.b_adj b.b_np u;
+  b.b_np <- b.b_np + 1
+
+let out_of_range = Some "Hyper.Graph: processor out of range"
+let duplicate = Some "Hyper.Graph: duplicate processor in hyperedge"
+
+(* Above this size a configuration's duplicate check uses a hash table
+   instead of the pairwise scan.  Never an array of n2 stamps: a 25-byte
+   header may name n2 = 1e8. *)
+let small_config = 32
+
+let rec occurs adj lo hi u = lo < hi && (adj.(lo) = u || occurs adj (lo + 1) hi u)
+
+(* The first bad pin of adj.(pos .. stop - 1) in order: out of range, or a
+   repeat of an earlier pin. *)
+let rec check_small ~n2 adj pos i stop =
+  if i = stop then None
+  else
+    let u = adj.(i) in
+    if u < 0 || u >= n2 then out_of_range
+    else if occurs adj pos i u then duplicate
+    else check_small ~n2 adj pos (i + 1) stop
+
+let check_large ~n2 adj pos stop =
+  let seen = Hashtbl.create (stop - pos) in
+  let rec go i =
+    if i = stop then None
+    else
+      let u = adj.(i) in
+      if u < 0 || u >= n2 then out_of_range
+      else if Hashtbl.mem seen u then duplicate
+      else begin
+        Hashtbl.add seen u ();
+        go (i + 1)
+      end
+  in
+  go pos
+
+let check_hyperedge b ~task ~weight pos stop =
+  if task < 0 || task >= b.b_n1 then Some "Hyper.Graph: task out of range"
+  else if not (weight > 0.0) then Some "Hyper.Graph: weight must be positive"
+  else if pos = stop then Some "Hyper.Graph: empty processor set"
+  else if stop - pos <= small_config then check_small ~n2:b.b_n2 b.b_adj pos pos stop
+  else check_large ~n2:b.b_n2 b.b_adj pos stop
+
+let grow_hyperedges b =
+  let cap = max 8 (2 * b.b_nh) in
+  let off = Array.make (cap + 1) 0 and w = Array.make cap 0.0 in
+  Array.blit b.b_off 0 off 0 (b.b_nh + 1);
+  Array.blit b.b_w 0 w 0 b.b_nh;
+  b.b_off <- off;
+  b.b_w <- w;
+  if not b.b_grouped then begin
+    let tasks = Array.make cap 0 in
+    Array.blit b.b_tasks 0 tasks 0 b.b_nh;
+    b.b_tasks <- tasks
+  end
+
+(* The hyperedges so far arrived in nondecreasing task order, so the counts
+   alone give each one's task. *)
+let ungroup b =
+  let tasks = Array.make (Array.length b.b_w) 0 in
+  let e = ref 0 in
+  for v = 0 to b.b_n1 - 1 do
+    Array.fill tasks !e b.b_count.(v + 1) v;
+    e := !e + b.b_count.(v + 1)
+  done;
+  b.b_tasks <- tasks;
+  b.b_grouped <- false
+
+let end_hyperedge b ~task ~weight =
+  check_open b;
+  let pos = b.b_off.(b.b_nh) in
+  let error =
+    match b.b_error with Some _ as e -> e | None -> check_hyperedge b ~task ~weight pos b.b_np
+  in
+  match error with
+  | Some _ ->
+      (* once invalid, the graph is never built: keep the failure, drop the
+         pins *)
+      b.b_error <- error;
+      b.b_np <- pos
+  | None ->
+      let e = b.b_nh in
+      if e = Array.length b.b_w then grow_hyperedges b;
+      if b.b_grouped && task < b.b_last then ungroup b;
+      if not b.b_grouped then b.b_tasks.(e) <- task;
+      b.b_last <- task;
+      b.b_count.(task + 1) <- b.b_count.(task + 1) + 1;
+      b.b_w.(e) <- weight;
+      b.b_off.(e + 1) <- b.b_np;
+      b.b_nh <- e + 1
+
+let add b ~task ~procs ~weight =
+  for i = 0 to Array.length procs - 1 do
+    add_pin b procs.(i)
+  done;
+  end_hyperedge b ~task ~weight
+
+let fit a n = if Array.length a = n then a else Array.sub a 0 n
+
+let build b =
+  check_open b;
+  b.b_built <- true;
+  Option.iter invalid_arg b.b_error;
+  let n1 = b.b_n1 and nh = b.b_nh in
+  let task_off = b.b_count in
   for v = 1 to n1 do
     task_off.(v) <- task_off.(v) + task_off.(v - 1)
   done;
-  (* Stable grouping by task: first assign hyperedge slots, then fill pins. *)
-  let cursor = Array.copy task_off in
-  let slot_of = Array.make nh 0 in
-  List.iteri
-    (fun i (v, _, _) ->
-      slot_of.(i) <- cursor.(v);
-      cursor.(v) <- cursor.(v) + 1)
-    hyperedges;
-  let sizes = Array.make nh 0 in
-  let weights = Array.make nh 0.0 in
-  List.iteri
-    (fun i (_, procs, weight) ->
-      sizes.(slot_of.(i)) <- Array.length procs;
-      weights.(slot_of.(i)) <- weight)
-    hyperedges;
-  let h_off = Array.make (nh + 1) 0 in
-  for h = 0 to nh - 1 do
-    h_off.(h + 1) <- h_off.(h) + sizes.(h)
-  done;
-  let h_adj = Array.make h_off.(nh) 0 in
-  List.iteri
-    (fun i (_, procs, _) ->
-      let base = h_off.(slot_of.(i)) in
-      Array.iteri (fun k u -> h_adj.(base + k) <- u) procs)
-    hyperedges;
-  { n1; n2; task_off; h_off; h_adj; w = weights }
+  if b.b_grouped then
+    { n1; n2 = b.b_n2; task_off; h_off = fit b.b_off (nh + 1); h_adj = fit b.b_adj b.b_np; w = fit b.b_w nh }
+  else begin
+    (* Stable counting sort by task: hyperedge e moves to slot.(e). *)
+    let cursor = Array.sub task_off 0 n1 in
+    let slot =
+      Array.init nh (fun e ->
+          let v = b.b_tasks.(e) in
+          let s = cursor.(v) in
+          cursor.(v) <- s + 1;
+          s)
+    in
+    let size e = b.b_off.(e + 1) - b.b_off.(e) in
+    let h_off = Array.make (nh + 1) 0 and w = Array.make nh 0.0 in
+    for e = 0 to nh - 1 do
+      h_off.(slot.(e) + 1) <- size e;
+      w.(slot.(e)) <- b.b_w.(e)
+    done;
+    for s = 1 to nh do
+      h_off.(s) <- h_off.(s) + h_off.(s - 1)
+    done;
+    let h_adj = Array.make b.b_np 0 in
+    for e = 0 to nh - 1 do
+      Array.blit b.b_adj b.b_off.(e) h_adj h_off.(slot.(e)) (size e)
+    done;
+    { n1; n2 = b.b_n2; task_off; h_off; h_adj; w }
+  end
+
+let create ~n1 ~n2 ~hyperedges =
+  let pins = List.fold_left (fun acc (_, procs, _) -> acc + Array.length procs) 0 hyperedges in
+  let b = builder ~n1 ~n2 ~hyperedges:(List.length hyperedges) ~pins in
+  List.iter (fun (task, procs, weight) -> add b ~task ~procs ~weight) hyperedges;
+  build b
 
 let num_hyperedges h = Array.length h.w
 let num_pins h = Array.length h.h_adj
@@ -100,36 +261,25 @@ let has_isolated_task h =
   let rec scan v = v < h.n1 && (task_degree h v = 0 || scan (v + 1)) in
   scan 0
 
+(* Both directions share the CSR arrays: a bipartite edge list grouped by
+   task is exactly a singleton hyperedge list grouped by task. *)
 let of_bipartite g =
   let module B = Bipartite.Graph in
-  let hyperedges = ref [] in
-  for v = g.B.n1 - 1 downto 0 do
-    let edges =
-      B.fold_neighbors g v ~init:[] ~f:(fun acc ~edge:_ u w -> (v, [| u |], w) :: acc)
-    in
-    hyperedges := List.rev_append edges !hyperedges
-  done;
-  create ~n1:g.B.n1 ~n2:g.B.n2 ~hyperedges:!hyperedges
+  {
+    n1 = g.B.n1;
+    n2 = g.B.n2;
+    task_off = g.B.off;
+    h_off = Array.init (B.num_edges g + 1) Fun.id;
+    h_adj = g.B.adj;
+    w = g.B.w;
+  }
 
+(* Every configuration is non-empty, so all are singletons iff there are as
+   many pins as hyperedges.  Hyperedge e of task v is then bipartite edge e,
+   (v, its one processor) — callers rely on that to map assignments back. *)
 let to_bipartite h =
-  let all_singleton = ref true in
-  for e = 0 to num_hyperedges h - 1 do
-    if h_size h e <> 1 then all_singleton := false
-  done;
-  if not !all_singleton then None
-  else begin
-    (* Hyperedge e of task v becomes bipartite edge (v, its one processor).
-       Both CSRs group entries stably by task with one entry per hyperedge,
-       so bipartite edge index = hyperedge index — callers rely on it to map
-       assignments back. *)
-    let edges = ref [] in
-    for v = h.n1 - 1 downto 0 do
-      for e = h.task_off.(v + 1) - 1 downto h.task_off.(v) do
-        edges := (v, h.h_adj.(h.h_off.(e)), h.w.(e)) :: !edges
-      done
-    done;
-    Some (Bipartite.Graph.create ~n1:h.n1 ~n2:h.n2 ~edges:!edges)
-  end
+  if num_pins h <> num_hyperedges h then None
+  else Some (Bipartite.Graph.of_csr ~n1:h.n1 ~n2:h.n2 ~off:h.task_off ~adj:h.h_adj ~w:h.w)
 
 let min_max_h_size h =
   let nh = num_hyperedges h in

@@ -5,7 +5,12 @@
     with weight w_h: the execution time the task adds to {e each} processor
     of the configuration.  Hyperedges are stored canonically grouped by task,
     so the hyperedges of task [v] are the contiguous ids
-    [task_off.(v) .. task_off.(v+1) − 1]. *)
+    [task_off.(v) .. task_off.(v+1) − 1].
+
+    The CSR arrays are never mutated after construction, so graphs may share
+    them: {!with_weights} shares the structure arrays, and {!of_bipartite} /
+    {!to_bipartite} share [task_off]/[h_adj]/[w] with the bipartite graph's
+    [off]/[adj]/[w]. *)
 
 type t = private {
   n1 : int;  (** number of tasks *)
@@ -17,11 +22,43 @@ type t = private {
 }
 
 val create : n1:int -> n2:int -> hyperedges:(int * int array * float) list -> t
-(** [create ~n1 ~n2 ~hyperedges] from [(task, processors, weight)] triples.
-    Validates: endpoints in range, weights positive, processor sets non-empty
-    and duplicate-free.  Raises [Invalid_argument] otherwise.  Hyperedges are
-    re-grouped by task; relative order within a task is preserved (heuristic
-    tie-breaking is sensitive to it). *)
+(** [create ~n1 ~n2 ~hyperedges] from [(task, processors, weight)] triples:
+    a list adapter over the {!builder}.  Validates: endpoints in range,
+    weights positive, processor sets non-empty and duplicate-free.  Raises
+    [Invalid_argument] otherwise.  Hyperedges are re-grouped by task;
+    relative order within a task is preserved (heuristic tie-breaking is
+    sensitive to it). *)
+
+(** {1 Sized builder}
+
+    Every graph is built through one of these: the text parser, the
+    edge-stream loader, the daemon's sessions and the surviving-machine
+    sub-instances all append hyperedges here instead of building lists. *)
+
+type builder
+
+val builder : n1:int -> n2:int -> hyperedges:int -> pins:int -> builder
+(** Room for [hyperedges] hyperedges holding [pins] pins in all.  With
+    exact counts, {!build} allocates nothing but the final CSR arrays; more
+    input grows the arrays and less is trimmed.  Raises [Invalid_argument]
+    on a negative [n1] or [n2]. *)
+
+val add_pin : builder -> int -> unit
+(** Append a processor to the hyperedge under construction. *)
+
+val end_hyperedge : builder -> task:int -> weight:float -> unit
+(** Close the hyperedge under construction (the pins added since the
+    previous call) as a configuration of [task] with weight [weight]. *)
+
+val add : builder -> task:int -> procs:int array -> weight:float -> unit
+(** [add_pin] every processor of [procs], then [end_hyperedge]. *)
+
+val build : builder -> t
+(** The graph, grouped by task as {!create} groups it (no work when the
+    input is already task-grouped).  Hyperedges are validated in input
+    order with {!create}'s checks; the first failure is raised here, as
+    [Invalid_argument], not when the hyperedge was added.  The builder is
+    spent: any further use raises [Invalid_argument]. *)
 
 val num_hyperedges : t -> int
 val num_pins : t -> int
@@ -59,7 +96,8 @@ val has_isolated_task : t -> bool
 val of_bipartite : Bipartite.Graph.t -> t
 (** Degenerate embedding: each bipartite edge becomes a singleton-processor
     hyperedge, so SINGLEPROC is literally the special case the paper
-    describes.  Hypergraph heuristics run unchanged on the result. *)
+    describes.  Hypergraph heuristics run unchanged on the result.  O(m):
+    only [h_off] is new. *)
 
 val to_bipartite : t -> Bipartite.Graph.t option
 (** Inverse of {!of_bipartite}: [Some g] iff every hyperedge is a singleton,
@@ -67,7 +105,7 @@ val to_bipartite : t -> Bipartite.Graph.t option
     of the result corresponds to hyperedge [e] (both CSRs group stably by
     task, one entry per hyperedge), so a {e bipartite} edge choice is
     directly a {e hyperedge} choice.  [None] on any multi-processor
-    configuration. *)
+    configuration.  O(n1 + m) validation; no array is copied. *)
 
 val min_max_h_size : t -> int * int
 (** Smallest and largest configuration sizes (used by the Related weight

@@ -50,31 +50,6 @@ let max_pins = 1 lsl 20
 
 let unsealed = -1 (* all-ones u64 read back as an OCaml int *)
 
-(* CRC32 (reflected IEEE polynomial), same table construction as the
-   server journal; duplicated here because [hyper] sits below [server] in
-   the library stack and the format must stay dependency-free. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32_bytes b ~pos ~len =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  for i = pos to pos + len - 1 do
-    let byte = Char.code (Bytes.unsafe_get b i) in
-    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int byte)) 0xFFl) in
-    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
-  done;
-  Int32.logxor !c 0xFFFFFFFFl
-
 type header = {
   h_version : int;
   h_flags : int;
@@ -122,15 +97,13 @@ let put_u32 buf v =
   Buffer.add_char buf (Char.chr ((v lsr 16) land 0xff));
   Buffer.add_char buf (Char.chr ((v lsr 24) land 0xff))
 
-let put_u64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.of_int v);
-  Buffer.add_bytes buf b
+let output_u32 oc v =
+  for i = 0 to 3 do
+    output_byte oc ((v lsr (8 * i)) land 0xff)
+  done
 
-let put_f64 buf v =
-  let b = Bytes.create 8 in
-  Bytes.set_int64_le b 0 (Int64.bits_of_float v);
-  Buffer.add_bytes buf b
+let put_u64 buf v = Buffer.add_int64_le buf (Int64.of_int v)
+let put_f64 buf v = Buffer.add_int64_le buf (Int64.bits_of_float v)
 
 let header_string ~flags ~n1 ~n2 ~records ~pins =
   let buf = Buffer.create header_bytes in
@@ -168,27 +141,26 @@ let flush_chunk w =
   if w.pending > 0 then begin
     let payload = Buffer.to_bytes w.buf in
     let len = Bytes.length payload in
-    let frame = Buffer.create (len + 12) in
-    put_u32 frame w.pending;
-    put_u32 frame len;
-    Buffer.add_bytes frame payload;
-    put_u32 frame (Int32.to_int (crc32_bytes payload ~pos:0 ~len) land 0xFFFFFFFF);
-    Buffer.output_buffer w.oc frame;
+    output_u32 w.oc w.pending;
+    output_u32 w.oc len;
+    output_bytes w.oc payload;
+    output_u32 w.oc (Crc32.bytes payload ~pos:0 ~len);
     Buffer.clear w.buf;
     w.pending <- 0
   end
 
-let add w ~task ~procs ~weight =
+(* Append the hyperedge whose pins are procs.(pos .. stop - 1). *)
+let add_pins w ~task ~weight procs pos stop =
   if w.closed then invalid_arg "Stream_io.add: writer closed";
   if task < 0 || task >= w.w_n1 then invalid_arg "Stream_io.add: task out of range";
   if not (weight > 0.0) then invalid_arg "Stream_io.add: weight must be positive";
-  let k = Array.length procs in
+  let k = stop - pos in
   if k = 0 then invalid_arg "Stream_io.add: empty processor set";
   if k > max_pins then invalid_arg "Stream_io.add: too many pins";
-  for i = 0 to k - 1 do
+  for i = pos to stop - 1 do
     let u = procs.(i) in
     if u < 0 || u >= w.w_n2 then invalid_arg "Stream_io.add: processor out of range";
-    for j = 0 to i - 1 do
+    for j = pos to i - 1 do
       if procs.(j) = u then invalid_arg "Stream_io.add: duplicate processor"
     done
   done;
@@ -199,12 +171,16 @@ let add w ~task ~procs ~weight =
   put_u32 w.buf task;
   put_f64 w.buf weight;
   put_u32 w.buf k;
-  Array.iter (fun u -> put_u32 w.buf u) procs;
+  for i = pos to stop - 1 do
+    put_u32 w.buf procs.(i)
+  done;
   w.pending <- w.pending + 1;
   w.records <- w.records + 1;
   w.pins <- w.pins + k;
   if w.pending >= w.chunk_records || Buffer.length w.buf >= max_chunk_bytes - (12 + (8 * max_pins))
   then flush_chunk w
+
+let add w ~task ~procs ~weight = add_pins w ~task ~weight procs 0 (Array.length procs)
 
 let close_writer w =
   if not w.closed then begin
@@ -224,7 +200,9 @@ let writer_records w = w.records
 type reader = {
   ic : in_channel;
   hdr : header;
-  mutable chunk : Bytes.t;  (* current decoded payload *)
+  head : Bytes.t;  (* frame head / checksum scratch *)
+  mutable chunk : Bytes.t;  (* payload buffer, reused while chunks fit *)
+  mutable chunk_len : int;  (* payload bytes of the current chunk *)
   mutable chunk_count : int;
   mutable chunk_pos : int;  (* byte cursor in [chunk] *)
   mutable chunk_left : int;  (* records left in [chunk] *)
@@ -233,11 +211,7 @@ type reader = {
 
 let get_u16 b pos = Char.code (Bytes.get b pos) lor (Char.code (Bytes.get b (pos + 1)) lsl 8)
 
-let get_u32 b pos =
-  Char.code (Bytes.get b pos)
-  lor (Char.code (Bytes.get b (pos + 1)) lsl 8)
-  lor (Char.code (Bytes.get b (pos + 2)) lsl 16)
-  lor (Char.code (Bytes.get b (pos + 3)) lsl 24)
+let get_u32 b pos = Int32.to_int (Bytes.get_int32_le b pos) land 0xFFFFFFFF
 
 let get_u64 b pos =
   let v = Bytes.get_int64_le b pos in
@@ -273,7 +247,9 @@ let open_reader path =
       {
         ic;
         hdr;
+        head = Bytes.create 8;
         chunk = Bytes.empty;
+        chunk_len = 0;
         chunk_count = 0;
         chunk_pos = 0;
         chunk_left = 0;
@@ -298,7 +274,7 @@ let rewind r =
 (* Load the next frame into [r.chunk].  Returns false at a clean EOF;
    raises on a torn or corrupt frame. *)
 let next_chunk r =
-  let head = Bytes.create 8 in
+  let head = r.head in
   match really_input r.ic head 0 8 with
   | exception End_of_file ->
       (* Either a clean boundary or a torn frame head: distinguish by
@@ -310,41 +286,43 @@ let next_chunk r =
       let len = get_u32 head 4 in
       if count <= 0 || count > max_chunk_records then fail_at r.file_pos "bad chunk record count";
       if len <= 0 || len > max_chunk_bytes then fail_at r.file_pos "bad chunk length";
-      let payload = Bytes.create len in
+      if Bytes.length r.chunk < len then r.chunk <- Bytes.create len;
+      let payload = r.chunk in
       (match really_input r.ic payload 0 len with
       | exception End_of_file -> fail_at r.file_pos "torn chunk payload"
       | () -> ());
-      let tail = Bytes.create 4 in
-      (match really_input r.ic tail 0 4 with
+      (match really_input r.ic head 0 4 with
       | exception End_of_file -> fail_at r.file_pos "torn chunk checksum"
       | () -> ());
-      let want = get_u32 tail 0 in
-      let got = Int32.to_int (crc32_bytes payload ~pos:0 ~len) land 0xFFFFFFFF in
-      if want <> got then fail_at r.file_pos "chunk checksum mismatch";
-      r.chunk <- payload;
+      if get_u32 head 0 <> Crc32.bytes payload ~pos:0 ~len then
+        fail_at r.file_pos "chunk checksum mismatch";
+      r.chunk_len <- len;
       r.chunk_count <- count;
       r.chunk_pos <- 0;
       r.chunk_left <- count;
       r.file_pos <- r.file_pos + 8 + len + 4;
       true
 
-(* Decode one record at the cursor; [f] must not retain [procs] (fresh
-   array per call, but that is an implementation detail). *)
+(* Decode one record at the cursor.  [procs] is a fresh array that [f]
+   owns: the chunk buffer is reused, the pins never are. *)
 let read_record r f =
   let b = r.chunk in
   let pos = r.chunk_pos in
-  if pos + 16 > Bytes.length b then fail_at r.file_pos "record overruns chunk";
+  if pos + 16 > r.chunk_len then fail_at r.file_pos "record overruns chunk";
   let task = get_u32 b pos in
   let weight = Int64.float_of_bits (Bytes.get_int64_le b (pos + 4)) in
   let k = get_u32 b (pos + 12) in
   if k <= 0 || k > max_pins then fail_at r.file_pos "bad pin count";
-  if pos + 16 + (4 * k) > Bytes.length b then fail_at r.file_pos "record overruns chunk";
+  if pos + 16 + (4 * k) > r.chunk_len then fail_at r.file_pos "record overruns chunk";
   if task < 0 || task >= r.hdr.h_n1 then fail_at r.file_pos "task out of range";
   if not (weight > 0.0) then fail_at r.file_pos "weight must be positive";
-  let procs = Array.init k (fun i -> get_u32 b (pos + 16 + (4 * i))) in
-  Array.iter
-    (fun u -> if u < 0 || u >= r.hdr.h_n2 then fail_at r.file_pos "processor out of range")
-    procs;
+  let n2 = r.hdr.h_n2 in
+  let procs = Array.make k 0 in
+  for i = 0 to k - 1 do
+    let u = get_u32 b (pos + 16 + (4 * i)) in
+    if u >= n2 then fail_at r.file_pos "processor out of range";
+    Array.unsafe_set procs i u
+  done;
   r.chunk_pos <- pos + 16 + (4 * k);
   r.chunk_left <- r.chunk_left - 1;
   f ~task ~procs ~weight
@@ -357,32 +335,35 @@ let iter r f =
     else if not (next_chunk r) then continue := false
   done
 
-let fold r ~init ~f =
-  let acc = ref init in
-  iter r (fun ~task ~procs ~weight -> acc := f !acc ~task ~procs ~weight);
-  !acc
-
 (* {2 Whole-file helpers} *)
 
 let save path h =
-  let module G = Graph in
-  let w = create_writer ~path ~n1:h.G.n1 ~n2:h.G.n2 () in
+  let open Graph in
+  let w = create_writer ~path ~n1:h.n1 ~n2:h.n2 () in
   Fun.protect
     ~finally:(fun () -> close_writer w)
     (fun () ->
-      for e = 0 to G.num_hyperedges h - 1 do
-        add w ~task:(G.h_task h e) ~procs:(G.h_procs h e) ~weight:(G.h_weight h e)
+      for v = 0 to h.n1 - 1 do
+        for e = h.task_off.(v) to h.task_off.(v + 1) - 1 do
+          add_pins w ~task:v ~weight:h.w.(e) h.h_adj h.h_off.(e) h.h_off.(e + 1)
+        done
       done)
+
+(* Sized from the sealed header's counts, but never beyond what the bytes
+   left in the file can hold (a record takes at least 20 bytes, a pin 4):
+   the header is input like any other. *)
+let read_graph r =
+  let hdr = r.hdr in
+  let bytes_left = max 0 (in_channel_length r.ic - r.file_pos) in
+  let hyperedges = if sealed hdr then min hdr.h_records (bytes_left / 20) else 0 in
+  let pins = if sealed hdr then min hdr.h_pins (bytes_left / 4) else 0 in
+  let b = Graph.builder ~n1:hdr.h_n1 ~n2:hdr.h_n2 ~hyperedges ~pins in
+  iter r (fun ~task ~procs ~weight -> Graph.add b ~task ~procs ~weight);
+  Graph.build b
 
 let load path =
   let r = open_reader path in
-  Fun.protect
-    ~finally:(fun () -> close_reader r)
-    (fun () ->
-      let hyperedges =
-        fold r ~init:[] ~f:(fun acc ~task ~procs ~weight -> (task, procs, weight) :: acc)
-      in
-      Graph.create ~n1:r.hdr.h_n1 ~n2:r.hdr.h_n2 ~hyperedges:(List.rev hyperedges))
+  Fun.protect ~finally:(fun () -> close_reader r) (fun () -> read_graph r)
 
 (* {2 Validation (doctor)} *)
 

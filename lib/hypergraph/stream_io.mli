@@ -81,18 +81,23 @@ val rewind : reader -> unit
 val iter : reader -> (task:int -> procs:int array -> weight:float -> unit) -> unit
 (** One full pass from the current position.  Each record is range-checked
     against the header sizes; raises [Failure] at the first torn or corrupt
-    frame ([validate] is the forgiving variant). *)
-
-val fold : reader -> init:'a -> f:('a -> task:int -> procs:int array -> weight:float -> 'a) -> 'a
+    frame ([validate] is the forgiving variant).  [procs] is a fresh array
+    per record that the callback owns: it may keep it across records. *)
 
 (** {1 Whole-file convenience} *)
 
 val save : string -> Graph.t -> unit
 (** Write an in-core graph out as a (sealed) stream file. *)
 
+val read_graph : reader -> Graph.t
+(** Materialize the records from the current position as an in-core graph
+    — the ingest fallback for instances that fit.  The graph's arrays are
+    sized from the sealed header's counts (capped by the bytes left in the
+    file).  Raises [Failure] like {!iter} and [Invalid_argument] like
+    {!Graph.build}. *)
+
 val load : string -> Graph.t
-(** Materialize a stream file as an in-core graph — the ingest fallback for
-    instances that fit. *)
+(** {!read_graph} of a whole file. *)
 
 (** {1 Validation (doctor)} *)
 

@@ -80,24 +80,25 @@ let surviving_machine h dead ~feasible =
   else begin
     let task_of = Array.of_list feasible in
     let n1 = Array.length task_of in
-    let orig_edge = Array.make n1 [||] in
-    let hyperedges = ref [] in
-    for i = n1 - 1 downto 0 do
-      let edges = surviving_edges h dead task_of.(i) in
-      orig_edge.(i) <- Array.of_list edges;
-      List.iter
-        (fun e ->
-          let procs = Array.map (fun u -> proc_of.(u)) (H.h_procs h e) in
-          hyperedges := (i, procs, H.h_weight h e) :: !hyperedges)
-        (List.rev edges)
-    done;
-    let sub = H.create ~n1 ~n2:!n_surv ~hyperedges:!hyperedges in
+    let orig_edge = Array.map (fun v -> Array.of_list (surviving_edges h dead v)) task_of in
+    let hyperedges = Array.fold_left (fun acc es -> acc + Array.length es) 0 orig_edge in
+    let pins = Array.fold_left (Array.fold_left (fun acc e -> acc + H.h_size h e)) 0 orig_edge in
+    let b = H.builder ~n1 ~n2:!n_surv ~hyperedges ~pins in
+    Array.iteri
+      (fun i edges ->
+        Array.iter
+          (fun e ->
+            H.iter_h_procs h e (fun u -> H.add_pin b proc_of.(u));
+            H.end_hyperedge b ~task:i ~weight:(H.h_weight h e))
+          edges)
+      orig_edge;
+    let sub = H.build b in
     Some { sub; task_of; orig_edge }
   end
 
 (* Map a sub-instance assignment back to original hyperedge ids.  The
    sub-graph's hyperedges were inserted grouped by task in surviving-edge
-   order, and [Graph.create] preserves relative order within a task, so the
+   order, and [Graph.build] preserves relative order within a task, so the
    k-th sub-edge of sub-task [i] is [orig_edge.(i).(k)]. *)
 let choice_of_sub s (asg : Hyp_assignment.t) choice =
   Array.iteri

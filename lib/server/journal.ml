@@ -1,10 +1,10 @@
 (* Append-only journal file: [len(4 LE)][crc32(4 LE)][payload] records.
 
-   The CRC is the reflected IEEE polynomial (zip/png); a pure-OCaml table
-   keeps the module dependency-free.  Torn tails are the scanner's problem:
-   it walks the frame chain and stops at the first record whose length,
-   bytes or checksum don't hold up, so recovery always lands on a record
-   boundary. *)
+   The CRC is the reflected IEEE polynomial (zip/png), the same
+   [Hyper.Crc32] that frames edge-stream chunks.  Torn tails are the
+   scanner's problem: it walks the frame chain and stops at the first
+   record whose length, bytes or checksum don't hold up, so recovery always
+   lands on a record boundary. *)
 
 type policy = Always | Interval of float | Never
 
@@ -28,27 +28,7 @@ let policy_to_string = function
    never demand an absurd allocation during a scan. *)
 let max_record = 1 lsl 26
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFFl in
-  String.iter
-    (fun ch ->
-      let i = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code ch))) 0xFFl) in
-      c := Int32.logxor table.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xFFFFFFFFl
+let crc32 s = Int32.of_int (Hyper.Crc32.string s)
 
 let c_appends = Obs.Metrics.counter "server.journal.appends"
 let c_fsyncs = Obs.Metrics.counter "server.journal.fsyncs"

@@ -40,15 +40,22 @@ let graph t =
   match t.cache with
   | Some h -> h
   | None ->
-      let hyperedges = ref [] in
-      for i = Array.length t.entries - 1 downto 0 do
-        let e = t.entries.(i) in
-        for k = Array.length e.configs - 1 downto 0 do
-          let c = e.configs.(k) in
-          hyperedges := (i, c.Protocol.procs, c.Protocol.weight) :: !hyperedges
-        done
-      done;
-      let h = H.create ~n1:(Array.length t.entries) ~n2:t.n2 ~hyperedges:!hyperedges in
+      let hyperedges = ref 0 and pins = ref 0 in
+      Array.iter
+        (fun e ->
+          hyperedges := !hyperedges + Array.length e.configs;
+          Array.iter (fun c -> pins := !pins + Array.length c.Protocol.procs) e.configs)
+        t.entries;
+      let b =
+        H.builder ~n1:(Array.length t.entries) ~n2:t.n2 ~hyperedges:!hyperedges ~pins:!pins
+      in
+      Array.iteri
+        (fun i e ->
+          Array.iter
+            (fun c -> H.add b ~task:i ~procs:c.Protocol.procs ~weight:c.Protocol.weight)
+            e.configs)
+        t.entries;
+      let h = H.build b in
       t.cache <- Some h;
       h
 

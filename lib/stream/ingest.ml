@@ -83,11 +83,7 @@ let solve ?pool ?jobs ?(threshold_words = default_threshold_words) ?(stream_solv
       let csr_words = match Sio.csr_estimate_words hdr with Some w -> w | None -> max_int in
       if csr_words <= threshold_words then begin
         Obs.Metrics.incr c_incore;
-        let h =
-          let acc = ref [] in
-          Sio.iter reader (fun ~task ~procs ~weight -> acc := (task, procs, weight) :: !acc);
-          Hyper.Graph.create ~n1:hdr.Sio.h_n1 ~n2:hdr.Sio.h_n2 ~hyperedges:(List.rev !acc)
-        in
+        let h = Sio.read_graph reader in
         let tier, makespan, lower_bound, guarantee, factor = solve_in_core ?pool ?jobs h in
         {
           tier;

@@ -75,6 +75,72 @@ let test_fig2 () =
   Alcotest.(check (array int)) "T1 first config" [| 0 |] (H.h_procs h 0);
   Alcotest.(check (array int)) "T1 second config" [| 1; 2 |] (H.h_procs h 1)
 
+(* ---------------------------------------------------------------- Builder *)
+
+let fields h = (h.H.n1, h.H.n2, h.H.task_off, h.H.h_off, h.H.h_adj, h.H.w)
+
+(* Capacities are hints: too small grows, too large trims, and the graph is
+   the same as [create]'s either way, grouped or not. *)
+let test_builder_capacity () =
+  let rng = Randkit.Prng.create ~seed:4 in
+  let grouped_prefix = List.init 20 (fun i -> (i / 4, [| i mod 3 |], float_of_int (i + 1))) in
+  let scattered =
+    List.init 100 (fun i ->
+        (Randkit.Prng.int rng 10, [| Randkit.Prng.int rng 3; 3 + Randkit.Prng.int rng 3 |], float_of_int i +. 0.5))
+  in
+  List.iter
+    (fun hyperedges ->
+      let want = fields (H.create ~n1:10 ~n2:6 ~hyperedges) in
+      let pins = List.fold_left (fun acc (_, p, _) -> acc + Array.length p) 0 hyperedges in
+      List.iter
+        (fun (nh, np) ->
+          let b = H.builder ~n1:10 ~n2:6 ~hyperedges:nh ~pins:np in
+          List.iter (fun (task, procs, weight) -> H.add b ~task ~procs ~weight) hyperedges;
+          check (Printf.sprintf "hints %d/%d" nh np) true (fields (H.build b) = want))
+        [ (0, 0); (1, 1); (List.length hyperedges, pins); (1000, 10_000) ])
+    [ grouped_prefix; scattered; grouped_prefix @ scattered ]
+
+let test_builder_first_error_wins () =
+  let raises msg hyperedges =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (H.create ~n1:2 ~n2:50 ~hyperedges))
+  in
+  raises "Hyper.Graph: weight must be positive" [ (0, [| 0 |], 0.0); (5, [| 0 |], 1.0) ];
+  raises "Hyper.Graph: task out of range" [ (5, [| 0 |], 1.0); (0, [| 0 |], 0.0) ];
+  (* within a configuration, pins are checked in order, small or large *)
+  let big k = Array.init k (fun i -> i) in
+  let with_pin a i u = a.(i) <- u; a in
+  raises "Hyper.Graph: duplicate processor in hyperedge" [ (0, with_pin (with_pin (big 40) 10 3) 20 99, 1.0) ];
+  raises "Hyper.Graph: processor out of range" [ (0, with_pin (with_pin (big 40) 10 99) 20 3, 1.0) ];
+  raises "Hyper.Graph: duplicate processor in hyperedge" [ (0, with_pin (with_pin (big 8) 4 3) 6 99, 1.0) ];
+  raises "Hyper.Graph: processor out of range" [ (0, with_pin (with_pin (big 8) 4 99) 6 3, 1.0) ];
+  let b = H.builder ~n1:1 ~n2:1 ~hyperedges:1 ~pins:1 in
+  H.add b ~task:0 ~procs:[| 0 |] ~weight:1.0;
+  ignore (H.build b);
+  Alcotest.check_raises "spent builder" (Invalid_argument "Hyper.Graph: builder used after build")
+    (fun () -> H.add_pin b 0)
+
+let test_bipartite_round_trip () =
+  let g =
+    Bipartite.Graph.create ~n1:3 ~n2:2 ~edges:[ (0, 1, 1.5); (2, 0, 2.0); (0, 0, 3.0); (2, 1, 4.0) ]
+  in
+  let h = H.of_bipartite g in
+  check "of_bipartite = create" true
+    (fields h
+    = fields
+        (H.create ~n1:3 ~n2:2
+           ~hyperedges:[ (0, [| 1 |], 1.5); (0, [| 0 |], 3.0); (2, [| 0 |], 2.0); (2, [| 1 |], 4.0) ]));
+  (match H.to_bipartite h with
+  | Some g' -> check "to_bipartite inverts" true (Bipartite.Graph.equal_structure g g')
+  | None -> Alcotest.fail "singleton hypergraph not bipartite");
+  check "a pair is not bipartite" true (H.to_bipartite (toy ()) = None);
+  Alcotest.check_raises "of_csr validates"
+    (Invalid_argument "Bipartite.Graph: V2 endpoint out of range") (fun () ->
+      ignore (Bipartite.Graph.of_csr ~n1:1 ~n2:1 ~off:[| 0; 1 |] ~adj:[| 1 |] ~w:[| 1.0 |]));
+  Alcotest.check_raises "of_csr offsets"
+    (Invalid_argument "Bipartite.Graph.of_csr: malformed offsets") (fun () ->
+      ignore (Bipartite.Graph.of_csr ~n1:2 ~n2:1 ~off:[| 0; 2; 1 |] ~adj:[| 0 |] ~w:[| 1.0 |]))
+
 (* ---------------------------------------------------------------- Weights *)
 
 let test_unit_weights () =
@@ -235,6 +301,9 @@ let suite =
     Alcotest.test_case "validation" `Quick test_validation;
     Alcotest.test_case "isolated task" `Quick test_isolated_task;
     Alcotest.test_case "of_bipartite embedding" `Quick test_of_bipartite;
+    Alcotest.test_case "builder capacity hints" `Quick test_builder_capacity;
+    Alcotest.test_case "builder: first error in input order" `Quick test_builder_first_error_wins;
+    Alcotest.test_case "of/to_bipartite round trip" `Quick test_bipartite_round_trip;
     Alcotest.test_case "min/max hyperedge size" `Quick test_min_max_h_size;
     Alcotest.test_case "fig2 toy hypergraph" `Quick test_fig2;
     Alcotest.test_case "unit weights" `Quick test_unit_weights;

@@ -133,6 +133,335 @@ let test_hostile_header_sizes () =
   expect_failure "hypergraph -1 2\n" "non-negative";
   expect_failure "hypergraph 1 -7\n" "non-negative"
 
+(* ------------------------------------------------------------ oracle *)
+
+(* The list-based reader and [Graph.create] that the single-pass scanner
+   and the sized builder replaced, kept verbatim as the oracle: on every
+   input the library must give the same graph (weights compared by bits)
+   or the same exception with the same message. *)
+module Reference = struct
+  type graph = {
+    n1 : int;
+    n2 : int;
+    task_off : int array;
+    h_off : int array;
+    h_adj : int array;
+    w : float array;
+  }
+
+  let validate_hyperedge ~n1 ~n2 (task, procs, weight) =
+    if task < 0 || task >= n1 then invalid_arg "Hyper.Graph: task out of range";
+    if not (weight > 0.0) then invalid_arg "Hyper.Graph: weight must be positive";
+    if Array.length procs = 0 then invalid_arg "Hyper.Graph: empty processor set";
+    let seen = Hashtbl.create (Array.length procs) in
+    Array.iter
+      (fun u ->
+        if u < 0 || u >= n2 then invalid_arg "Hyper.Graph: processor out of range";
+        if Hashtbl.mem seen u then invalid_arg "Hyper.Graph: duplicate processor in hyperedge";
+        Hashtbl.add seen u ())
+      procs
+
+  let create ~n1 ~n2 ~hyperedges =
+    if n1 < 0 || n2 < 0 then invalid_arg "Hyper.Graph.create: negative size";
+    List.iter (validate_hyperedge ~n1 ~n2) hyperedges;
+    let nh = List.length hyperedges in
+    let task_off = Array.make (n1 + 1) 0 in
+    List.iter (fun (v, _, _) -> task_off.(v + 1) <- task_off.(v + 1) + 1) hyperedges;
+    for v = 1 to n1 do
+      task_off.(v) <- task_off.(v) + task_off.(v - 1)
+    done;
+    let cursor = Array.copy task_off in
+    let slot_of = Array.make nh 0 in
+    List.iteri
+      (fun i (v, _, _) ->
+        slot_of.(i) <- cursor.(v);
+        cursor.(v) <- cursor.(v) + 1)
+      hyperedges;
+    let sizes = Array.make nh 0 in
+    let weights = Array.make nh 0.0 in
+    List.iteri
+      (fun i (_, procs, weight) ->
+        sizes.(slot_of.(i)) <- Array.length procs;
+        weights.(slot_of.(i)) <- weight)
+      hyperedges;
+    let h_off = Array.make (nh + 1) 0 in
+    for h = 0 to nh - 1 do
+      h_off.(h + 1) <- h_off.(h) + sizes.(h)
+    done;
+    let h_adj = Array.make h_off.(nh) 0 in
+    List.iteri
+      (fun i (_, procs, _) ->
+        let base = h_off.(slot_of.(i)) in
+        Array.iteri (fun k u -> h_adj.(base + k) <- u) procs)
+      hyperedges;
+    { n1; n2; task_off; h_off; h_adj; w = weights }
+
+  let fail line_no msg = failwith (Printf.sprintf "Hyper.Io: line %d: %s" line_no msg)
+  let max_side = 100_000_000
+
+  let of_string text =
+    let lines = String.split_on_char '\n' text in
+    let header = ref None in
+    let hyperedges = ref [] in
+    List.iteri
+      (fun i line ->
+        let line_no = i + 1 in
+        let line = String.trim line in
+        if line <> "" && not (String.length line > 0 && line.[0] = '#') then begin
+          let fields = String.split_on_char ' ' line |> List.filter (fun s -> s <> "") in
+          match fields with
+          | "hypergraph" :: rest -> (
+              if !header <> None then fail line_no "duplicate header";
+              match List.map int_of_string_opt rest with
+              | [ Some n1; Some n2 ] ->
+                  if n1 < 0 || n2 < 0 then fail line_no "sizes must be non-negative";
+                  if n1 > max_side || n2 > max_side then fail line_no "sizes out of range";
+                  header := Some (n1, n2)
+              | _ -> fail line_no "expected: hypergraph <n1> <n2>")
+          | "h" :: task :: weight :: procs -> (
+              if !header = None then fail line_no "hyperedge before header";
+              match (int_of_string_opt task, float_of_string_opt weight) with
+              | Some task, Some weight ->
+                  let procs =
+                    List.map
+                      (fun s ->
+                        match int_of_string_opt s with
+                        | Some u -> u
+                        | None -> fail line_no "bad processor id")
+                      procs
+                  in
+                  hyperedges := (task, Array.of_list procs, weight) :: !hyperedges
+              | _ -> fail line_no "expected: h <task> <weight> <procs...>")
+          | _ -> fail line_no "unrecognized line"
+        end)
+      lines;
+    match !header with
+    | None -> failwith "Hyper.Io: missing header"
+    | Some (n1, n2) -> create ~n1 ~n2 ~hyperedges:(List.rev !hyperedges)
+
+  (* [to_string] as it was: one [h_task] search per hyperedge and one
+     [sprintf] per field. *)
+  let to_string h =
+    let buf = Buffer.create 4096 in
+    Buffer.add_string buf (Printf.sprintf "hypergraph %d %d\n" h.H.n1 h.H.n2);
+    for e = 0 to H.num_hyperedges h - 1 do
+      Buffer.add_string buf (Printf.sprintf "h %d %g" (H.h_task h e) (H.h_weight h e));
+      H.iter_h_procs h e (fun u -> Buffer.add_string buf (Printf.sprintf " %d" u));
+      Buffer.add_char buf '\n'
+    done;
+    Buffer.contents buf
+end
+
+type outcome = Graph of Reference.graph | Failed of string | Invalid of string
+
+let outcome f text =
+  match f text with
+  | g -> Graph g
+  | exception Failure msg -> Failed msg
+  | exception Invalid_argument msg -> Invalid msg
+
+let view h =
+  { Reference.n1 = h.H.n1; n2 = h.H.n2; task_off = h.H.task_off; h_off = h.H.h_off; h_adj = h.H.h_adj; w = h.H.w }
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+let same_outcome a b =
+  match (a, b) with
+  | Graph x, Graph y ->
+      x.n1 = y.n1 && x.n2 = y.n2 && x.task_off = y.task_off && x.h_off = y.h_off && x.h_adj = y.h_adj
+      && same_bits x.w y.w
+  | Failed x, Failed y | Invalid x, Invalid y -> String.equal x y
+  | _ -> false
+
+let show = function
+  | Graph g -> Printf.sprintf "graph n1=%d n2=%d hyperedges=%d" g.n1 g.n2 (Array.length g.w)
+  | Failed m -> "Failure " ^ m
+  | Invalid m -> "Invalid_argument " ^ m
+
+let agrees_with_reference text =
+  let got = outcome (fun t -> view (Io.of_string t)) text and want = outcome Reference.of_string text in
+  same_outcome got want
+  || QCheck.Test.fail_reportf "input %S\n  scanner:   %s\n  reference: %s" text (show got) (show want)
+
+let tokens =
+  [|
+    "hypergraph"; "h"; "0"; "1"; "2"; "3"; "007"; "-1"; "1.5"; "0.25"; "0x3"; "0x1F"; "1_0"; "+1";
+    "1e0"; "1e+06"; "inf"; "nan"; "-0"; "12345678901234567890"; "999999999999999999";
+    "4611686018427387904"; "1234567890123456"; "#"; "#x"; "x"; "\t"; "\r"; "2\t"; "\t3"; "1\r";
+    "\012"; "h\t"; "";
+  |]
+
+let separators = [| " "; " "; " "; "  "; "\t"; "\r"; "\n"; "\r\n"; " \r\n"; "\n  # note\n"; "\t\n" |]
+
+let token_soup =
+  let open QCheck.Gen in
+  let line =
+    let* first = oneofl [ "h"; "h"; "h"; "hypergraph"; " h"; "\th"; "#"; "x" ] in
+    let* rest = list_size (int_bound 6) (pair (oneofa separators) (oneofa tokens)) in
+    return (first ^ String.concat "" (List.map (fun (sep, tok) -> sep ^ tok) rest))
+  in
+  let* header = oneofl [ "hypergraph 3 4\n"; "hypergraph 3 4\n"; "hypergraph 2 2\r\n"; ""; "  hypergraph\t1 3 \n" ] in
+  let* lines = list_size (int_bound 8) line in
+  let* ending = oneofl [ ""; "\n"; "\r\n"; " "; "\n\n" ] in
+  return (header ^ String.concat "\n" lines ^ ending)
+
+(* Unit, Related or Random weights by seed. *)
+let small_instance seed =
+  let rng = Randkit.Prng.create ~seed in
+  let weights = if seed mod 3 = 1 then Hyper.Weights.Related else Hyper.Weights.Unit in
+  let h =
+    Hyper.Generate.generate rng ~family:Hyper.Generate.Fewg_manyg ~n:(2 + (seed mod 7)) ~p:6 ~dv:2
+      ~dh:3 ~g:2 ~weights
+  in
+  if seed mod 3 = 2 then Hyper.Weights.apply ~rng Hyper.Weights.default_random h else h
+
+let mutation_bytes = " \n\t\r#0123456789hx-._e+"
+
+let mutated_serialization =
+  let open QCheck.Gen in
+  let* seed = int_bound 1000 in
+  let* edits = list_size (int_range 1 4) (triple (int_bound 10_000) (int_bound 2) (int_bound 100)) in
+  let text =
+    List.fold_left
+      (fun text (pos, kind, c) ->
+        let n = String.length text in
+        let pos = if n = 0 then 0 else pos mod n in
+        let c = String.make 1 mutation_bytes.[c mod String.length mutation_bytes] in
+        match kind with
+        | 0 -> String.sub text 0 pos ^ c ^ String.sub text (min n (pos + 1)) (max 0 (n - pos - 1))
+        | 1 -> String.sub text 0 pos ^ c ^ String.sub text pos (n - pos)
+        | _ -> String.sub text 0 pos ^ String.sub text (min n (pos + 1)) (max 0 (n - pos - 1)))
+      (Io.to_string (small_instance seed))
+      edits
+  in
+  let* cut = int_bound (String.length text + 20) in
+  oneofl [ text; String.sub text 0 (min cut (String.length text)) ]
+
+(* A serialization with a few fields, separators and line ends swapped for
+   odd but often still valid spellings ("0x3", "+1", "007", "1e0", a
+   20-digit weight, a tab inside a field, a CR line end): most of these
+   parse, so the fast paths and their fallbacks are compared on whole
+   graphs, not only on error messages. *)
+let respelled_serialization =
+  let open QCheck.Gen in
+  let* seed = int_bound 1000 in
+  let* fields = list_size (int_range 1 3) (triple nat nat (oneofa tokens)) in
+  let* seps = list_size (int_bound 2) (triple nat nat (oneofa separators)) in
+  let* ends = list_size (int_bound 2) (pair nat (oneofl [ "\r"; " "; "\t"; " \r"; "\t\r" ])) in
+  let lines =
+    Array.of_list
+      (List.map
+         (fun l -> Array.of_list (String.split_on_char ' ' l))
+         (String.split_on_char '\n' (Io.to_string (small_instance seed))))
+  in
+  let n = Array.length lines in
+  let seps_of = Array.map (fun l -> Array.make (Array.length l) " ") lines in
+  let ends_of = Array.make n "" in
+  List.iter (fun (i, j, t) -> lines.(i mod n).(j mod Array.length lines.(i mod n)) <- t) fields;
+  List.iter (fun (i, j, t) -> seps_of.(i mod n).(j mod Array.length seps_of.(i mod n)) <- t) seps;
+  List.iter (fun (i, t) -> ends_of.(i mod n) <- t) ends;
+  let line i l =
+    String.concat "" (List.mapi (fun j f -> (if j = 0 then "" else seps_of.(i).(j)) ^ f) (Array.to_list l))
+    ^ ends_of.(i)
+  in
+  return (String.concat "\n" (List.mapi line (Array.to_list lines)))
+
+let crlf s = String.concat "\r\n" (String.split_on_char '\n' s)
+
+let oracle_token_soup_prop =
+  QCheck.Test.make ~name:"scanner = reference reader on token soups" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") token_soup)
+    agrees_with_reference
+
+let oracle_mutation_prop =
+  QCheck.Test.make ~name:"scanner = reference reader on mutated/truncated serializations" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated_serialization)
+    agrees_with_reference
+
+let oracle_respelled_prop =
+  QCheck.Test.make ~name:"scanner = reference reader on respelled serializations" ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") respelled_serialization)
+    agrees_with_reference
+
+let oracle_bytes_prop =
+  QCheck.Test.make ~name:"scanner = reference reader on arbitrary bytes" ~count:1000
+    QCheck.(string_gen_of_size (Gen.int_bound 120) (Gen.map Char.chr (Gen.int_range 0 255)))
+    agrees_with_reference
+
+let test_oracle_generated () =
+  for seed = 0 to 59 do
+    let text = Io.to_string (small_instance seed) in
+    List.iter
+      (fun text -> check "scanner = reference" true (agrees_with_reference text))
+      [ text; crlf text; "# generated\n" ^ text ^ "\n\n"; String.concat " \t\n" (String.split_on_char '\n' text) ]
+  done;
+  let rng = Randkit.Prng.create ~seed:7 in
+  let h =
+    Hyper.Generate.generate rng ~family:Hyper.Generate.Fewg_manyg ~n:300 ~p:40 ~dv:4 ~dh:6 ~g:4
+      ~weights:Hyper.Weights.Related
+  in
+  check "large instance = reference" true (agrees_with_reference (Io.to_string h));
+  check "large CRLF instance = reference" true (agrees_with_reference (crlf (Io.to_string h)))
+
+(* Ungrouped input: hyperedges are regrouped by task, each task keeping its
+   input order — also when the first out-of-order task comes after a
+   task-grouped prefix. *)
+let test_ungrouped_order () =
+  let text = "hypergraph 3 4\nh 0 1 0\nh 0 2 1\nh 1 3 2\nh 0 4 3\nh 2 5 0\nh 1 6 1\nh 0 7 2\n" in
+  check "scanner = reference" true (agrees_with_reference text);
+  let h = Io.of_string text in
+  let weights v =
+    let acc = ref [] in
+    H.iter_task_hyperedges h v (fun e -> acc := H.h_weight h e :: !acc);
+    List.rev !acc
+  in
+  Alcotest.(check (list (float 0.0))) "task 0" [ 1.0; 2.0; 4.0; 7.0 ] (weights 0);
+  Alcotest.(check (list (float 0.0))) "task 1" [ 3.0; 6.0 ] (weights 1);
+  Alcotest.(check (list (float 0.0))) "task 2" [ 5.0 ] (weights 2);
+  Alcotest.(check (array int)) "pins follow their hyperedges" [| 0; 1; 3; 2; 2; 1; 0 |] h.H.h_adj
+
+let forty_pins ~repeat =
+  let pins = List.init 40 (fun i -> string_of_int ((if repeat && i = 39 then 7 else i) * 2_400_000)) in
+  "hypergraph 1 100000000\nh 0 1 " ^ String.concat " " pins ^ "\n"
+
+(* A 25-byte header may name n2 = 1e8: the duplicate check must not
+   allocate per processor. *)
+let test_hostile_n2_allocation () =
+  let text = forty_pins ~repeat:false in
+  Gc.full_major ();
+  let before = Gc.allocated_bytes () in
+  let h = Io.of_string text in
+  (* the runtime adds minor-heap words to the count at a collection *)
+  Gc.minor ();
+  let bytes = Gc.allocated_bytes () -. before in
+  Alcotest.(check int) "40 pins" 40 (H.num_pins h);
+  check (Printf.sprintf "allocates under 1 MB (%.0f bytes)" bytes) true (bytes < 1e6);
+  Alcotest.check_raises "a repeated processor is still caught"
+    (Invalid_argument "Hyper.Graph: duplicate processor in hyperedge") (fun () ->
+      ignore (Io.of_string (forty_pins ~repeat:true)))
+
+(* Weights print as "%g" prints them; the integer shortcut below 1e6 must
+   not change a byte. *)
+let test_to_string_bytes () =
+  let rng = Randkit.Prng.create ~seed:11 in
+  let gen weights =
+    Hyper.Generate.generate rng ~family:Hyper.Generate.Hilo ~n:120 ~p:16 ~dv:3 ~dh:4 ~g:4 ~weights
+  in
+  let unit = gen Hyper.Weights.Unit and related = gen Hyper.Weights.Related in
+  let random = Hyper.Weights.apply ~rng Hyper.Weights.default_random related in
+  let odd =
+    H.create ~n1:2 ~n2:12
+      ~hyperedges:
+        (List.mapi
+           (fun i w -> (i mod 2, [| i |], w))
+           [ 1e6; 123456.0; 0.5; 1e-7; 999999.0; 1000001.0; 0.1; 1.0; 3.0; 1e21; 5e-324; 1234567.0 ])
+  in
+  List.iter
+    (fun (name, h) -> Alcotest.(check string) name (Reference.to_string h) (Io.to_string h))
+    [ ("unit", unit); ("related", related); ("random", random); ("odd weights", odd) ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest parser_total_prop;
@@ -147,4 +476,12 @@ let suite =
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "semantic errors propagate" `Quick test_semantic_errors_propagate;
     Alcotest.test_case "generated instance roundtrip" `Quick test_generated_roundtrip;
+    QCheck_alcotest.to_alcotest oracle_token_soup_prop;
+    QCheck_alcotest.to_alcotest oracle_mutation_prop;
+    QCheck_alcotest.to_alcotest oracle_respelled_prop;
+    QCheck_alcotest.to_alcotest oracle_bytes_prop;
+    Alcotest.test_case "scanner = reference on generated and CRLF files" `Quick test_oracle_generated;
+    Alcotest.test_case "ungrouped input keeps per-task order" `Quick test_ungrouped_order;
+    Alcotest.test_case "n2 = 1e8 header: 40 pins under 1 MB" `Quick test_hostile_n2_allocation;
+    Alcotest.test_case "to_string bytes = sprintf reference" `Quick test_to_string_bytes;
   ]

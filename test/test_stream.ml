@@ -157,6 +157,73 @@ let test_unsealed_detected () =
       | _ -> Alcotest.fail "ingest accepted an unsealed stream"
       | exception Failure msg -> check "ingest names the cause" true (contains ~needle:"unsealed" msg)))
 
+(* --- CRC-32 and the record decoder ---------------------------------------- *)
+
+(* The bytewise boxed-int32 CRC both the stream format and the journal used
+   before the slicing-by-8 one, kept as the reference. *)
+let reference_crc32 b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref (Int32.of_int n) in
+        for _ = 0 to 7 do
+          c :=
+            if Int32.logand !c 1l <> 0l then Int32.logxor 0xEDB88320l (Int32.shift_right_logical !c 1)
+            else Int32.shift_right_logical !c 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFFl in
+  for i = pos to pos + len - 1 do
+    let idx = Int32.to_int (Int32.logand (Int32.logxor !c (Int32.of_int (Char.code (Bytes.get b i)))) 0xFFl) in
+    c := Int32.logxor table.(idx) (Int32.shift_right_logical !c 8)
+  done;
+  Int32.to_int (Int32.logxor !c 0xFFFFFFFFl) land 0xFFFFFFFF
+
+let test_crc32 () =
+  Alcotest.(check int) "check vector" 0xCBF43926 (Hyper.Crc32.string "123456789");
+  Alcotest.(check int) "check vector at an offset" 0xCBF43926
+    (Hyper.Crc32.bytes (Bytes.of_string "xx123456789y") ~pos:2 ~len:9);
+  Alcotest.(check int32) "journal entry point" 0xCBF43926l (Server.Journal.crc32 "123456789");
+  let rng = Prng.create ~seed:5 in
+  let random n = Bytes.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+  let buf = random 80 in
+  for pos = 0 to 7 do
+    for len = 0 to 64 do
+      Alcotest.(check int)
+        (Printf.sprintf "pos %d len %d" pos len)
+        (reference_crc32 buf ~pos ~len) (Hyper.Crc32.bytes buf ~pos ~len)
+    done
+  done;
+  for _ = 1 to 50 do
+    let b = random (1 + Prng.int rng 5000) in
+    let pos = Prng.int rng (Bytes.length b) in
+    let len = Prng.int rng (Bytes.length b - pos + 1) in
+    Alcotest.(check int) "random buffer" (reference_crc32 b ~pos ~len) (Hyper.Crc32.bytes b ~pos ~len)
+  done;
+  Alcotest.check_raises "range outside the buffer" (Invalid_argument "Crc32.bytes") (fun () ->
+      ignore (Hyper.Crc32.bytes (Bytes.create 4) ~pos:2 ~len:3))
+
+(* [iter] hands each record a fresh [procs] array that the callback owns:
+   keeping every one across the whole pass must give back what was
+   written. *)
+let test_iter_procs_owned () =
+  with_temp (fun path ->
+      let rng = Prng.create ~seed:3 in
+      let written =
+        List.init 3000 (fun i ->
+            let k = 1 + Prng.int rng 5 in
+            (i mod 50, Array.init k (fun j -> (j * 10) + Prng.int rng 10)))
+      in
+      let w = Sio.create_writer ~chunk_records:64 ~path ~n1:50 ~n2:50 () in
+      List.iter (fun (task, procs) -> Sio.add w ~task ~procs ~weight:1.0) written;
+      Sio.close_writer w;
+      let r = Sio.open_reader path in
+      let kept = ref [] in
+      Fun.protect
+        ~finally:(fun () -> Sio.close_reader r)
+        (fun () -> Sio.iter r (fun ~task ~procs ~weight:_ -> kept := (task, procs) :: !kept));
+      check "every kept procs array intact" true (List.rev !kept = written))
+
 (* --- generator byte-identity -------------------------------------------- *)
 
 (* Satellite 2: with Unit weights, streaming a generator emits exactly the
@@ -563,6 +630,8 @@ let suite =
     Alcotest.test_case "validate: truncated tail" `Quick test_validate_truncated;
     Alcotest.test_case "validate: corrupt payload" `Quick test_validate_corrupt;
     Alcotest.test_case "unsealed stream detected" `Quick test_unsealed_detected;
+    Alcotest.test_case "crc32: slicing-by-8 = bytewise" `Quick test_crc32;
+    Alcotest.test_case "iter: callback owns procs" `Quick test_iter_procs_owned;
     Alcotest.test_case "generator stream = in-core instance" `Quick test_gen_stream_identity;
     Alcotest.test_case "gen-sp stream = bipartite adjacency" `Quick test_gen_sp_stream_identity;
     Alcotest.test_case "differential vs exact (100 instances)" `Quick test_differential_vs_exact;
