@@ -11,14 +11,19 @@
      workload ([reps] is chosen once, when the baseline is written, so one
      sample lasts ~[target_s] and the baseline and every later check time
      the identical workload);
+   - every sample is timed right after its own run of a fixed CPU-bound
+     calibration loop and rescaled by that run, to the median calibration
+     of the whole measurement: a neighbouring process that slows a batch
+     slows the calibration run just before it by the same factor, so its
+     load cancels out of the sample instead of widening the band;
    - a group is summarized by the {e median} of its samples and their
      {e MAD} (median absolute deviation) — both immune to the occasional
      preempted sample;
    - the check passes while [now_median <= scale * (rel * median + mad_k *
-     mad) + abs_floor], where [scale] is the ratio of a fixed CPU-bound
-     calibration loop timed now vs. at baseline-write time (clamped), so a
-     uniformly slower/faster machine does not move the verdict — only a
-     change in the benchmarked code relative to the machine does.
+     mad) + abs_floor], where [scale] is the ratio of the median
+     calibration now vs. at baseline-write time (clamped), so a uniformly
+     slower/faster machine does not move the verdict — only a change in
+     the benchmarked code relative to the machine does.
 
    The bands are deliberately loose: a genuine 3x slowdown always trips
    them (3 > rel = 1.75 with calibration cancelled out), scheduling jitter
@@ -70,23 +75,40 @@ let reps_for ?(target_s = default_target_s) run =
 
 let measure ?(samples = default_samples) ~reps run =
   Array.init samples (fun _ ->
+      let calib = calibrate () in
       let _, dt =
         Obs.Span.time_s (fun () ->
             for _ = 1 to reps do
               run ()
             done)
       in
-      dt)
+      (calib, dt))
+
+(* The median calibration of a whole measurement, and per group the
+   median/MAD of its batches, each rescaled from its own calibration run
+   to that median. *)
+let summarize measured =
+  let calibs = Array.concat (List.map (fun (_, samples) -> Array.map fst samples) measured) in
+  let calib = if calibs = [||] then calibrate () else Ds.Stats.median calibs in
+  ( calib,
+    List.map
+      (fun (name, samples) -> (name, median_mad (Array.map (fun (c, dt) -> dt *. calib /. c) samples)))
+      measured )
 
 let baseline_of_workloads ?(samples = 2 * default_samples - 1) workloads =
-  let calib = calibrate () in
-  let groups =
+  let measured =
     List.map
       (fun (name, run) ->
         let reps = reps_for run in
-        let med, mad = median_mad (measure ~samples ~reps run) in
-        { g_name = name; g_reps = reps; g_median_s = med; g_mad_s = mad; g_samples = samples })
+        (name, reps, measure ~samples ~reps run))
       workloads
+  in
+  let calib, summaries = summarize (List.map (fun (name, _, m) -> (name, m)) measured) in
+  let groups =
+    List.map2
+      (fun (name, reps, _) (_, (med, mad)) ->
+        { g_name = name; g_reps = reps; g_median_s = med; g_mad_s = mad; g_samples = samples })
+      measured summaries
   in
   { b_calib_s = calib; b_groups = groups }
 
@@ -205,16 +227,14 @@ let check_medians ?(slowdown = 1.0) b ~calib_now now_medians =
     b.b_groups
 
 let check ?slowdown ?(samples = default_samples) b workloads =
-  let calib_now = calibrate () in
-  let now_medians =
-    List.filter_map
-      (fun g ->
-        match List.assoc_opt g.g_name workloads with
-        | None -> None
-        | Some run -> Some (g.g_name, fst (median_mad (measure ~samples ~reps:g.g_reps run))))
-      b.b_groups
+  let calib_now, summaries =
+    summarize
+      (List.filter_map
+         (fun g ->
+           Option.map (fun run -> (g.g_name, measure ~samples ~reps:g.g_reps run)) (List.assoc_opt g.g_name workloads))
+         b.b_groups)
   in
-  (check_medians ?slowdown b ~calib_now now_medians, calib_now)
+  (check_medians ?slowdown b ~calib_now (List.map (fun (name, (med, _)) -> (name, med)) summaries), calib_now)
 
 let all_pass = List.for_all (fun v -> not v.v_regressed)
 

@@ -26,12 +26,16 @@ val reps_for : ?target_s:float -> (unit -> unit) -> int
 (** Repetition count so one timed batch of the workload lasts about
     [target_s] (default 20ms).  Warm-runs the workload once first. *)
 
-val measure : ?samples:int -> reps:int -> (unit -> unit) -> float array
-(** [samples] batch durations, each timing [reps] back-to-back runs. *)
+val measure : ?samples:int -> reps:int -> (unit -> unit) -> (float * float) array
+(** [samples] pairs: a {!calibrate} run, then the duration of a batch of
+    [reps] back-to-back runs timed right after it, so both see the same
+    load from neighbouring processes. *)
 
 val baseline_of_workloads : ?samples:int -> (string * (unit -> unit)) list -> baseline
-(** Calibrate, pick reps per group, measure, and summarize — the whole
-    baseline-writing pipeline. *)
+(** Pick reps per group, measure, and summarize — the whole
+    baseline-writing pipeline.  Each batch is rescaled from its own
+    calibration run to the median calibration of the measurement, which
+    becomes the baseline's [b_calib_s]. *)
 
 val write_baseline : string -> baseline -> unit
 (** JSON-lines file: one [meta] row (calibration), one [group] row each. *)
@@ -63,8 +67,9 @@ val check :
   (string * (unit -> unit)) list ->
   verdict list * float
 (** Re-measure every baseline group present in the workload list (with the
-    baseline's reps) and compare.  Returns the verdicts and the current
-    calibration time. *)
+    baseline's reps, batches rescaled as in {!baseline_of_workloads}) and
+    compare.  Returns the verdicts and the current (median) calibration
+    time. *)
 
 val all_pass : verdict list -> bool
 

@@ -40,19 +40,18 @@ let run ?(stats = fresh_stats ()) g ~caps =
           if visited.(u) = !round then over_neighbors (e + 1)
           else begin
             visited.(u) <- !round;
-            let occupants = Ds.Vec.to_array st.matched_of.(u) in
+            (* In place: u's occupants change only when a relocation
+               succeeds, and success ends this loop. *)
+            let occupants = st.matched_of.(u) in
             let rec try_occupants i =
-              if i >= Array.length occupants then false
-              else begin
-                let v' = occupants.(i) in
-                if st.mate1.(v') = u && augment v' then begin
-                  (* v' found a new home via the recursive call; take its
-                     slot in u's occupant list. *)
-                  replace_occupant st ~v ~from:u ~victim:v';
-                  true
-                end
-                else try_occupants (i + 1)
+              if i >= Ds.Vec.length occupants then false
+              else if augment (Ds.Vec.get occupants i) then begin
+                (* The occupant found a new home via the recursive call;
+                   take its slot in u's occupant list. *)
+                replace_at st ~v ~from:u i;
+                true
               end
+              else try_occupants (i + 1)
             in
             if try_occupants 0 then true else over_neighbors (e + 1)
           end

@@ -41,19 +41,19 @@ let assign st v u =
   st.count2.(u) <- st.count2.(u) + 1;
   Ds.Vec.push st.matched_of.(u) v
 
-(* Replace occupant [v'] of [u] by [v] without touching the mate of [v'] —
-   augmenting engines call this after [v'] has already been rebound
-   elsewhere by a recursive step. *)
-let replace_occupant st ~v ~from:u ~victim:v' =
-  let occupants = st.matched_of.(u) in
-  let rec find i = if Ds.Vec.get occupants i = v' then i else find (i + 1) in
-  Ds.Vec.set occupants (find 0) v;
+(* Put [v] in slot [i] of [u]'s occupants without touching the mate of the
+   row it replaces — augmenting engines call this after that row has
+   already been rebound elsewhere by a recursive step. *)
+let replace_at st ~v ~from:u i =
+  Ds.Vec.set st.matched_of.(u) i v;
   st.mate1.(v) <- u
 
 (* Replace occupant [v'] of [u] by [v] and expose [v'] (push-relabel's
    double-push kicks the victim back into the active set). *)
 let steal st ~v ~from:u ~victim:v' =
-  replace_occupant st ~v ~from:u ~victim:v';
+  let occupants = st.matched_of.(u) in
+  let rec find i = if Ds.Vec.get occupants i = v' then i else find (i + 1) in
+  replace_at st ~v ~from:u (find 0);
   st.mate1.(v') <- -1
 
 let size st = Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 st.mate1

@@ -60,9 +60,14 @@ val solve :
     the interval between ⌈n/p⌉ and a feasible power-of-two probe.
 
     The default engine is [Hopcroft_karp].  The paper used push-relabel,
-    which is available and often faster, but it has a pathology: at an
-    infeasible deadline, the tasks that cannot be matched climb toward the
-    height limit 2(n1 + n2) + 5 one relabel at a time.  On FG-20-4 with
+    which is available.  Per solve on the repository benchmark's
+    [sp-exact] grid (12 paper-size rows, release build, 2-core x86 VM),
+    Hopcroft–Karp takes 0.66–2.6 ms (mean 1.5) and push-relabel
+    0.93–2.9 ms (mean 1.7): Hopcroft–Karp is faster on the six HiLo rows,
+    push-relabel on four of the six FewgManyg rows.  Push-relabel also has
+    a pathology: at an infeasible deadline, the tasks that cannot be
+    matched climb toward the height limit 2(n1 + n2) + 5 one relabel at a
+    time.  On FG-20-4 with
     d = 2 (generator seed 1002) its matching at deadline 5 makes 16.9 M
     steals, where Hopcroft–Karp's scans 31 k vertices.  The result's
     [guarantee] is [Makespan_optimal] only. *)

@@ -149,6 +149,48 @@ let solvers_hlm51_related =
       (14.0, "2064c157f2a447ba982cee569dea1945", None);
     ]
 
+(* Capacitated matchings and exact SINGLEPROC-UNIT solves on paper-grid
+   instances: seed 1, d = 2, 5, 10, the FG, MG, HLF and HLM rows at 5-1,
+   20-1, 20-4 and 80-1 (n up to 80 * 256, p up to 4 * 256).  One MD5
+   covers, per instance in grid order, the edge array of
+   [Exact_unit.solve] (bs-hk), the Hopcroft–Karp [mate1] at capacities
+   ceil(n/p) - 1, ceil(n/p), opt - 1, opt and opt + 1 (infeasible and
+   feasible), and the DFS engine's [mate1] at opt and opt + 1.  Pinned by
+   running this code against the engines that rescanned every occupant of
+   a saturated processor at every reach (those [Matching_reference]
+   keeps), so a faster phase must reproduce every matching. *)
+let matching_digest () =
+  let module E = Semimatch.Exact_unit in
+  let buf = Buffer.create 1_000_000 in
+  let add a = Buffer.add_string buf (String.concat "," (Array.to_list (Array.map string_of_int a))) in
+  let rows =
+    List.concat_map
+      (fun size -> List.map (fun family -> family ^ "-" ^ size) [ "FG"; "MG"; "HLF"; "HLM" ])
+      [ "5-1"; "20-1"; "20-4"; "80-1" ]
+  in
+  List.iter
+    (fun d ->
+      List.iter
+        (fun spec ->
+          if List.mem spec.I.sp_name rows then begin
+            let g = I.generate_singleproc ~seed:1 spec in
+            let sol = E.solve g in
+            add sol.E.assignment.Semimatch.Bip_assignment.edge;
+            let opt = sol.E.makespan and lb = Semimatch.Lower_bound.singleproc_unit g in
+            let mates engine c =
+              add (Matching.solve ~engine ~capacities:(Array.make g.Bipartite.Graph.n2 c) g).Matching.mate1
+            in
+            List.iter (mates Matching.Hopcroft_karp) [ lb - 1; lb; opt - 1; opt; opt + 1 ];
+            List.iter (mates Matching.Dfs) [ opt; opt + 1 ]
+          end)
+        (I.paper_grid_singleproc ~d ()))
+    [ 2; 5; 10 ];
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_matching_digest () =
+  Alcotest.(check string)
+    "matchings and exact assignments" "d42685625869f4b4bde9c4221fb67cf7" (matching_digest ())
+
 let suite =
   [
     Alcotest.test_case "golden: FG-5-1-MP unit" `Quick test_fg51_unit;
@@ -160,4 +202,5 @@ let suite =
     Alcotest.test_case "golden solvers: MG-20-4-MP/8 related" `Quick solvers_mg204_related;
     Alcotest.test_case "golden solvers: HLM-5-1-MP/8 unit" `Quick solvers_hlm51_unit;
     Alcotest.test_case "golden solvers: HLM-5-1-MP/8 related" `Quick solvers_hlm51_related;
+    Alcotest.test_case "golden: SINGLEPROC matchings digest" `Quick test_matching_digest;
   ]

@@ -163,6 +163,97 @@ let test_stats_steals_only_push_relabel () =
   let _, hk_stats = Matching.solve_with_stats ~engine:Matching.Hopcroft_karp g in
   Alcotest.(check int) "hk never steals" 0 hk_stats.Matching.steals
 
+(* Oracle: the engines must return the matching of the versions that
+   rescanned every occupant at every reach ([Matching_reference]), byte for
+   byte.  Half the instances are uniform random graphs, sparse to dense,
+   with capacities drawn per processor from 0..8 or one value near
+   ceil(n1/n2), where many augmentations of one phase pass through the same
+   saturated processor.  The other half are small FewgManyg graphs at
+   ceil(n1/n2) - 1 .. ceil(n1/n2) + 1: their group structure makes longer
+   phases, in which processors with room at BFS time fill up and are
+   scanned again. *)
+let oracle_instance rng =
+  if Randkit.Prng.int rng 2 = 0 then begin
+    let n1 = 1 + Randkit.Prng.int rng 60 and n2 = 1 + Randkit.Prng.int rng 12 in
+    let edge_prob = [| 0.05; 0.15; 0.4; 0.9 |].(Randkit.Prng.int rng 4) in
+    let g = random_graph rng ~n1 ~n2 ~edge_prob in
+    let caps =
+      if Randkit.Prng.int rng 2 = 0 then Array.init n2 (fun _ -> Randkit.Prng.int rng 9)
+      else Array.make n2 (max 0 (((n1 + n2 - 1) / n2) - 1 + Randkit.Prng.int rng 3))
+    in
+    (g, caps)
+  end
+  else begin
+    let n2 = 2 + Randkit.Prng.int rng 40 in
+    let n1 = n2 * (1 + Randkit.Prng.int rng 20) in
+    let g =
+      Bipartite.Fewg_manyg.generate rng ~n1 ~n2
+        ~g:(1 + Randkit.Prng.int rng (n2 / 2))
+        ~d:(1 + Randkit.Prng.int rng 5)
+    in
+    (g, Array.make n2 ((n1 / n2) - 1 + Randkit.Prng.int rng 3))
+  end
+
+let oracle_prop ~name engine reference =
+  QCheck.Test.make ~name ~count:1000
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let g, caps = oracle_instance (Randkit.Prng.create ~seed) in
+      let got = (Matching.solve ~engine ~capacities:caps g).Matching.mate1 in
+      let want = reference g ~caps in
+      got = want
+      || QCheck.Test.fail_reportf "n1=%d n2=%d caps=[%s]\n  engine:    %s\n  reference: %s" g.G.n1 g.G.n2
+           (String.concat ";" (Array.to_list (Array.map string_of_int caps)))
+           (String.concat ";" (Array.to_list (Array.map string_of_int got)))
+           (String.concat ";" (Array.to_list (Array.map string_of_int want))))
+
+(* Work bound: a phase examines each occupant of a saturated processor at
+   most once in the BFS and once in the DFS (processors filled during the
+   phase aside), so the count stays within phases * (n1 + m).  Counting,
+   not timing: the regression gate's bands are too wide to see this. *)
+let complete_bipartite ~n1 ~n2 =
+  G.unit_weights ~n1 ~n2 ~edges:(List.concat (List.init n1 (fun v -> List.init n2 (fun u -> (v, u)))))
+
+let occupant_scans = Obs.Metrics.counter "matching.hk.occupant_scans"
+
+let check_linear_work label g ~caps =
+  let result, stats =
+    Obs.with_recording (fun () ->
+        Matching.solve_with_stats ~engine:Matching.Hopcroft_karp ~capacities:caps g)
+  in
+  let scans = Obs.Metrics.value occupant_scans in
+  let bound = stats.Matching.phases * (g.G.n1 + G.num_edges g) in
+  if scans > bound then
+    Alcotest.failf "%s: %d occupant scans in %d phases, bound %d" label scans stats.Matching.phases bound;
+  (result, stats.Matching.phases, scans)
+
+let test_occupant_work_linear () =
+  (* K(400,4) at capacity 99: 396 rows fit, 4 stay exposed, and one phase
+     layers every occupant.  Rescanning at every reach examined
+     4 * 4 * 99 + 396 * 4 * 99 = 158,400 occupants in that phase. *)
+  let g = complete_bipartite ~n1:400 ~n2:4 in
+  let _, phases, scans = check_linear_work "K(400,4)" g ~caps:(Array.make 4 99) in
+  Alcotest.(check int) "one phase" 1 phases;
+  Alcotest.(check int) "each occupant layered once" 396 scans;
+  (* A hub (processor 0) of capacity 200 whose occupants can go nowhere
+     else, a processor 1 held by row 0, which could move on to the free
+     processor 2, and 199 exposed rows that know the hub and processor 1.
+     Every exposed row reaches the hub in the BFS and again in the DFS;
+     the first fails all 200 occupants, then takes row 0's place. *)
+  let hub_occupants = List.init 200 (fun i -> (1 + i, 0)) in
+  let exposed = List.concat (List.init 199 (fun i -> [ (201 + i, 0); (201 + i, 1) ])) in
+  let g = G.unit_weights ~n1:400 ~n2:3 ~edges:(((0, 1) :: (0, 2) :: hub_occupants) @ exposed) in
+  let result, phases, _ = check_linear_work "hub" g ~caps:[| 200; 1; 1 |] in
+  Alcotest.(check int) "one augmentation" 202 result.Matching.size;
+  Alcotest.(check int) "two phases" 2 phases;
+  (* Dense random instances near the capacity boundary, where processors
+     with room at BFS time fill up during the DFS. *)
+  let rng = Randkit.Prng.create ~seed:17 in
+  for i = 1 to 20 do
+    let g = random_graph rng ~n1:300 ~n2:10 ~edge_prob:0.3 in
+    ignore (check_linear_work (Printf.sprintf "random %d" i) g ~caps:(Array.make 10 (29 + (i mod 3))))
+  done
+
 let suite =
   [
     Alcotest.test_case "engine statistics" `Quick test_stats;
@@ -179,4 +270,10 @@ let suite =
     QCheck_alcotest.to_alcotest (engines_optimal_prop Matching.Hopcroft_karp);
     QCheck_alcotest.to_alcotest (engines_optimal_prop Matching.Push_relabel);
     QCheck_alcotest.to_alcotest engines_agree_prop;
+    QCheck_alcotest.to_alcotest
+      (oracle_prop ~name:"hopcroft-karp = reference, byte for byte" Matching.Hopcroft_karp
+         Matching_reference.hopcroft_karp);
+    QCheck_alcotest.to_alcotest
+      (oracle_prop ~name:"dfs = reference, byte for byte" Matching.Dfs Matching_reference.dfs);
+    Alcotest.test_case "hopcroft-karp occupant work linear per phase" `Quick test_occupant_work_linear;
   ]
