@@ -553,11 +553,15 @@ let gate_recovery_workload () =
    SINGLEPROC edge stream straight from the generator (no in-core graph);
    the solver groups time the one-/few-pass Konrad–Rosén solvers over the
    file the first group wrote.  Pre-written once so the solver thunks time
-   pure streaming, not generation. *)
+   pure streaming, not generation.  Every write goes to a new file: ext4
+   forces a truncated-and-rewritten file to disk at close (auto_da_alloc),
+   which would time the disk instead of the writer, and the gate's
+   calibration scales CPU speed only. *)
 let gate_stream_workloads () =
   let path = Filename.temp_file "bench-stream" ".sms" in
   at_exit (fun () -> try Sys.remove path with Sys_error _ -> ());
   let write () =
+    (try Sys.remove path with Sys_error _ -> ());
     let rng = Randkit.Prng.create ~seed:3 in
     let w = Hyper.Stream_io.create_writer ~path ~n1:4000 ~n2:250 () in
     ignore

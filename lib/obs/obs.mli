@@ -130,6 +130,11 @@ module Span : sig
 
   val ns_to_s : int64 -> float
 
+  val deadline_after : float -> int64 option
+  (** [deadline_after s] is the {!now_ns} reading [s] seconds from now
+      ([now] itself when [s <= 0]), or [None] — no deadline — when that
+      reading lies past [Int64.max_int] ([infinity] and [nan] included). *)
+
   val time_s : (unit -> 'a) -> 'a * float
   (** [time_s f] runs [f] and additionally returns its monotonic wall time
       in seconds.  Always live — the experiment harness timing primitive. *)

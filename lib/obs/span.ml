@@ -22,6 +22,16 @@ external now_ns : unit -> int64 = "obs_monotonic_ns"
 
 let ns_to_s ns = Int64.to_float ns /. 1e9
 
+(* Compare as floats first: [Int64.of_float] is unspecified past 2^63, and
+   [to_float room] may round up, hence the second, exact check. *)
+let deadline_after s =
+  let now = now_ns () in
+  let room = Int64.sub Int64.max_int now in
+  let ns = Float.max 0.0 (s *. 1e9) in
+  if ns < Int64.to_float room && Int64.of_float ns <= room then
+    Some (Int64.add now (Int64.of_float ns))
+  else None
+
 let time_s f =
   let t0 = now_ns () in
   let result = f () in

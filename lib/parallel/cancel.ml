@@ -12,7 +12,7 @@ let create ?timeout_s () =
     | None -> None
     | Some s ->
         if not (s > 0.0) then invalid_arg "Cancel.create: timeout_s must be positive";
-        Some (Int64.add (Obs.Span.now_ns ()) (Int64.of_float (s *. 1e9)))
+        Obs.Span.deadline_after s
   in
   { flag = Atomic.make false; deadline; inert = false }
 
@@ -25,5 +25,3 @@ let is_cancelled t =
   || match t.deadline with None -> false | Some d -> Obs.Span.now_ns () >= d
 
 let check t = if is_cancelled t then raise Cancelled
-
-let deadline_ns t = t.deadline

@@ -2,8 +2,8 @@
 
     A token is a single atomic flag, optionally armed with a monotonic-clock
     deadline.  Long-running work polls {!is_cancelled} (or calls {!check})
-    at convenient points; the pool skips tasks whose batch token has tripped,
-    which is how a worker exception or a [race] winner drains the remaining
+    at convenient points; a batch skips tasks once its token has tripped,
+    which is how a task exception or a [race] winner drains the remaining
     work promptly instead of letting sibling domains run to completion. *)
 
 type t
@@ -15,8 +15,9 @@ exception Cancelled
 val create : ?timeout_s:float -> unit -> t
 (** Fresh, untripped token.  [timeout_s] arms a deadline [timeout_s] seconds
     from now on the monotonic clock ({!Obs.Span.now_ns}): once it passes,
-    the token reads as cancelled without anyone calling {!cancel}.
-    [timeout_s] must be positive. *)
+    the token reads as cancelled without anyone calling {!cancel}.  A
+    deadline past the clock's range ({!Obs.Span.deadline_after}: [infinity]
+    or about 9.2e9 s and more) arms none.  [timeout_s] must be positive. *)
 
 val never : t
 (** A shared token that never trips ({!cancel} on it is ignored).  Useful as
@@ -30,6 +31,3 @@ val is_cancelled : t -> bool
 
 val check : t -> unit
 (** Raise {!Cancelled} if {!is_cancelled}. *)
-
-val deadline_ns : t -> int64 option
-(** The armed monotonic deadline, if any. *)

@@ -1,45 +1,10 @@
-let default_jobs () = Domain.recommended_domain_count ()
-
-(* Telemetry probes (all free when Obs is disabled): batch/task volume and
-   steal traffic as counters, submit/execute as spans.  Task [i] of a batch
-   carries flow id [flow_base + i] on both its submit instant and its
-   execution span, which is what lets Obs.Trace draw the arrow from the
-   submitting domain's track to the (possibly different) executing one. *)
+(* Telemetry probes (all free when Obs is disabled): batch and task volume as
+   counters, submit/execute as spans.  Task [i] of a batch carries flow id
+   [flow_base + i] on both its submit instant and its execution span, which
+   is what lets Obs.Trace draw the arrow from the submitting domain's track
+   to the (possibly different) executing one. *)
 let c_batches = Obs.Metrics.counter "parallel.pool.batches"
 let c_tasks = Obs.Metrics.counter "parallel.pool.tasks"
-let c_steals = Obs.Metrics.counter "parallel.pool.steals"
-let c_retries = Obs.Metrics.counter "parallel.pool.retries"
-let c_task_failures = Obs.Metrics.counter "parallel.pool.task_failures"
-
-(* A batch is self-describing: jobs carry their batch, so a worker that
-   lingers past a batch boundary (it was mid-steal when the previous batch
-   drained) executes whatever it steals against the right pending counter
-   and cancellation tokens, no matter which batch it thinks it is in. *)
-type batch = {
-  tasks : (unit -> unit) array;
-  cursor : int Atomic.t; (* next unclaimed task index *)
-  pending : int Atomic.t; (* tasks not yet executed or skipped *)
-  chunk : int;
-  flow_base : int; (* task i's trace flow id is flow_base + i; 0 = untraced *)
-  user_cancel : Cancel.t; (* caller-provided: timeout / external stop *)
-  internal_cancel : Cancel.t; (* tripped by the first task exception *)
-  fail : (int * exn) option Atomic.t; (* smallest-index exception *)
-}
-
-type job = { jb : batch; ji : int }
-
-type t = {
-  size : int;
-  deques : job Deque.t array; (* slot s is owned by participant s *)
-  mutex : Mutex.t;
-  cond : Condition.t;
-  mutable epoch : int; (* bumped per batch, guarded by [mutex] *)
-  mutable current : batch option; (* guarded by [mutex] *)
-  mutable alive : bool; (* guarded by [mutex] *)
-  mutable domains : unit Domain.t list;
-}
-
-let size t = t.size
 
 (* Keep the smallest-index failure, whoever records last. *)
 let record_min slot i e =
@@ -51,121 +16,14 @@ let record_min slot i e =
   in
   go ()
 
-let exec job =
-  let b = job.jb in
-  (if not (Cancel.is_cancelled b.internal_cancel || Cancel.is_cancelled b.user_cancel) then
-     (* The depth guard bounds span-nesting drift at the task boundary: a
-        task that leaks a span cannot skew the depths recorded by every
-        later task on this participant (see Obs.Span.reset's contract). *)
-     Obs.Span.with_depth_guard (fun () ->
-         let sp =
-           Obs.Span.enter
-             ~flow:(if b.flow_base = 0 then 0 else b.flow_base + job.ji)
-             "pool.task"
-         in
-         (try b.tasks.(job.ji) ()
-          with e ->
-            record_min b.fail job.ji e;
-            Cancel.cancel b.internal_cancel);
-         Obs.Span.exit sp));
-  Atomic.decr b.pending
-
-(* Move the next block of tasks from the shared cursor into [dq] (owner
-   push).  Reverse order so the owner pops them in ascending index order. *)
-let claim_block b dq =
-  let n = Array.length b.tasks in
-  let i = Atomic.fetch_and_add b.cursor b.chunk in
-  if i >= n then false
-  else begin
-    let hi = min n (i + b.chunk) in
-    for j = hi - 1 downto i do
-      Deque.push dq { jb = b; ji = j }
-    done;
-    true
-  end
-
-let steal_round pool slot =
-  let k = pool.size in
-  let rec go i = if i = k then None else
-    match Deque.steal pool.deques.((slot + i) mod k) with
-    | Some _ as job ->
-        Obs.Metrics.incr c_steals;
-        job
-    | None -> go (i + 1)
-  in
-  go 1
-
-(* Work until [b.pending] hits zero.  Local pops first, then refills from
-   the cursor, then steals; stolen jobs may belong to a newer batch, which
-   is fine (see [batch]).  The final spin covers tasks still executing on
-   other participants. *)
-let participate pool slot b =
-  let dq = pool.deques.(slot) in
-  let rec next () =
-    match Deque.pop dq with
-    | Some _ as job -> job
-    | None -> if claim_block b dq then next () else steal_round pool slot
-  in
-  let rec go () =
-    if Atomic.get b.pending > 0 then begin
-      (match next () with Some job -> exec job | None -> Domain.cpu_relax ());
-      go ()
-    end
-  in
-  go ()
-
-let worker pool slot =
-  let rec loop last_epoch =
-    Mutex.lock pool.mutex;
-    while pool.alive && pool.epoch = last_epoch do
-      Condition.wait pool.cond pool.mutex
-    done;
-    let epoch = pool.epoch and b = pool.current and alive = pool.alive in
-    Mutex.unlock pool.mutex;
-    if alive then begin
-      (match b with Some b -> participate pool slot b | None -> ());
-      loop epoch
-    end
-  in
-  loop 0
-
-let create ?jobs () =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  if jobs < 1 then invalid_arg "Pool.create: jobs must be positive";
-  let pool =
-    {
-      size = jobs;
-      deques = Array.init jobs (fun _ -> Deque.create ());
-      mutex = Mutex.create ();
-      cond = Condition.create ();
-      epoch = 0;
-      current = None;
-      alive = true;
-      domains = [];
-    }
-  in
-  pool.domains <- List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker pool (i + 1)));
-  pool
-
-let shutdown pool =
-  Mutex.lock pool.mutex;
-  pool.alive <- false;
-  Condition.broadcast pool.cond;
-  Mutex.unlock pool.mutex;
-  let ds = pool.domains in
-  pool.domains <- [];
-  List.iter Domain.join ds
-
-let with_pool ?jobs f =
-  let pool = create ?jobs () in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)
-
-let run ?(cancel = Cancel.never) pool tasks =
+let run ?(cancel = Cancel.never) ~jobs tasks =
+  if jobs < 1 then invalid_arg "Pool.run: jobs must be positive";
   let n = Array.length tasks in
   if n > 0 then begin
-    (* Submit probe: one span covering publication, one flow-start instant
-       per task inside it.  [new_flows] is only consulted when telemetry is
-       on, so untraced batches stay allocation-free. *)
+    (* Submit probe: one span covering the batch's publication (spawning its
+       helpers), one flow-start instant per task inside it.  [new_flows] is
+       only consulted when telemetry is on, so untraced batches stay
+       allocation-free. *)
     let flow_base = if Obs.is_enabled () then Obs.Span.new_flows n else 0 in
     let submit = Obs.Span.enter "pool.submit" in
     if flow_base <> 0 then
@@ -174,181 +32,81 @@ let run ?(cancel = Cancel.never) pool tasks =
       done;
     Obs.Metrics.incr c_batches;
     Obs.Metrics.add c_tasks n;
-    let b =
-      {
-        tasks;
-        cursor = Atomic.make 0;
-        pending = Atomic.make n;
-        chunk = max 1 (n / (4 * pool.size));
-        flow_base;
-        user_cancel = cancel;
-        internal_cancel = Cancel.create ();
-        fail = Atomic.make None;
-      }
+    let next = Atomic.make 0 in
+    let internal = Cancel.create () in
+    let fail = Atomic.make None in
+    (* Every participant takes the next index until the batch runs out, so
+       tasks are claimed in ascending index order.  Once a task raised or
+       [cancel] tripped, the rest are claimed and skipped. *)
+    let rec participate () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        if not (Cancel.is_cancelled internal || Cancel.is_cancelled cancel) then
+          (* The depth guard bounds span-nesting drift at the task boundary:
+             a task that leaks a span cannot skew the depths recorded by
+             every later task on this participant (see Obs.Span.reset's
+             contract). *)
+          Obs.Span.with_depth_guard (fun () ->
+              let sp =
+                Obs.Span.enter ~flow:(if flow_base = 0 then 0 else flow_base + i) "pool.task"
+              in
+              (try tasks.(i) ()
+               with e ->
+                 record_min fail i e;
+                 Cancel.cancel internal);
+              Obs.Span.exit sp);
+        participate ()
+      end
     in
-    if pool.size > 1 then begin
-      Mutex.lock pool.mutex;
-      pool.current <- Some b;
-      pool.epoch <- pool.epoch + 1;
-      Condition.broadcast pool.cond;
-      Mutex.unlock pool.mutex
-    end;
+    (* A spawn that fails (the runtime's domain limit) ends spawning: the
+       participants already running finish the batch, so [jobs] caps the
+       parallelism rather than promising it. *)
+    let rec spawn k helpers =
+      if k = 0 then helpers
+      else
+        match Domain.spawn participate with
+        | d -> spawn (k - 1) (d :: helpers)
+        | exception Failure _ -> helpers
+    in
+    let helpers = spawn (min jobs n - 1) [] in
     Obs.Span.exit submit;
-    participate pool 0 b;
-    match Atomic.get b.fail with Some (_, e) -> raise e | None -> ()
+    participate ();
+    List.iter Domain.join helpers;
+    match Atomic.get fail with Some (_, e) -> raise e | None -> ()
   end
 
-let map ?pool ?(cancel = Cancel.never) ?jobs ~f items =
-  (match jobs with
-  | Some j when j < 1 -> invalid_arg "Pool.map: jobs must be positive"
-  | _ -> ());
-  let n = Array.length items in
-  if n = 0 then [||]
-  else begin
-    let results = Array.make n None in
-    let bodies = Array.init n (fun i () -> results.(i) <- Some (f items.(i))) in
-    (match pool with
-    | Some p -> run ~cancel p bodies
-    | None ->
-        let jobs = min (match jobs with Some j -> j | None -> default_jobs ()) n in
-        if jobs = 1 then
-          (* In-caller fast path: same skip-on-cancel semantics, no pool. *)
-          Array.iter (fun body -> if not (Cancel.is_cancelled cancel) then body ()) bodies
-        else with_pool ~jobs (fun p -> run ~cancel p bodies));
-    Array.map
-      (function
-        | Some v -> v
-        | None ->
-            (* No task raised (run would have), so a hole means [cancel]
-               tripped before the batch finished. *)
-            raise Cancel.Cancelled)
-      results
-  end
+let map ?(cancel = Cancel.never) ?jobs ~f items =
+  let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
+  if jobs < 1 then invalid_arg "Pool.map: jobs must be positive";
+  let results = Array.make (Array.length items) None in
+  run ~cancel ~jobs (Array.mapi (fun i x () -> results.(i) <- Some (f x)) items);
+  Array.map
+    (function
+      | Some v -> v
+      | None ->
+          (* No task raised (run would have), so a hole means [cancel]
+             tripped before the batch finished. *)
+          raise Cancel.Cancelled)
+    results
 
-let map_list ?pool ?cancel ?jobs ~f items =
-  Array.to_list (map ?pool ?cancel ?jobs ~f (Array.of_list items))
+let map_list ?cancel ?jobs ~f items = Array.to_list (map ?cancel ?jobs ~f (Array.of_list items))
 
-let race ?cancel pool contenders =
+let race ?cancel ~jobs contenders =
   let k = Array.length contenders in
   if k = 0 then invalid_arg "Pool.race: no contenders";
   let token = match cancel with Some c -> c | None -> Cancel.create () in
   let winner = Atomic.make None in
   let fail = Atomic.make None in
   let bodies =
-    Array.init k (fun i () ->
-        match contenders.(i) token with
-        | v ->
-            let rec claim () =
-              match Atomic.get winner with
-              | Some _ -> ()
-              | None ->
-                  if Atomic.compare_and_set winner None (Some (i, v)) then Cancel.cancel token
-                  else claim ()
-            in
-            claim ()
+    Array.mapi
+      (fun i contender () ->
+        match contender token with
+        | v -> if Atomic.compare_and_set winner None (Some (i, v)) then Cancel.cancel token
         | exception e -> record_min fail i e)
+      contenders
   in
-  run ~cancel:token pool bodies;
+  run ~cancel:token ~jobs bodies;
   match Atomic.get winner with
-  | Some r -> r
-  | None -> (
-      match Atomic.get fail with Some (_, e) -> raise e | None -> raise Cancel.Cancelled)
-
-type failure = { f_index : int; f_attempts : int; f_exn : exn }
-
-(* No Unix dependency in this library, so between attempts we spin on the
-   monotonic clock.  Backoffs are tens of milliseconds at most, and the
-   domain yields on every iteration, so this is cheap enough. *)
-let spin_sleep ~cancel s =
-  if s > 0.0 then begin
-    let until = Int64.add (Obs.Span.now_ns ()) (Int64.of_float (s *. 1e9)) in
-    while Obs.Span.now_ns () < until && not (Cancel.is_cancelled cancel) do
-      Domain.cpu_relax ()
-    done
-  end
-
-let run_with_retry ?(cancel = Cancel.never) ?(retries = 2) ?(backoff_s = 0.01) ?timeout_s pool
-    bodies =
-  if retries < 0 then invalid_arg "Pool.run_with_retry: retries must be >= 0";
-  if not (backoff_s >= 0.0) then invalid_arg "Pool.run_with_retry: backoff_s must be >= 0";
-  (match timeout_s with
-  | Some s when not (s > 0.0) -> invalid_arg "Pool.run_with_retry: timeout_s must be positive"
-  | _ -> ());
-  let n = Array.length bodies in
-  (* Slots the batch never reaches (caller cancellation) keep this sentinel:
-     zero attempts, cancelled. *)
-  let results =
-    Array.init n (fun i -> Error { f_index = i; f_attempts = 0; f_exn = Cancel.Cancelled })
-  in
-  let task i () =
-    let rec attempt k =
-      if Cancel.is_cancelled cancel then
-        results.(i) <- Error { f_index = i; f_attempts = k; f_exn = Cancel.Cancelled }
-      else begin
-        (* One fresh token per attempt so a per-task timeout restarts from
-           zero on retry; tripping the caller's token still stops the task
-           (cooperatively — the body must poll). *)
-        let token =
-          match timeout_s with Some s -> Cancel.create ~timeout_s:s () | None -> cancel
-        in
-        match bodies.(i) token with
-        | v -> results.(i) <- Ok v
-        | exception e ->
-            if k < retries then begin
-              let pause = backoff_s *. Float.pow 2.0 (float_of_int k) in
-              Obs.Metrics.incr c_retries;
-              if Obs.is_enabled () then
-                Obs.Events.emit ~level:Obs.Events.Warn "pool.retry"
-                  [
-                    Obs.Events.int "task" i;
-                    Obs.Events.int "attempt" (k + 1);
-                    Obs.Events.num "backoff_s" pause;
-                    Obs.Events.str "exn" (Printexc.to_string e);
-                  ];
-              spin_sleep ~cancel pause;
-              attempt (k + 1)
-            end
-            else begin
-              Obs.Metrics.incr c_task_failures;
-              if Obs.is_enabled () then
-                Obs.Events.emit ~level:Obs.Events.Warn "pool.task.failed"
-                  [
-                    Obs.Events.int "task" i;
-                    Obs.Events.int "attempts" (k + 1);
-                    Obs.Events.str "exn" (Printexc.to_string e);
-                  ];
-              results.(i) <- Error { f_index = i; f_attempts = k + 1; f_exn = e }
-            end
-      end
-    in
-    attempt 0
-  in
-  run ~cancel pool (Array.init n task);
-  results
-
-let race_best ?cancel ~better pool contenders =
-  let k = Array.length contenders in
-  if k = 0 then invalid_arg "Pool.race_best: no contenders";
-  let token = match cancel with Some c -> c | None -> Cancel.never in
-  let results = Array.make k None in
-  let fail = Atomic.make None in
-  let bodies =
-    Array.init k (fun i () ->
-        match contenders.(i) token with
-        | v -> results.(i) <- Some v
-        | exception e -> record_min fail i e)
-  in
-  run ~cancel:token pool bodies;
-  let best = ref None in
-  Array.iteri
-    (fun i -> function
-      | None -> ()
-      | Some v -> (
-          match !best with
-          | None -> best := Some (i, v)
-          | Some (_, incumbent) -> if better v incumbent then best := Some (i, v)))
-    results;
-  match !best with
   | Some r -> r
   | None -> (
       match Atomic.get fail with Some (_, e) -> raise e | None -> raise Cancel.Cancelled)

@@ -1,76 +1,57 @@
-(** Reusable multicore work pool over OCaml 5 domains.
+(** Fork-join batches over OCaml 5 domains.
 
-    A pool owns [jobs - 1] worker domains that sleep between batches; the
-    calling domain is always the [jobs]-th participant, so [jobs = 1] runs
-    everything in the caller with no spawning at all (the right choice on
-    single-core machines and whenever wall-clock timings are measured).
+    Each call runs one batch: it spawns [min jobs n - 1] fresh helper
+    domains, and every participant, the calling domain included, takes the
+    next task index from one shared atomic counter until the batch runs
+    out.  The helpers are joined before the call returns.  [jobs = 1]
+    therefore runs everything in the caller with no spawning at all (the
+    right choice on single-core machines and whenever wall-clock timings
+    are measured).  Tasks are claimed in ascending index order; a batch's
+    tasks are coarse (a whole solver run, a whole experiment row), so
+    taking one index at a time balances uneven costs.
 
-    Work distribution is chunked work stealing: every participant owns a
-    {!Deque} (Chase–Lev), claims contiguous blocks of the batch from a
-    shared cursor into it, pops locally in order, and steals from siblings
-    once both its deque and the cursor run dry.  Uneven item costs (an EVG
-    run on a p = 4096 instance next to an SGH run on a tiny one) therefore
-    balance automatically, while the common case stays a local pop.
+    Because every batch owns its domains, a task may itself run a nested
+    batch, within the runtime's domain limit (128 in OCaml 5.1).  A spawn
+    that fails at that limit stops spawning: the participants already
+    running finish the batch, so [jobs] caps the parallelism rather than
+    promising it.
 
     Cancellation is cooperative via {!Cancel} tokens.  A task that raises
     trips the batch's internal token, so the remaining unstarted tasks are
-    {e skipped} and the pool drains promptly instead of running the batch to
+    {e skipped} and the batch drains promptly instead of running to
     completion before re-raising — the smallest-index exception wins.
-
-    A pool is driven by one orchestrating domain at a time: [run]/[map]/
-    [race] must not be called concurrently on the same pool, nor reentrantly
-    from inside a task.
 
     Telemetry (free when [Obs] is disabled): every batch records a
     ["pool.submit"] span with one flow-start instant per task, every
     executed task a ["pool.task"] span carrying the same flow id — so
     [Obs.Trace] can draw submission→execution arrows across domains — and
-    [parallel.pool.batches]/[tasks]/[steals] count the traffic.  Each task
-    runs under [Obs.Span.with_depth_guard], so a span leaked by a task
-    cannot skew later spans' recorded nesting depth. *)
+    [parallel.pool.batches]/[tasks] count the traffic.  Each task runs under
+    [Obs.Span.with_depth_guard], so a span leaked by a task cannot skew
+    later spans' recorded nesting depth. *)
 
-type t
+val run : ?cancel:Cancel.t -> jobs:int -> (unit -> unit) array -> unit
+(** Execute every task on at most [jobs] domains, returning when all have
+    finished or been skipped.  Tasks are skipped (never aborted mid-flight)
+    once [cancel] trips or once any task raises; after the batch drains,
+    the raised exception with the smallest task index is re-raised.  A
+    tripped [cancel] alone does not raise — callers decide what partial
+    completion means ({!map} raises {!Cancel.Cancelled}, {!race} treats it
+    as a win).  Raises [Invalid_argument] if [jobs < 1]. *)
 
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
+val map : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
+(** [map ~f items] applies [f] to every element through {!run}, preserving
+    the order of results.  [f] must be safe to run concurrently on distinct
+    elements.  [jobs] defaults to [Domain.recommended_domain_count ()]; the
+    batch never uses more domains than items.  If any application raises,
+    later items are skipped and the smallest-index exception is re-raised;
+    if [cancel] trips first, {!Cancel.Cancelled} is raised instead.  Raises
+    [Invalid_argument] if [jobs < 1]. *)
 
-val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] participants ([jobs - 1] domains; default
-    {!default_jobs}).  Raises [Invalid_argument] if [jobs < 1]. *)
-
-val size : t -> int
-(** The number of participants (including the caller). *)
-
-val shutdown : t -> unit
-(** Wake and join the worker domains (idempotent).  A pool that is never
-    shut down keeps its domains blocked, which prevents process exit —
-    prefer {!with_pool} unless the pool's lifetime spans the program. *)
-
-val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-(** [with_pool f] runs [f] with a fresh pool and always shuts it down. *)
-
-val run : ?cancel:Cancel.t -> t -> (unit -> unit) array -> unit
-(** Execute every task, in parallel, returning when all have finished or
-    been skipped.  Tasks are skipped (never aborted mid-flight) once
-    [cancel] trips or once any task raises; after the batch drains, the
-    raised exception with the smallest task index is re-raised.  A tripped
-    [cancel] alone does not raise — callers decide what partial completion
-    means ({!map} raises {!Cancel.Cancelled}, {!race} treats it as a win). *)
-
-val map : ?pool:t -> ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
-(** [map ~f items] applies [f] to every element, preserving order of
-    results.  [f] must be safe to run concurrently on distinct elements.
-    Runs on [pool] when given (ignoring [jobs]); otherwise on an ephemeral
-    pool of [jobs] participants (default {!default_jobs}, clamped to the
-    item count).  If any application raises, later items are skipped and the
-    smallest-index exception is re-raised; if [cancel] trips first,
-    {!Cancel.Cancelled} is raised instead. *)
-
-val map_list : ?pool:t -> ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
+val map_list : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
 (** List convenience wrapper over {!map}. *)
 
-val race : ?cancel:Cancel.t -> t -> (Cancel.t -> 'a) array -> int * 'a
-(** [race pool contenders] starts every contender and returns
+val race : ?cancel:Cancel.t -> jobs:int -> (Cancel.t -> 'a) array -> int * 'a
+(** [race ~jobs contenders] starts the contenders as one batch and returns
     [(index, value)] of the {e first} to complete, tripping the shared token
     so the not-yet-started rest are skipped; running contenders observe the
     same token and should poll it to stop early.  [cancel] (default a fresh
@@ -78,46 +59,3 @@ val race : ?cancel:Cancel.t -> t -> (Cancel.t -> 'a) array -> int * 'a
     [jobs = 1] the first contender necessarily wins.  If every contender
     raises, the smallest-index exception is re-raised; if the token trips
     with no winner, {!Cancel.Cancelled} is raised. *)
-
-type failure = {
-  f_index : int;  (** which task *)
-  f_attempts : int;  (** attempts actually made; [0] = never started *)
-  f_exn : exn;  (** the last attempt's exception *)
-}
-
-val run_with_retry :
-  ?cancel:Cancel.t ->
-  ?retries:int ->
-  ?backoff_s:float ->
-  ?timeout_s:float ->
-  t ->
-  (Cancel.t -> 'a) array ->
-  ('a, failure) result array
-(** Hardened batch execution: every task gets up to [1 + retries] attempts
-    (default [retries = 2]), with exponential backoff between them
-    ([backoff_s] · 2{^k}, default 10 ms) — and a raising task records a
-    structured {!failure} instead of poisoning the batch, so sibling tasks
-    always run to their own conclusion.  This function never raises from a
-    task (contrast {!run}).
-
-    [timeout_s] bounds each {e attempt}: the task's token trips that long
-    after the attempt starts (cooperative — the body must poll it; a body
-    that ignores its token is not interrupted).  Without [timeout_s] the
-    body receives [cancel] itself.  [cancel] bounds the whole batch:
-    unstarted tasks are skipped and unfinished retry loops stop, both
-    recording a failure with [f_exn = Cancel.Cancelled] ([f_attempts = 0]
-    when the task never started).
-
-    Telemetry: every retry emits a ["pool.retry"] warning (task, attempt,
-    backoff, exception) and every exhausted task a ["pool.task.failed"]
-    warning; [parallel.pool.retries]/[task_failures] count them. *)
-
-val race_best :
-  ?cancel:Cancel.t -> better:('a -> 'a -> bool) -> t -> (Cancel.t -> 'a) array -> int * 'a
-(** [race_best ~better pool contenders] runs {e every} contender to
-    completion (no winner-cancellation, so the outcome is deterministic) and
-    returns the best result: contender [i] beats the incumbent [j < i] only
-    when [better v_i v_j].  Contenders that raise are excluded; if all
-    raise, the smallest-index exception is re-raised.  [cancel] still bounds
-    the whole batch, skipping unstarted contenders ({!Cancel.Cancelled} if
-    none completed). *)

@@ -43,7 +43,7 @@ let emit_tier tier makespan elapsed_s =
         Obs.Events.num "elapsed_s" elapsed_s;
       ]
 
-let solve ?pool ?jobs ?solvers ~budget_s h =
+let solve ?jobs ~budget_s h =
   let start = Obs.Span.now_ns () in
   let elapsed () = Int64.to_float (Int64.sub (Obs.Span.now_ns ()) start) *. 1e-9 in
   let remaining () = budget_s -. elapsed () in
@@ -59,7 +59,7 @@ let solve ?pool ?jobs ?solvers ~budget_s h =
      portfolio so an undegraded run returns its bytes unchanged. *)
   let portfolio =
     if remaining () > 0.0 && greedy_m > lower_bound then begin
-      let r = Portfolio.solve ?pool ?jobs ?solvers ~timeout_s:(remaining ()) h in
+      let r = Portfolio.solve ?jobs ~timeout_s:(remaining ()) h in
       if r.Portfolio.best_makespan <= greedy_m then
         incumbent := (r.Portfolio.assignment, r.Portfolio.best_makespan, Tier_portfolio);
       emit_tier Tier_portfolio r.Portfolio.best_makespan (elapsed ());
@@ -128,7 +128,7 @@ type delta = {
   d_elapsed_s : float;
 }
 
-let solve_surviving ?pool ?jobs ?solvers ~dead ~budget_s h =
+let solve_surviving ?jobs ~dead ~budget_s h =
   let start = Obs.Span.now_ns () in
   let elapsed () = Int64.to_float (Int64.sub (Obs.Span.now_ns ()) start) *. 1e-9 in
   let feasible, infeasible = Repair.feasible_split h dead in
@@ -152,7 +152,7 @@ let solve_surviving ?pool ?jobs ?solvers ~dead ~budget_s h =
         d_elapsed_s = elapsed ();
       }
   | Some s ->
-      let res = solve ?pool ?jobs ?solvers ~budget_s s.Repair.sub in
+      let res = solve ?jobs ~budget_s s.Repair.sub in
       Repair.choice_of_sub s res.assignment choice;
       let assignment =
         if Array.for_all (fun e -> e >= 0) choice then Some (Hyp_assignment.of_choices h choice)

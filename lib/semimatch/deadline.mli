@@ -43,18 +43,12 @@ type result = {
   elapsed_s : float;
 }
 
-val solve :
-  ?pool:Parpool.Pool.t ->
-  ?jobs:int ->
-  ?solvers:Portfolio.solver list ->
-  budget_s:float ->
-  Hyper.Graph.t ->
-  result
+val solve : ?jobs:int -> budget_s:float -> Hyper.Graph.t -> result
 (** Ties between tiers resolve toward the later tier (portfolio over greedy,
     exact over both), so an undegraded run returns the portfolio's exact
-    bytes.  [pool]/[jobs]/[solvers] are passed through to
-    {!Portfolio.solve}.  Raises [Invalid_argument] only on infeasible
-    instances (a task with no configuration). *)
+    bytes.  [jobs] is passed through to {!Portfolio.solve}.  Raises
+    [Invalid_argument] only on infeasible instances (a task with no
+    configuration). *)
 
 (** {2 Delta application}
 
@@ -74,9 +68,7 @@ type delta = {
 }
 
 val solve_surviving :
-  ?pool:Parpool.Pool.t ->
   ?jobs:int ->
-  ?solvers:Portfolio.solver list ->
   dead:bool array ->
   budget_s:float ->
   Hyper.Graph.t ->

@@ -53,9 +53,8 @@ let run_solver ~should_stop h = function
       let rng = Randkit.Prng.create ~seed in
       Annealing.solve ~should_stop rng h
 
-let solve ?pool ?(jobs = 1) ?(cutoff = true) ?timeout_s ?(solvers = default_solvers) h =
-  if solvers = [] then invalid_arg "Portfolio.solve: solvers must be non-empty";
-  let solvers = Array.of_list solvers in
+let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
+  let solvers = Array.of_list default_solvers in
   let n = Array.length solvers in
   (* The refined LB is sound (no schedule beats it), so an incumbent at the
      LB proves optimality and later solvers cannot improve the value — the
@@ -102,10 +101,7 @@ let solve ?pool ?(jobs = 1) ?(cutoff = true) ?timeout_s ?(solvers = default_solv
       times.(i) <- dt
     end
   in
-  let tasks = Array.init n task in
-  (match pool with
-  | Some p -> Pool.run ~cancel:token p tasks
-  | None -> Pool.with_pool ~jobs (fun p -> Pool.run ~cancel:token p tasks));
+  Pool.run ~cancel:token ~jobs (Array.init n task);
   (* A timeout that fires before anything completed would otherwise leave no
      result at all; fall back to the first solver, uninterrupted. *)
   if Array.for_all Option.is_none results then begin
@@ -143,16 +139,12 @@ let solve ?pool ?(jobs = 1) ?(cutoff = true) ?timeout_s ?(solvers = default_solv
 
 (* One engine per guarantee: contenders ignore their cancel token, so every
    extra engine that starts delays the race's answer. *)
-let solve_exact_unit ?pool ?(jobs = 1)
+let solve_exact_unit ?(jobs = 1)
     ?(engines = Exact_unit.[ Binary_search Matching.Hopcroft_karp; Gen_hk ]) g =
   if engines = [] then invalid_arg "Portfolio.solve_exact_unit: engines must be non-empty";
   let engines = Array.of_list engines in
   let contenders =
     Array.map (fun exact _token -> Exact_unit.solve_with ~exact g) engines
   in
-  let idx, solution =
-    match pool with
-    | Some p -> Pool.race p contenders
-    | None -> Pool.with_pool ~jobs (fun p -> Pool.race p contenders)
-  in
+  let idx, solution = Pool.race ~jobs contenders in
   (solution, engines.(idx))

@@ -4,10 +4,10 @@
     The heuristics in this library have incomparable strengths: the greedies
     are fast but myopic, local search fixes single-task mistakes, annealing
     escapes local optima given budget.  The portfolio runs a selection of
-    them {e in parallel} over a {!Parpool.Pool} and keeps the best schedule,
-    sharing the incumbent makespan through an atomic so late starters can be
-    {e cut off} as soon as some solver already matched the instance's lower
-    bound (below which no schedule exists).
+    them {e in parallel} as one {!Parpool.Pool} batch and keeps the best
+    schedule, sharing the incumbent makespan through an atomic so late
+    starters can be {e cut off} as soon as some solver already matched the
+    instance's lower bound (below which no schedule exists).
 
     Determinism: every solver is individually deterministic, and the set of
     solvers is fixed, so the best {e makespan} returned is independent of
@@ -46,29 +46,22 @@ type result = {
   outcomes : outcome list;  (** one per solver, in solver-list order *)
 }
 
-val solve :
-  ?pool:Parpool.Pool.t ->
-  ?jobs:int ->
-  ?cutoff:bool ->
-  ?timeout_s:float ->
-  ?solvers:solver list ->
-  Hyper.Graph.t ->
-  result
-(** [solve h] runs the portfolio and returns the best schedule found.
-    Runs on [pool] when given (ignoring [jobs]), else on an ephemeral pool
-    of [jobs] participants (default 1: fully sequential and deterministic).
-    [timeout_s] bounds the wall clock: running annealers stop early at their
-    next poll and unstarted solvers are skipped — at least the first solver
-    always completes, so a result is always returned.  [solvers] must be
-    non-empty.  Raises [Invalid_argument] on infeasible instances. *)
+val solve : ?jobs:int -> ?cutoff:bool -> ?timeout_s:float -> Hyper.Graph.t -> result
+(** [solve h] runs {!default_solvers} and returns the best schedule found.
+    The solvers run as one {!Parpool.Pool.run} batch on at most [jobs]
+    domains (default 1: fully sequential and deterministic).  [timeout_s]
+    bounds the wall clock: running annealers stop early at their next poll
+    and unstarted solvers are skipped — at least the first solver always
+    completes, so a result is always returned.  Raises [Invalid_argument]
+    on infeasible instances. *)
 
 val solve_exact_unit :
-  ?pool:Parpool.Pool.t ->
   ?jobs:int ->
   ?engines:Exact_unit.exact_engine list ->
   Bipartite.Graph.t ->
   Exact_unit.solution * Exact_unit.exact_engine
-(** Race exact engines on the same SINGLEPROC-UNIT instance and return
+(** Race exact engines on the same SINGLEPROC-UNIT instance
+    ({!Parpool.Pool.race} on at most [jobs] domains, default 1) and return
     the first solution to arrive with the engine that produced it.  The
     default [engines] are one per guarantee: [Binary_search Hopcroft_karp]
     (bs-hk, makespan-optimal) then [Gen_hk] (load-vector-optimal); pass

@@ -58,9 +58,7 @@ let take_line t =
       Some line
 
 let read_line ?timeout_s t =
-  let deadline =
-    Option.map (fun s -> Int64.add (Obs.Span.now_ns ()) (Int64.of_float (s *. 1e9))) timeout_s
-  in
+  let deadline = Option.bind timeout_s Obs.Span.deadline_after in
   let chunk = Bytes.create 65536 in
   let rec loop () =
     match take_line t with

@@ -23,8 +23,9 @@ val fd : t -> Unix.file_descr
 val request : ?timeout_s:float -> t -> string -> string
 (** Send one line, read one reply line (the protocol answers every request
     exactly once, in order).  With [timeout_s], the read waits at most that
-    many seconds past the write before raising {!Timeout}; without it, the
-    wait is unbounded (the pre-timeout behaviour). *)
+    many seconds past the write before raising {!Timeout}; without it, or
+    when that deadline lies past the clock's range
+    ({!Obs.Span.deadline_after}), the wait is unbounded. *)
 
 val close : t -> unit
 

@@ -52,11 +52,11 @@ let () =
   Obs.Prom.describe "stream.ingest.incore" "Stream ingests that fell back to the in-core tier.";
   Obs.Prom.describe "stream.ingest.streamed" "Stream ingests solved by the streaming tier."
 
-let solve_in_core ?pool ?jobs h =
+let solve_in_core ?jobs h =
   match Hyper.Graph.to_bipartite h with
   | Some g when Bipartite.Graph.is_unit_weighted g && not (Bipartite.Graph.has_isolated_task g)
     ->
-      let sol, engine = Semimatch.Portfolio.solve_exact_unit ?pool ?jobs g in
+      let sol, engine = Semimatch.Portfolio.solve_exact_unit ?jobs g in
       let open Semimatch.Exact_unit in
       ( In_core_exact,
         float_of_int sol.makespan,
@@ -64,14 +64,14 @@ let solve_in_core ?pool ?jobs h =
         Printf.sprintf "%s (%s)" (guarantee_name sol.guarantee) (exact_engine_name engine),
         1.0 )
   | _ ->
-      let r = Semimatch.Portfolio.solve ?pool ?jobs h in
+      let r = Semimatch.Portfolio.solve ?jobs h in
       ( In_core_portfolio,
         r.Semimatch.Portfolio.best_makespan,
         r.Semimatch.Portfolio.lower_bound,
         "portfolio-heuristic",
         Float.nan )
 
-let solve ?pool ?jobs ?(threshold_words = default_threshold_words) ?(stream_solver = Auto) path
+let solve ?jobs ?(threshold_words = default_threshold_words) ?(stream_solver = Auto) path
     =
   let reader = Sio.open_reader path in
   Fun.protect
@@ -84,7 +84,7 @@ let solve ?pool ?jobs ?(threshold_words = default_threshold_words) ?(stream_solv
       if csr_words <= threshold_words then begin
         Obs.Metrics.incr c_incore;
         let h = Sio.read_graph reader in
-        let tier, makespan, lower_bound, guarantee, factor = solve_in_core ?pool ?jobs h in
+        let tier, makespan, lower_bound, guarantee, factor = solve_in_core ?jobs h in
         {
           tier;
           makespan;

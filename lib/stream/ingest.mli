@@ -40,7 +40,6 @@ val default_threshold_words : int
 (** 8M words ≈ 64 MB of CSR. *)
 
 val solve :
-  ?pool:Parpool.Pool.t ->
   ?jobs:int ->
   ?threshold_words:int ->
   ?stream_solver:stream_solver ->
@@ -49,5 +48,7 @@ val solve :
 (** [solve path] ingests the stream at [path].  [stream_solver] picks the
     solver when the streamed tier wins and the stream is singleton
     unit-weight ([Auto] = few-pass, the better factor); general streams
-    always get the online greedy.  Raises [Failure] on unsealed or corrupt
+    always get the online greedy.  [jobs] (default 1) is passed to the
+    in-core tier's {!Semimatch.Portfolio.solve_exact_unit} or
+    {!Semimatch.Portfolio.solve}.  Raises [Failure] on unsealed or corrupt
     files and [Invalid_argument]/[Failure] on infeasible instances. *)

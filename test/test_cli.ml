@@ -91,6 +91,37 @@ let test_exact_on_singleproc () =
       let prefix s = List.hd (String.split_on_char '(' s) in
       Alcotest.(check string) "strategies agree" (prefix out) (prefix bisect))
 
+(* A batch spawns at most one helper per task beyond the caller, so a
+   --jobs far above the runtime's 128-domain limit still answers: 5 helpers
+   for the 6-solver portfolio, 1 for the 2-engine exact race. *)
+let test_jobs_above_domain_limit () =
+  let line_with ~prefix out =
+    match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out) with
+    | Some l -> l
+    | None -> Alcotest.failf "no %S line in: %s" prefix out
+  in
+  with_temp (fun path ->
+      ignore
+        (expect_ok
+           (run_capture
+              [ "gen"; "--tasks"; "80"; "--procs"; "16"; "--groups"; "4"; "--seed"; "5"; "-o"; path ]));
+      let wide = expect_ok (run_capture [ "solve"; "--jobs"; "200"; path ]) in
+      let single = expect_ok (run_capture [ "solve"; "--portfolio"; "--jobs"; "1"; path ]) in
+      Alcotest.(check string) "solve makespan" (line_with ~prefix:"makespan:" single)
+        (line_with ~prefix:"makespan:" wide));
+  with_temp (fun path ->
+      ignore
+        (expect_ok
+           (run_capture
+              [ "gen-sp"; "--tasks"; "60"; "--procs"; "12"; "--groups"; "3"; "--degree"; "3";
+                "--seed"; "2"; "-o"; path ]));
+      let optimum out =
+        List.hd (String.split_on_char '(' (line_with ~prefix:"optimal makespan:" out))
+      in
+      let wide = expect_ok (run_capture [ "exact"; "--jobs"; "200"; path ]) in
+      let single = expect_ok (run_capture [ "exact"; "--jobs"; "1"; path ]) in
+      Alcotest.(check string) "exact optimum" (optimum single) (optimum wide))
+
 let test_exact_rejects_multiproc () =
   with_temp (fun path ->
       ignore
@@ -342,6 +373,7 @@ let suite =
     Alcotest.test_case "compare lists all heuristics" `Quick test_compare_lists_all;
     Alcotest.test_case "exact on SINGLEPROC file" `Quick test_exact_on_singleproc;
     Alcotest.test_case "exact rejects MULTIPROC" `Quick test_exact_rejects_multiproc;
+    Alcotest.test_case "--jobs above the domain limit" `Quick test_jobs_above_domain_limit;
     Alcotest.test_case "simulate" `Quick test_simulate;
     Alcotest.test_case "doctor validates and replays bundles" `Quick
       test_doctor_validates_and_replays;

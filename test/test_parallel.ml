@@ -1,6 +1,5 @@
 module Pool = Parpool.Pool
 module Cancel = Parpool.Cancel
-module Deque = Parpool.Deque
 
 let check = Alcotest.(check bool)
 
@@ -71,9 +70,9 @@ let test_early_failure_drains () =
   (* A failure must skip the remaining work, not run the batch to completion
      before re-raising: with the failure up front, the vast majority of the
      1000 tasks are never executed.  The bound is loose (a few tasks may
-     already be claimed into deques before the token trips) but far below
-     the full batch, and the test also proves the pool neither hangs nor
-     loses the original exception. *)
+     already be running on other participants before the token trips) but
+     far below the full batch, and the test also proves the pool neither
+     hangs nor loses the original exception. *)
   let executed = Atomic.make 0 in
   let items = Array.init 1000 Fun.id in
   (match
@@ -111,65 +110,33 @@ let test_map_timeout () =
   | _ -> Alcotest.fail "expected Cancelled"
 
 let test_race_first_wins_sequential () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      let idx, v =
-        Pool.race pool
-          [| (fun _ -> "first"); (fun _ -> Alcotest.fail "loser must be skipped") |]
-      in
-      Alcotest.(check int) "winner index" 0 idx;
-      Alcotest.(check string) "winner value" "first" v)
+  let idx, v =
+    Pool.race ~jobs:1 [| (fun _ -> "first"); (fun _ -> Alcotest.fail "loser must be skipped") |]
+  in
+  Alcotest.(check int) "winner index" 0 idx;
+  Alcotest.(check string) "winner value" "first" v
 
 let test_race_cancels_losers () =
   (* The loser spins on the shared token; the race only returns because the
      winner trips it, so returning at all is the assertion. *)
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let idx, v =
-        Pool.race pool
-          [|
-            (fun token ->
-              while not (Cancel.is_cancelled token) do
-                Domain.cpu_relax ()
-              done;
-              "spinner");
-            (fun _ -> "quick");
-          |]
-      in
-      check "some contender won" true (idx = 0 || idx = 1);
-      check "value matches winner" true
-        ((idx = 0 && v = "spinner") || (idx = 1 && v = "quick")))
+  let idx, v =
+    Pool.race ~jobs:2
+      [|
+        (fun token ->
+          while not (Cancel.is_cancelled token) do
+            Domain.cpu_relax ()
+          done;
+          "spinner");
+        (fun _ -> "quick");
+      |]
+  in
+  check "some contender won" true (idx = 0 || idx = 1);
+  check "value matches winner" true ((idx = 0 && v = "spinner") || (idx = 1 && v = "quick"))
 
 let test_race_all_raise () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      match
-        Pool.race pool [| (fun _ -> failwith "a"); (fun _ -> failwith "b") |]
-      with
-      | exception Failure msg -> Alcotest.(check string) "smallest index" "a" msg
-      | _ -> Alcotest.fail "expected exception")
-
-let test_race_best_deterministic () =
-  Pool.with_pool ~jobs:3 (fun pool ->
-      let contenders = [| (fun _ -> 5); (fun _ -> 3); (fun _ -> 3); (fun _ -> 7) |] in
-      let idx, v = Pool.race_best ~better:(fun a b -> a < b) pool contenders in
-      Alcotest.(check int) "best value" 3 v;
-      Alcotest.(check int) "earliest index wins ties" 1 idx)
-
-let test_race_best_excludes_raisers () =
-  Pool.with_pool ~jobs:2 (fun pool ->
-      let idx, v =
-        Pool.race_best ~better:(fun a b -> a < b) pool
-          [| (fun _ -> failwith "broken"); (fun _ -> 42) |]
-      in
-      Alcotest.(check int) "surviving index" 1 idx;
-      Alcotest.(check int) "surviving value" 42 v)
-
-let test_pool_reuse () =
-  (* One persistent pool across several batches: epochs must not leak state
-     from batch to batch. *)
-  Pool.with_pool ~jobs:3 (fun pool ->
-      for round = 1 to 5 do
-        let out = Pool.map ~pool ~f:(fun x -> x + round) (Array.init 100 Fun.id) in
-        Alcotest.(check (array int)) "round result" (Array.init 100 (fun i -> i + round)) out
-      done)
+  match Pool.race ~jobs:2 [| (fun _ -> failwith "a"); (fun _ -> failwith "b") |] with
+  | exception Failure msg -> Alcotest.(check string) "smallest index" "a" msg
+  | _ -> Alcotest.fail "expected exception"
 
 let test_cancel_deadline () =
   let t = Cancel.create ~timeout_s:1e-9 () in
@@ -177,83 +144,16 @@ let test_cancel_deadline () =
   check "deadline passed" true (Cancel.is_cancelled t);
   check "never is inert" false (Cancel.is_cancelled Cancel.never);
   Cancel.cancel Cancel.never;
-  check "never cannot trip" false (Cancel.is_cancelled Cancel.never)
-
-let test_retry_fail_twice_then_succeed () =
-  (* A flaky task that fails its first two attempts must complete on the
-     third, with one "pool.retry" warning per retry recorded. *)
-  let attempts = Atomic.make 0 in
-  Obs.with_recording (fun () ->
-      Pool.with_pool ~jobs:1 (fun pool ->
-          let results =
-            Pool.run_with_retry ~retries:2 ~backoff_s:1e-4 pool
-              [|
-                (fun _ ->
-                  if Atomic.fetch_and_add attempts 1 < 2 then failwith "flaky";
-                  "ok");
-              |]
-          in
-          (match results.(0) with
-          | Ok v -> Alcotest.(check string) "third attempt succeeds" "ok" v
-          | Error _ -> Alcotest.fail "expected success after retries"));
-      Alcotest.(check int) "three attempts made" 3 (Atomic.get attempts);
-      let retries =
-        List.filter (fun e -> e.Obs.Events.e_name = "pool.retry") (Obs.Events.records ())
-      in
-      Alcotest.(check int) "one retry event per backoff" 2 (List.length retries);
-      List.iter
-        (fun e -> check "retries are warnings" true (e.Obs.Events.e_level = Obs.Events.Warn))
-        retries)
-
-let test_retry_permanent_failure_isolated () =
-  (* A permanently failing task must yield a structured failure after
-     exhausting its attempts — while its siblings run to completion. *)
-  let results =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        Pool.run_with_retry ~retries:2 ~backoff_s:1e-4 pool
-          [| (fun _ -> 10); (fun _ -> failwith "permanent"); (fun _ -> 30) |])
-  in
-  (match results.(1) with
-  | Error f ->
-      Alcotest.(check int) "all attempts used" 3 f.Pool.f_attempts;
-      Alcotest.(check int) "failure names its task" 1 f.Pool.f_index;
-      check "original exception kept" true (f.Pool.f_exn = Failure "permanent")
-  | Ok _ -> Alcotest.fail "expected structured failure");
-  check "siblings unharmed" true (results.(0) = Ok 10 && results.(2) = Ok 30)
-
-let test_retry_per_attempt_timeout () =
-  (* Each attempt gets a fresh deadline token; a body that polls it is cut
-     off every attempt and the task ends as a structured failure. *)
-  let attempts = Atomic.make 0 in
-  let results =
-    Pool.with_pool ~jobs:1 (fun pool ->
-        Pool.run_with_retry ~retries:1 ~backoff_s:1e-4 ~timeout_s:1e-4 pool
-          [|
-            (fun token ->
-              Atomic.incr attempts;
-              while true do
-                Cancel.check token;
-                Domain.cpu_relax ()
-              done);
-          |])
-  in
-  (match results.(0) with
-  | Error f ->
-      Alcotest.(check int) "both attempts timed out" 2 f.Pool.f_attempts;
-      check "Cancelled recorded" true (f.Pool.f_exn = Cancel.Cancelled)
-  | Ok _ -> Alcotest.fail "expected timeout failure");
-  Alcotest.(check int) "body actually ran twice" 2 (Atomic.get attempts)
-
-let test_retry_validation () =
-  Pool.with_pool ~jobs:1 (fun pool ->
-      check "negative retries rejected" true
-        (match Pool.run_with_retry ~retries:(-1) pool [| (fun _ -> ()) |] with
-        | exception Invalid_argument _ -> true
-        | _ -> false);
-      check "negative backoff rejected" true
-        (match Pool.run_with_retry ~backoff_s:(-0.1) pool [| (fun _ -> ()) |] with
-        | exception Invalid_argument _ -> true
-        | _ -> false))
+  check "never cannot trip" false (Cancel.is_cancelled Cancel.never);
+  (* A deadline past the clock's range is no deadline, not one that wrapped
+     into the past. *)
+  List.iter
+    (fun s ->
+      let t = Cancel.create ~timeout_s:s () in
+      check (Printf.sprintf "timeout %g not tripped" s) false (Cancel.is_cancelled t);
+      Cancel.cancel t;
+      check (Printf.sprintf "timeout %g still cancellable" s) true (Cancel.is_cancelled t))
+    [ 1e10; infinity ]
 
 let test_past_deadline_runs_nothing () =
   (* A deadline already in the past must cancel the batch before any task
@@ -265,84 +165,54 @@ let test_past_deadline_runs_nothing () =
   done;
   check "token already tripped" true (Cancel.is_cancelled token);
   let executed = Atomic.make 0 in
-  Pool.with_pool ~jobs:2 (fun pool ->
-      Pool.run ~cancel:token pool (Array.init 50 (fun _ () -> Atomic.incr executed));
-      Alcotest.(check int) "no task started" 0 (Atomic.get executed);
-      (* Same contract through the hardened path: every slot reports an
-         unstarted cancellation. *)
-      let results = Pool.run_with_retry ~cancel:token pool [| (fun _ -> 1); (fun _ -> 2) |] in
-      Array.iter
-        (function
-          | Error f ->
-              check "never started" true (f.Pool.f_attempts = 0 && f.Pool.f_exn = Cancel.Cancelled)
-          | Ok _ -> Alcotest.fail "task ran past a dead deadline")
-        results);
-  Alcotest.(check int) "retry path started nothing either" 0 (Atomic.get executed)
+  Pool.run ~cancel:token ~jobs:2 (Array.init 50 (fun _ () -> Atomic.incr executed));
+  Alcotest.(check int) "no task started" 0 (Atomic.get executed)
 
-let test_deque_lifo_fifo () =
-  let d = Deque.create ~capacity:2 () in
-  for i = 1 to 100 do
-    Deque.push d i
-  done;
-  Alcotest.(check int) "size" 100 (Deque.size d);
-  Alcotest.(check (option int)) "owner pops newest" (Some 100) (Deque.pop d);
-  Alcotest.(check (option int)) "thief steals oldest" (Some 1) (Deque.steal d);
-  Alcotest.(check (option int)) "steal order" (Some 2) (Deque.steal d);
-  Alcotest.(check (option int)) "pop order" (Some 99) (Deque.pop d);
-  let d2 = Deque.create () in
-  Alcotest.(check (option int)) "empty pop" None (Deque.pop d2);
-  Alcotest.(check (option int)) "empty steal" None (Deque.steal d2)
+exception Raised_at of int
 
-let test_deque_concurrent_steal () =
-  (* One owner pushes/pops, three thieves steal; every element must be taken
-     exactly once. *)
-  let n = 20_000 in
-  let d = Deque.create () in
-  let taken = Array.make n (Atomic.make 0) in
-  for i = 0 to n - 1 do
-    taken.(i) <- Atomic.make 0
-  done;
-  let stop = Atomic.make false in
-  let thief () =
-    let count = ref 0 in
-    while not (Atomic.get stop) do
-      match Deque.steal d with
-      | Some x ->
-          Atomic.incr taken.(x);
-          incr count
-      | None -> Domain.cpu_relax ()
-    done;
-    (* Drain whatever is left after the owner finished. *)
-    let rec drain () =
-      match Deque.steal d with
-      | Some x ->
-          Atomic.incr taken.(x);
-          incr count;
-          drain ()
-      | None -> ()
+(* The batch contract over sizes around the job count (n = 0, n < jobs) and
+   failures at arbitrary indices: with no failure, map is Array.map and every
+   task ran exactly once; otherwise the smallest failing index wins. *)
+let prop_map_contract =
+  QCheck.Test.make ~count:300 ~name:"map contract over sizes, jobs and failures"
+    QCheck.(triple (int_range 0 64) (int_range 1 6) (small_list (int_range 0 63)))
+    (fun (n, jobs, raising) ->
+      let raising = List.filter (fun i -> i < n) raising in
+      let ran = Array.init n (fun _ -> Atomic.make 0) in
+      let f i =
+        Atomic.incr ran.(i);
+        if List.mem i raising then raise (Raised_at i);
+        (i * 31) + 7
+      in
+      let items = Array.init n Fun.id in
+      match (raising, Pool.map ~jobs ~f items) with
+      | [], out ->
+          out = Array.map (fun i -> (i * 31) + 7) items
+          && Array.for_all (fun c -> Atomic.get c = 1) ran
+      | _ :: _, _ -> false
+      | exception Raised_at i -> raising <> [] && i = List.fold_left min max_int raising)
+
+let test_helpers_joined () =
+  (* Every helper has exited by the time its batch returns.  A helper leaked
+     per batch would also reach the runtime's 128-domain limit within about
+     43 batches of three helpers. *)
+  let started = Atomic.make 0 and exited = Atomic.make 0 in
+  let registered = Domain.DLS.new_key (fun () -> false) in
+  for round = 1 to 200 do
+    let out =
+      Pool.map ~jobs:4
+        ~f:(fun x ->
+          if not (Domain.is_main_domain () || Domain.DLS.get registered) then begin
+            Domain.DLS.set registered true;
+            Atomic.incr started;
+            Domain.at_exit (fun () -> Atomic.incr exited)
+          end;
+          x + round)
+        (Array.init 8 Fun.id)
     in
-    drain ();
-    !count
-  in
-  let thieves = List.init 3 (fun _ -> Domain.spawn thief) in
-  let popped = ref 0 in
-  for i = 0 to n - 1 do
-    Deque.push d i;
-    if i land 7 = 0 then
-      match Deque.pop d with
-      | Some x ->
-          Atomic.incr taken.(x);
-          incr popped
-      | None -> ()
-  done;
-  Atomic.set stop true;
-  let stolen = List.fold_left (fun acc t -> acc + Domain.join t) 0 thieves in
-  Alcotest.(check int) "every element taken once" n (stolen + !popped);
-  Array.iteri
-    (fun i c ->
-      if Atomic.get c <> 1 then
-        Alcotest.failf "element %d taken %d times" i (Atomic.get c))
-    taken
+    Alcotest.(check (array int)) "batch result" (Array.init 8 (fun i -> i + round)) out;
+    Alcotest.(check int) "helpers exited" (Atomic.get started) (Atomic.get exited)
+  done
 
 let suite =
   [
@@ -361,16 +231,8 @@ let suite =
     Alcotest.test_case "race: first wins sequentially" `Quick test_race_first_wins_sequential;
     Alcotest.test_case "race: winner cancels losers" `Quick test_race_cancels_losers;
     Alcotest.test_case "race: all raise" `Quick test_race_all_raise;
-    Alcotest.test_case "race_best: deterministic ties" `Quick test_race_best_deterministic;
-    Alcotest.test_case "race_best: excludes raisers" `Quick test_race_best_excludes_raisers;
-    Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
     Alcotest.test_case "cancel deadlines" `Quick test_cancel_deadline;
-    Alcotest.test_case "retry: flaky task recovers" `Quick test_retry_fail_twice_then_succeed;
-    Alcotest.test_case "retry: permanent failure isolated" `Quick
-      test_retry_permanent_failure_isolated;
-    Alcotest.test_case "retry: per-attempt timeout" `Quick test_retry_per_attempt_timeout;
-    Alcotest.test_case "retry: argument validation" `Quick test_retry_validation;
     Alcotest.test_case "past deadline runs nothing" `Quick test_past_deadline_runs_nothing;
-    Alcotest.test_case "deque LIFO/FIFO and growth" `Quick test_deque_lifo_fifo;
-    Alcotest.test_case "deque concurrent steal" `Quick test_deque_concurrent_steal;
+    QCheck_alcotest.to_alcotest prop_map_contract;
+    Alcotest.test_case "helpers never outlive their batch" `Quick test_helpers_joined;
   ]

@@ -528,21 +528,25 @@ let test_client_timeout () =
 
 let test_client_server_death_mid_request () =
   (* The daemon dies after accepting the request but before replying: the
-     client sees End_of_file, not a hang and not a Timeout. *)
-  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  let c = Server.Client.of_fd a in
-  let killer =
-    Domain.spawn (fun () ->
-        (* Wait for the request bytes so the close is genuinely mid-request. *)
-        let buf = Bytes.create 256 in
-        ignore (Unix.read b buf 0 256);
-        Unix.close b)
-  in
-  (match Server.Client.request ~timeout_s:5.0 c {|{"op":"ping"}|} with
-  | reply -> Alcotest.failf "expected End_of_file, got reply %s" reply
-  | exception End_of_file -> ());
-  Domain.join killer;
-  Server.Client.close c
+     client sees End_of_file, not a hang and not a Timeout — also with a
+     timeout past the clock's range (1e10 s), which means no deadline. *)
+  List.iter
+    (fun timeout_s ->
+      let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      let c = Server.Client.of_fd a in
+      let killer =
+        Domain.spawn (fun () ->
+            (* Wait for the request bytes so the close is genuinely mid-request. *)
+            let buf = Bytes.create 256 in
+            ignore (Unix.read b buf 0 256);
+            Unix.close b)
+      in
+      (match Server.Client.request ~timeout_s c {|{"op":"ping"}|} with
+      | reply -> Alcotest.failf "expected End_of_file, got reply %s" reply
+      | exception End_of_file -> ());
+      Domain.join killer;
+      Server.Client.close c)
+    [ 5.0; 1e10 ]
 
 let test_client_failed_connect_closes_fd () =
   (* Retry loops dial a starting daemon every few milliseconds: a failed

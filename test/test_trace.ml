@@ -24,7 +24,8 @@ let distinct_tids evs =
   List.filter_map (member_num "tid") evs |> List.sort_uniq compare
 
 (* Spin for ~[ms] of wall time: long enough that with 2 domains and many
-   tasks, work stealing reliably spreads tasks over both tracks. *)
+   tasks, the shared task counter reliably spreads tasks over both
+   tracks. *)
 let busy ~ms () =
   let t0 = Unix.gettimeofday () in
   let spin = ref 0 in
