@@ -901,7 +901,6 @@ let serve_cmd =
         trace_out = trace;
         version = Cli_version.version;
         slow_ms;
-        runtime_events = true;
         bundle_dir;
         record_secs;
         triggers;

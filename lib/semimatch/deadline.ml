@@ -15,7 +15,6 @@ type result = {
   tier : tier;
   degraded : bool;
   lower_bound : float;
-  portfolio : Portfolio.result option;
   elapsed_s : float;
 }
 
@@ -119,10 +118,12 @@ let solve ?jobs ~budget_s h =
           Obs.Events.num "lower_bound" lower_bound;
         ]
   end;
-  { assignment; makespan; tier; degraded; lower_bound; portfolio; elapsed_s = elapsed () }
+  { assignment; makespan; tier; degraded; lower_bound; elapsed_s = elapsed () }
 
 type delta = {
-  d_repair : Repair.t;
+  d_choice : int array;
+  d_makespan : float;
+  d_lower_bound : float;
   d_tier : tier;
   d_degraded : bool;
   d_elapsed_s : float;
@@ -131,50 +132,27 @@ type delta = {
 let solve_surviving ?jobs ~dead ~budget_s h =
   let start = Obs.Span.now_ns () in
   let elapsed () = Int64.to_float (Int64.sub (Obs.Span.now_ns ()) start) *. 1e-9 in
-  let feasible, infeasible = Repair.feasible_split h dead in
-  let choice = Array.make h.H.n1 (-1) in
-  match Repair.surviving_machine h dead ~feasible with
+  let choice, res =
+    Repair.solve_survivors ~dead h (fun sub ->
+        let r = solve ?jobs ~budget_s sub in
+        (r.assignment, r))
+  in
+  match res with
   | None ->
       {
-        d_repair =
-          {
-            Repair.assignment = (if h.H.n1 = 0 then Some { Hyp_assignment.choice } else None);
-            choice;
-            affected = feasible;
-            moved = [];
-            infeasible;
-            makespan = 0.0;
-            lower_bound = 0.0;
-            resolved_from_scratch = true;
-          };
+        d_choice = choice;
+        d_makespan = 0.0;
+        d_lower_bound = 0.0;
         d_tier = Tier_greedy;
         d_degraded = false;
         d_elapsed_s = elapsed ();
       }
-  | Some s ->
-      let res = solve ?jobs ~budget_s s.Repair.sub in
-      Repair.choice_of_sub s res.assignment choice;
-      let assignment =
-        if Array.for_all (fun e -> e >= 0) choice then Some (Hyp_assignment.of_choices h choice)
-        else None
-      in
-      let moved = List.filter (fun v -> choice.(v) >= 0) feasible in
+  | Some r ->
       {
-        d_repair =
-          {
-            Repair.assignment;
-            choice;
-            affected = feasible;
-            moved;
-            infeasible;
-            (* Sub-processor loads equal original-processor loads (the
-               renumbering is a bijection on the survivors), so the
-               sub-instance makespan is the served makespan. *)
-            makespan = res.makespan;
-            lower_bound = res.lower_bound;
-            resolved_from_scratch = true;
-          };
-        d_tier = res.tier;
-        d_degraded = res.degraded;
+        d_choice = choice;
+        d_makespan = r.makespan;
+        d_lower_bound = r.lower_bound;
+        d_tier = r.tier;
+        d_degraded = r.degraded;
         d_elapsed_s = elapsed ();
       }

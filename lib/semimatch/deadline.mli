@@ -39,7 +39,6 @@ type result = {
   tier : tier;  (** the tier that produced [assignment] *)
   degraded : bool;
   lower_bound : float;  (** {!Lower_bound.multiproc_refined} *)
-  portfolio : Portfolio.result option;  (** when that tier ran *)
   elapsed_s : float;
 }
 
@@ -58,13 +57,16 @@ val solve : ?jobs:int -> budget_s:float -> Hyper.Graph.t -> result
     hyperedge ids so the result can replace a live incumbent in place. *)
 
 type delta = {
-  d_repair : Repair.t;
-      (** [choice] in original ids; [affected] = the feasible tasks,
-          [moved] = the scheduled ones, [infeasible] = tasks with no
-          surviving configuration, [resolved_from_scratch] = [true] *)
+  d_choice : int array;
+      (** chosen hyperedge id per task of the whole instance; [-1] for the
+          tasks with no surviving configuration *)
+  d_makespan : float;  (** of [d_choice]; [0.] when nothing survives *)
+  d_lower_bound : float;
+      (** {!Lower_bound.multiproc_refined} of the surviving machine; [0.]
+          when nothing survives *)
   d_tier : tier;
   d_degraded : bool;
-  d_elapsed_s : float;
+  d_elapsed_s : float;  (** including building the surviving machine *)
 }
 
 val solve_surviving :
@@ -74,7 +76,7 @@ val solve_surviving :
   Hyper.Graph.t ->
   delta
 (** [solve_surviving ~dead ~budget_s h] runs {!solve} on the surviving
-    machine ({!Repair.surviving_machine}).  With no surviving task or
-    processor the result is the empty schedule (makespan [0.], tier
-    greedy, not degraded).  Never raises on dead/infeasible structure —
-    only on malformed arguments ([Invalid_argument]). *)
+    machine ({!Repair.solve_survivors}).  With no surviving task the result
+    is the empty schedule (makespan [0.], tier greedy, not degraded).
+    Never raises on dead/infeasible structure — only on malformed arguments
+    ([Invalid_argument]). *)

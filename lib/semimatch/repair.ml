@@ -3,9 +3,9 @@ module H = Hyper.Graph
 let c_affected = Obs.Metrics.counter "semimatch.repair.affected"
 let c_moved = Obs.Metrics.counter "semimatch.repair.moved"
 let c_infeasible = Obs.Metrics.counter "semimatch.repair.infeasible"
+let c_placed = Obs.Metrics.counter "semimatch.repair.placed"
 
 type t = {
-  assignment : Hyp_assignment.t option;
   choice : int array;
   affected : int list;
   moved : int list;
@@ -16,6 +16,9 @@ type t = {
 }
 
 let default_cost _u load = load
+
+(* Passes of the restricted local search. *)
+let max_passes = 8
 
 let edge_alive h dead e =
   let ok = ref true in
@@ -57,16 +60,22 @@ let add_edge h loads e sign =
   let w = sign *. H.h_weight h e in
   H.iter_h_procs h e (fun u -> loads.(u) <- loads.(u) +. w)
 
-(* The surviving machine as a standalone instance: feasible tasks only,
-   surviving configurations only, surviving processors renumbered densely.
-   [task_of] / [orig_edge] translate the sub-solution back. *)
+(* The surviving machine as a standalone instance: the tasks that keep a
+   configuration free of dead processors (ascending), their surviving
+   configurations in input order, the surviving processors renumbered
+   densely; [None] when no task survives (configurations are never empty,
+   so then no processor is needed either).  [task_of] / [orig_edge]
+   translate a sub-solution back: [Graph.build] keeps a task's hyperedges
+   in insertion order, so the k-th sub-edge of sub-task [i] is
+   [orig_edge.(i).(k)]. *)
 type survivor = {
   sub : H.t;
   task_of : int array;  (* sub task id -> original task id *)
   orig_edge : int array array;  (* per sub task, k-th surviving edge's original id *)
 }
 
-let surviving_machine h dead ~feasible =
+let surviving_machine h dead =
+  check_args h dead;
   let proc_of = Array.make h.H.n2 (-1) in
   let n_surv = ref 0 in
   Array.iteri
@@ -76,11 +85,13 @@ let surviving_machine h dead ~feasible =
         incr n_surv
       end)
     dead;
-  if feasible = [] || !n_surv = 0 then None
+  let edges = Array.init h.H.n1 (fun v -> Array.of_list (surviving_edges h dead v)) in
+  let task_of = List.filter (fun v -> edges.(v) <> [||]) (List.init h.H.n1 Fun.id) in
+  if task_of = [] then None
   else begin
-    let task_of = Array.of_list feasible in
+    let task_of = Array.of_list task_of in
+    let orig_edge = Array.map (fun v -> edges.(v)) task_of in
     let n1 = Array.length task_of in
-    let orig_edge = Array.map (fun v -> Array.of_list (surviving_edges h dead v)) task_of in
     let hyperedges = Array.fold_left (fun acc es -> acc + Array.length es) 0 orig_edge in
     let pins = Array.fold_left (Array.fold_left (fun acc e -> acc + H.h_size h e)) 0 orig_edge in
     let b = H.builder ~n1 ~n2:!n_surv ~hyperedges ~pins in
@@ -92,20 +103,24 @@ let surviving_machine h dead ~feasible =
             H.end_hyperedge b ~task:i ~weight:(H.h_weight h e))
           edges)
       orig_edge;
-    let sub = H.build b in
-    Some { sub; task_of; orig_edge }
+    Some { sub = H.build b; task_of; orig_edge }
   end
 
-(* Map a sub-instance assignment back to original hyperedge ids.  The
-   sub-graph's hyperedges were inserted grouped by task in surviving-edge
-   order, and [Graph.build] preserves relative order within a task, so the
-   k-th sub-edge of sub-task [i] is [orig_edge.(i).(k)]. *)
-let choice_of_sub s (asg : Hyp_assignment.t) choice =
-  Array.iteri
-    (fun i e ->
-      let k = e - s.sub.H.task_off.(i) in
-      choice.(s.task_of.(i)) <- s.orig_edge.(i).(k))
-    asg.Hyp_assignment.choice
+let solve_survivors ~dead h solve =
+  let choice = Array.make h.H.n1 (-1) in
+  match surviving_machine h dead with
+  | None -> (choice, None)
+  | Some s ->
+      let asg, x = solve s.sub in
+      Array.iteri
+        (fun i e -> choice.(s.task_of.(i)) <- s.orig_edge.(i).(e - s.sub.H.task_off.(i)))
+        asg.Hyp_assignment.choice;
+      (choice, Some x)
+
+let lower_bound ~dead h =
+  match surviving_machine h dead with
+  | None -> 0.0
+  | Some s -> Lower_bound.multiproc_refined s.sub
 
 let loads_of_choice h choice =
   let loads = Array.make h.H.n2 0.0 in
@@ -145,7 +160,7 @@ let reinsert h cost loads tasks_edges =
 (* Warm-started local search restricted to the re-placed tasks: try every
    surviving configuration of each, accept a switch only on strict
    lexicographic improvement of (max effective load, Σ cost²). *)
-let restricted_search h dead cost loads choice tasks ~max_passes =
+let restricted_search h dead cost loads choice tasks =
   let improved = ref true and passes = ref 0 in
   while !improved && !passes < max_passes do
     improved := false;
@@ -178,11 +193,40 @@ let restricted_search h dead cost loads choice tasks ~max_passes =
       tasks
   done
 
-let survivor_lower_bound = function
-  | None -> 0.0
-  | Some s -> Lower_bound.multiproc_refined s.sub
+(* The one placement core: greedy re-insertion of [to_place] (each task
+   with its surviving configurations) onto [loads], then the restricted
+   search over those tasks.  Updates [choice] and [loads] in place. *)
+let settle h dead cost loads choice to_place =
+  let placed = reinsert h cost loads to_place in
+  List.iter (fun (v, e) -> choice.(v) <- e) placed;
+  restricted_search h dead cost loads choice (List.map fst placed)
 
-let finish h cost ~affected ~infeasible ~resolved_from_scratch old_choice choice =
+let place ~dead ~loads h =
+  check_args h dead;
+  if Array.length loads <> h.H.n2 then
+    invalid_arg "Repair.place: loads must have one slot per processor";
+  let to_place = ref [] in
+  for v = h.H.n1 - 1 downto 0 do
+    match surviving_edges h dead v with
+    | [] -> ()
+    | edges -> to_place := (v, edges) :: !to_place
+  done;
+  let choice = Array.make h.H.n1 (-1) in
+  settle h dead default_cost (Array.copy loads) choice !to_place;
+  let placed = List.length !to_place in
+  (* Every task of [h] starts unplaced, so each placement is a move. *)
+  Obs.Metrics.add c_placed placed;
+  Obs.Metrics.add c_moved placed;
+  if Obs.is_enabled () then
+    Obs.Events.emit "repair.place"
+      [
+        Obs.Events.int "tasks" h.H.n1;
+        Obs.Events.int "placed" placed;
+        Obs.Events.int "infeasible" (h.H.n1 - placed);
+      ];
+  choice
+
+let finish h cost ~affected ~infeasible ~lower_bound ~resolved_from_scratch old_choice choice =
   let moved = ref [] in
   Array.iteri
     (fun v e ->
@@ -190,106 +234,31 @@ let finish h cost ~affected ~infeasible ~resolved_from_scratch old_choice choice
       if e >= 0 && e <> was then moved := v :: !moved)
     choice;
   let moved = List.rev !moved in
-  let makespan = eff_makespan cost (loads_of_choice h choice) in
-  let assignment =
-    if Array.for_all (fun e -> e >= 0) choice then Some (Hyp_assignment.of_choices h choice)
-    else None
-  in
   Obs.Metrics.add c_moved (List.length moved);
   {
-    assignment;
     choice;
     affected;
     moved;
     infeasible;
-    makespan;
-    lower_bound = 0.0;
+    makespan = eff_makespan cost (loads_of_choice h choice);
+    lower_bound;
     resolved_from_scratch;
   }
 
-let feasible_split h dead =
-  check_args h dead;
-  let feasible = ref [] and infeasible = ref [] in
-  for v = h.H.n1 - 1 downto 0 do
-    if surviving_edges h dead v = [] then infeasible := v :: !infeasible
-    else feasible := v :: !feasible
-  done;
-  (!feasible, !infeasible)
-
 let resolve ?(cost = default_cost) ~dead h =
-  let feasible, infeasible = feasible_split h dead in
-  let feasible = ref feasible and infeasible = ref infeasible in
-  let machine = surviving_machine h dead ~feasible:!feasible in
-  let choice = Array.make h.H.n1 (-1) in
-  (match machine with
-  | None -> ()
-  | Some s ->
-      let asg = Greedy_hyper.run Greedy_hyper.Expected_vector_greedy_hyp s.sub in
-      choice_of_sub s asg choice);
-  let t =
-    finish h cost ~affected:!feasible ~infeasible:!infeasible ~resolved_from_scratch:true None
-      choice
+  let choice, lower_bound =
+    solve_survivors ~dead h (fun sub ->
+        ( Greedy_hyper.run Greedy_hyper.Expected_vector_greedy_hyp sub,
+          Lower_bound.multiproc_refined sub ))
   in
-  { t with lower_bound = survivor_lower_bound machine }
+  (* The surviving machine schedules every task that has a surviving
+     configuration, so the unscheduled ones are exactly the infeasible. *)
+  let feasible, infeasible = List.partition (fun v -> choice.(v) >= 0) (List.init h.H.n1 Fun.id) in
+  finish h cost ~affected:feasible ~infeasible
+    ~lower_bound:(Option.value lower_bound ~default:0.0)
+    ~resolved_from_scratch:true None choice
 
-let c_placed = Obs.Metrics.counter "semimatch.repair.placed"
-
-(* Delta application: (re-)place exactly the listed tasks against the loads
-   implied by the rest of [choice].  Purely incremental — no from-scratch
-   safety net; the scheduler service pairs this with a periodic
-   [Deadline.solve_surviving] instead. *)
-let place ?(max_passes = 8) ?(cost = default_cost) ?dead ~tasks h choice =
-  let dead = match dead with Some d -> d | None -> Array.make h.H.n2 false in
-  check_args h dead;
-  if Array.length choice <> h.H.n1 then
-    invalid_arg "Repair.place: choice must have one slot per task";
-  let listed = Array.make (Int.max 1 h.H.n1) false in
-  List.iter
-    (fun v ->
-      if v < 0 || v >= h.H.n1 then invalid_arg "Repair.place: task out of range";
-      listed.(v) <- true)
-    tasks;
-  Array.iteri
-    (fun v e ->
-      if (not listed.(v)) && e >= 0 then
-        if e >= H.num_hyperedges h || H.h_task h e <> v then
-          invalid_arg "Repair.place: choice slot is not a hyperedge of its task")
-    choice;
-  let affected = List.sort_uniq compare tasks in
-  let to_place = ref [] in
-  List.iter
-    (fun v ->
-      match surviving_edges h dead v with
-      | [] -> ()
-      | edges -> to_place := (v, edges) :: !to_place)
-    (List.rev affected);
-  let old = Array.copy choice in
-  let choice = Array.copy choice in
-  List.iter (fun v -> choice.(v) <- -1) affected;
-  let loads = loads_of_choice h choice in
-  let placed = reinsert h cost loads !to_place in
-  List.iter (fun (v, e) -> choice.(v) <- e) placed;
-  restricted_search h dead cost loads choice (List.map fst placed) ~max_passes;
-  (* Infeasible: every slot still unplaced — listed tasks with no surviving
-     configuration and carried-over unplaced ones alike. *)
-  let infeasible = ref [] in
-  for v = h.H.n1 - 1 downto 0 do
-    if choice.(v) < 0 then infeasible := v :: !infeasible
-  done;
-  let infeasible = !infeasible in
-  Obs.Metrics.add c_placed (List.length placed);
-  if Obs.is_enabled () then
-    Obs.Events.emit "repair.place"
-      [
-        Obs.Events.int "tasks" (List.length affected);
-        Obs.Events.int "placed" (List.length placed);
-        Obs.Events.int "infeasible" (List.length infeasible);
-      ];
-  let t = finish h cost ~affected ~infeasible ~resolved_from_scratch:false (Some old) choice in
-  let feasible = List.filter (fun v -> choice.(v) >= 0) (List.init h.H.n1 Fun.id) in
-  { t with lower_bound = survivor_lower_bound (surviving_machine h dead ~feasible) }
-
-let repair ?(max_passes = 8) ?(cost = default_cost) ~dead h (a : Hyp_assignment.t) =
+let repair ?(cost = default_cost) ~dead h (a : Hyp_assignment.t) =
   check_args h dead;
   if not (Hyp_assignment.is_valid h a) then invalid_arg "Repair.repair: invalid assignment";
   let old = a.Hyp_assignment.choice in
@@ -317,24 +286,22 @@ let repair ?(max_passes = 8) ?(cost = default_cost) ~dead h (a : Hyp_assignment.
       Obs.Events.emit ~level:Obs.Events.Warn "repair.infeasible"
         [ Obs.Events.int "tasks" (List.length infeasible) ]
   end;
-  (* Incremental candidate: keep the unaffected placements, greedily
-     re-insert the displaced tasks, then polish only those. *)
+  (* Incremental candidate: keep the unaffected placements, settle the
+     displaced tasks onto the loads of the rest. *)
   let choice = Array.copy old in
   List.iter (fun v -> choice.(v) <- -1) affected;
   let loads = loads_of_choice h choice in
-  let placed = reinsert h cost loads !to_place in
-  List.iter (fun (v, e) -> choice.(v) <- e) placed;
-  restricted_search h dead cost loads choice (List.map fst placed) ~max_passes;
+  settle h dead cost loads choice !to_place;
   let incremental = eff_makespan cost loads in
   (* Safety net: the from-scratch re-solve on the surviving machine.  Repair
      must never lose to it, so take whichever schedule prices better. *)
   let scratch = resolve ~cost ~dead h in
+  let resolved_from_scratch = scratch.makespan < incremental in
   let final =
-    if scratch.makespan < incremental then
-      finish h cost ~affected ~infeasible ~resolved_from_scratch:true (Some old) scratch.choice
-    else finish h cost ~affected ~infeasible ~resolved_from_scratch:false (Some old) choice
+    finish h cost ~affected ~infeasible ~lower_bound:scratch.lower_bound ~resolved_from_scratch
+      (Some old)
+      (if resolved_from_scratch then scratch.choice else choice)
   in
-  let final = { final with lower_bound = scratch.lower_bound } in
   if Obs.is_enabled () then
     Obs.Events.emit "repair.done"
       [

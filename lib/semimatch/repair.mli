@@ -18,11 +18,7 @@
     rest of the schedule is still valid. *)
 
 type t = {
-  assignment : Hyp_assignment.t option;
-      (** the repaired schedule; [None] iff some task is infeasible *)
-  choice : int array;
-      (** per-task chosen hyperedge id, [-1] for infeasible tasks — usable
-          even when [assignment] is [None] *)
+  choice : int array;  (** per-task chosen hyperedge id, [-1] for infeasible tasks *)
   affected : int list;  (** tasks whose old configuration touched a dead processor *)
   moved : int list;  (** tasks whose final choice differs from the old one *)
   infeasible : int list;  (** tasks with no surviving configuration *)
@@ -30,15 +26,12 @@ type t = {
       (** max over processors of [cost u load_u] for the scheduled tasks;
           [0.] when nothing is scheduled *)
   lower_bound : float;
-      (** {!Lower_bound.multiproc_refined} of the surviving machine (feasible
-          tasks, surviving configurations, surviving processors); [0.] when
-          either side is empty *)
+      (** {!val-lower_bound} of [dead] and the instance *)
   resolved_from_scratch : bool;
       (** true when the from-scratch re-solve beat the incremental repair *)
 }
 
 val repair :
-  ?max_passes:int ->
   ?cost:(int -> float -> float) ->
   dead:bool array ->
   Hyper.Graph.t ->
@@ -49,8 +42,8 @@ val repair :
     completion time of [load] raw work on processor [u] (default: the load
     itself); pass [Faults.finish_time d] to price slowdowns and stalls into
     the repair decisions.  It must be monotone in the load and map zero load
-    to [0.].  [max_passes] (default 8) bounds the restricted local search.
-    Never raises on dead/infeasible structure — only on malformed arguments
+    to [0.].  The restricted local search runs at most 8 passes.  Never
+    raises on dead/infeasible structure — only on malformed arguments
     ([Invalid_argument]). *)
 
 val resolve : ?cost:(int -> float -> float) -> dead:bool array -> Hyper.Graph.t -> t
@@ -59,55 +52,45 @@ val resolve : ?cost:(int -> float -> float) -> dead:bool array -> Hyper.Graph.t 
     contract as {!repair}; [affected] and [moved] list every feasible task
     and [resolved_from_scratch] is [true]. *)
 
+(** {2 The surviving machine}
+
+    The tasks that keep a configuration free of dead processors, those
+    configurations, and the surviving processors renumbered densely, as a
+    standalone instance.  Both take a [dead] mask of length [n2] and raise
+    [Invalid_argument] otherwise. *)
+
+val solve_survivors :
+  dead:bool array ->
+  Hyper.Graph.t ->
+  (Hyper.Graph.t -> Hyp_assignment.t * 'a) ->
+  int array * 'a option
+(** [solve_survivors ~dead h solve] runs [solve] on the surviving machine
+    and maps its assignment back to hyperedge ids of [h]: every task with a
+    surviving configuration gets one, the others [-1].  Returns that choice
+    vector and [solve]'s second component; [(all -1, None)] without
+    calling [solve] when no task survives.  Processor loads are the same on
+    both sides (the renumbering is a bijection on the survivors), so a
+    makespan of the sub-instance is one of [h]. *)
+
+val lower_bound : dead:bool array -> Hyper.Graph.t -> float
+(** {!Lower_bound.multiproc_refined} of the surviving machine; [0.] when no
+    task survives. *)
+
 (** {2 Delta application}
 
     The scheduler service ([lib/server]) keeps one instance resident and
-    mutates it as tasks arrive and depart; these entry points apply such a
-    delta to an existing choice vector without re-solving the rest of the
-    schedule. *)
+    mutates it as tasks arrive and depart.  It places only the delta, with
+    the same core {!repair} uses, against the loads of everything that
+    stays put. *)
 
-val place :
-  ?max_passes:int ->
-  ?cost:(int -> float -> float) ->
-  ?dead:bool array ->
-  tasks:int list ->
-  Hyper.Graph.t ->
-  int array ->
-  t
-(** [place ~tasks h choice] (re-)places exactly the listed tasks against
-    the loads implied by the rest of [choice]: greedy re-insertion onto the
-    cheapest surviving configuration (fewest-options-first), then the
-    restricted local search over the listed tasks only.  Unlisted tasks
-    keep their slots untouched — a slot must be a hyperedge of its task or
-    [-1] (an unplaced task, whose load is simply absent).  [dead] (default:
-    all alive) masks processors exactly as in {!repair}.
+val place : dead:bool array -> loads:float array -> Hyper.Graph.t -> int array
+(** [place ~dead ~loads h] places every task of [h] against the processor
+    loads [loads] (length [n2]; not modified) of the tasks that stay put:
+    greedy re-insertion onto the cheapest surviving configuration
+    (fewest-options-first, ties by task id), then the restricted local
+    search over the placed tasks.  Returns the chosen hyperedge per task of
+    [h], [-1] when none of its configurations survives.
 
     Unlike {!repair} there is no from-scratch safety net: [place] is the
     {e cheap} incremental path, and callers that want the guarantee run a
-    periodic {!Deadline.solve_surviving} instead.  [affected] lists the
-    requested tasks, [infeasible] every task left at [-1] (listed tasks
-    with no surviving configuration {e and} carried-over unplaced ones),
-    [moved] the slots that changed, and [lower_bound] the refined bound of
-    the surviving machine.  [assignment] is [Some] iff no slot is [-1]. *)
-
-type survivor = {
-  sub : Hyper.Graph.t;  (** surviving machine as a standalone instance *)
-  task_of : int array;  (** sub task id → original task id *)
-  orig_edge : int array array;
-      (** per sub task, the k-th surviving edge's original hyperedge id *)
-}
-
-val feasible_split : Hyper.Graph.t -> bool array -> int list * int list
-(** [(feasible, infeasible)] task ids under the dead mask, both ascending:
-    a task is feasible when it keeps at least one configuration free of
-    dead processors. *)
-
-val surviving_machine : Hyper.Graph.t -> bool array -> feasible:int list -> survivor option
-(** The feasible tasks and their surviving configurations, processors
-    renumbered densely; [None] when no task or no processor survives.
-    Sub-hyperedge order matches surviving-edge order per task, so solutions
-    map back through {!choice_of_sub}. *)
-
-val choice_of_sub : survivor -> Hyp_assignment.t -> int array -> unit
-(** Write a sub-instance assignment back into an original-id choice vector
-    (slots of tasks absent from the survivor are left untouched). *)
+    periodic {!Deadline.solve_surviving} instead. *)

@@ -8,7 +8,6 @@ type opts = {
   trace_out : string option;
   version : string;
   slow_ms : float;
-  runtime_events : bool;
   bundle_dir : string option;
   record_secs : float;
   triggers : Obs.Anomaly.rule list;
@@ -16,26 +15,6 @@ type opts = {
   fsync : Journal.policy;
   checkpoint_secs : float;
 }
-
-let default_opts =
-  {
-    socket_path = None;
-    tcp_port = None;
-    jobs = 1;
-    max_pending = 64;
-    max_frame = Protocol.default_max_frame;
-    events_log = None;
-    trace_out = None;
-    version = "dev";
-    slow_ms = 100.0;
-    runtime_events = true;
-    bundle_dir = None;
-    record_secs = 0.0;
-    triggers = [];
-    persist_dir = None;
-    fsync = Journal.Interval 0.1;
-    checkpoint_secs = 60.0;
-  }
 
 type conn = {
   fd : Unix.file_descr;
@@ -136,7 +115,7 @@ let run opts =
    with Invalid_argument _ -> ());
   (try Sys.set_signal Sys.sigint (Sys.Signal_handle (fun _ -> on_signal "SIGINT"))
    with Invalid_argument _ -> ());
-  if opts.runtime_events then Obs.Runtime.start ();
+  Obs.Runtime.start ();
   (* Flight recorder: size the rings for the requested window and start the
      periodic exposition snapshots. *)
   if opts.record_secs > 0.0 then
@@ -228,7 +207,7 @@ let run opts =
         Engine.drain engine;
         (* Replay whatever GC/runtime activity the round produced into the
            span ring, so the trace interleaves it with the request spans. *)
-        if opts.runtime_events then ignore (Obs.Runtime.poll ());
+        ignore (Obs.Runtime.poll ());
         (* Recorder snapshot + periodic anomaly poll (heap growth). *)
         Engine.tick engine;
         List.iter (fun c -> if c.closed then try Unix.close c.fd with Unix.Unix_error _ -> ()) !conns;
@@ -239,7 +218,7 @@ let run opts =
   | Some s -> Obs.Events.emit "server.signal_shutdown" [ Obs.Events.str "signal" s ]);
   Atomic.set wd_stop true;
   Option.iter Domain.join watchdog;
-  if opts.runtime_events then Obs.Runtime.stop ();
+  Obs.Runtime.stop ();
   (* Final checkpoint + journal close before the logs are written, so the
      checkpoint event itself lands in the event log. *)
   Engine.close_persist engine;

@@ -19,11 +19,10 @@ type opts = {
   events_log : string option;  (** written as JSON lines on shutdown *)
   trace_out : string option;
       (** Chrome/Perfetto trace written on shutdown — request spans
-          interleaved with GC tracks when [runtime_events] is on *)
+          interleaved with the GC tracks of OCaml [Runtime_events], which
+          the daemon polls every select round *)
   version : string;  (** echoed in [stats] replies *)
   slow_ms : float;  (** slow-request log threshold; [<= 0] disables *)
-  runtime_events : bool;
-      (** subscribe to OCaml [Runtime_events] and poll every select round *)
   bundle_dir : string option;
       (** where anomaly-triggered and [dump]-forced diagnostic bundles are
           written; [None] disables bundling (firings are still logged) *)
@@ -40,14 +39,6 @@ type opts = {
   fsync : Journal.policy;  (** journal fsync policy *)
   checkpoint_secs : float;  (** checkpoint cadence; [<= 0] only on shutdown *)
 }
-
-val default_opts : opts
-(** No listeners (the caller must set at least one), [jobs = 1],
-    [max_pending = 64], [max_frame = {!Protocol.default_max_frame}], no
-    event log, no trace, [version = "dev"], [slow_ms = 100.],
-    [runtime_events = true], no bundle dir, no recorder window, no
-    triggers, no persist dir, [fsync = Interval 0.1],
-    [checkpoint_secs = 60.]. *)
 
 val run : opts -> unit
 (** Serve until a [shutdown] request or a SIGTERM/SIGINT (both graceful:

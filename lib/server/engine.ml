@@ -153,11 +153,8 @@ let event op session =
     Obs.Events.emit "server.request"
       (Obs.Events.str "op" op :: (match session with None -> [] | Some s -> [ Obs.Events.str "session" s ]))
 
-let repair_fields (r : Semimatch.Repair.t) =
-  [
-    ("moved", int_j (List.length r.Semimatch.Repair.moved));
-    ("infeasible", int_j (List.length r.Semimatch.Repair.infeasible));
-  ]
+let placed_fields (p : Session.placed) =
+  [ ("moved", int_j p.Session.moved); ("infeasible", int_j p.Session.unplaced) ]
 
 (* How a handler refuses a request: [apply] turns it into the error reply. *)
 exception Refused of P.error_code * string
@@ -490,20 +487,20 @@ type record =
          of the request could diverge (a [path] source may change, a
          budgeted search is time-dependent, a spool file is gone) *)
 
-(* A run of add_tasks for one session: one graph rebuild and one
-   Repair.place pass.  Returns each request's reply fields, tagged with the
-   batch size it rode in. *)
+(* A run of add_tasks for one session: one Repair.place pass over the new
+   tasks.  Returns each request's reply fields, tagged with the batch size
+   it rode in. *)
 let add_tasks t session batch =
   let s = find_session t session in
   match Session.add_tasks s batch with
   | Error msg -> refuse P.Bad_request msg
-  | Ok (tids, r) ->
+  | Ok (tids, p) ->
       let n = List.length batch in
       let makespan = Session.makespan s in
       List.map
         (fun tid ->
           [ ("tid", int_j tid); ("batched", int_j n); ("makespan", J.Num makespan) ]
-          @ repair_fields r)
+          @ placed_fields p)
         tids
 
 (* One request: its reply fields and what the journal must record.  Failures
@@ -511,16 +508,16 @@ let add_tasks t session batch =
 let handle t = function
   | P.Ping -> ([ ("pong", J.Bool true) ], Nothing)
   | P.Load { session; source } ->
-      let s, r = Session.of_graph ~id:session (load_graph source) in
+      let s, p = Session.of_graph ~id:session (load_graph source) in
       Hashtbl.replace t.registry session s;
       ( [
           ("session", J.Str session);
           ("tasks", int_j (Session.n_tasks s));
           ("procs", int_j (Session.n_procs s));
           ("makespan", J.Num (Session.makespan s));
-          ("lower_bound", J.Num r.Semimatch.Repair.lower_bound);
+          ("lower_bound", J.Num (Session.lower_bound s));
         ]
-        @ repair_fields r,
+        @ placed_fields p,
         State s )
   | P.Add_task { session; configs } -> (List.hd (add_tasks t session [ configs ]), Raw)
   | P.Remove_task { session; task } -> (
@@ -531,13 +528,13 @@ let handle t = function
       let s = find_session t session in
       match Session.kill_proc s proc with
       | Error msg -> refuse P.Bad_request msg
-      | Ok r ->
+      | Ok p ->
           ( [
               ("proc", int_j proc);
-              ("affected", int_j (List.length r.Semimatch.Repair.affected));
+              ("affected", int_j p.Session.affected);
               ("makespan", J.Num (Session.makespan s));
             ]
-            @ repair_fields r,
+            @ placed_fields p,
             Raw ))
   | P.Resolve { session; budget_ms } ->
       let s = find_session t session in
@@ -548,7 +545,7 @@ let handle t = function
           ("degraded", J.Bool d.Semimatch.Deadline.d_degraded);
           ("replaced", J.Bool replaced);
           ("makespan", J.Num (Session.makespan s));
-          ("lower_bound", J.Num d.Semimatch.Deadline.d_repair.Semimatch.Repair.lower_bound);
+          ("lower_bound", J.Num d.Semimatch.Deadline.d_lower_bound);
           ("elapsed_ms", J.Num (1000.0 *. d.Semimatch.Deadline.d_elapsed_s));
         ],
         (* An unadopted resolve left the incumbent untouched. *)
@@ -559,9 +556,8 @@ let handle t = function
       ( [
           ("tier", J.Str (Semimatch.Deadline.tier_name d.Semimatch.Deadline.d_tier));
           ("makespan", J.Num (Session.makespan s));
-          ("lower_bound", J.Num d.Semimatch.Deadline.d_repair.Semimatch.Repair.lower_bound);
-          ( "infeasible",
-            int_j (List.length d.Semimatch.Deadline.d_repair.Semimatch.Repair.infeasible) );
+          ("lower_bound", J.Num d.Semimatch.Deadline.d_lower_bound);
+          ("infeasible", int_j (List.length (Session.unplaced s)));
           ("elapsed_ms", J.Num (1000.0 *. d.Semimatch.Deadline.d_elapsed_s));
         ],
         State s )
@@ -705,7 +701,7 @@ let handle t = function
               (* In-core fallback: the instance becomes a resident session
                  exactly as [load] would make it (greedy incumbent; the
                  client can [solve]/[resolve] from here on). *)
-              let s, r = Session.of_graph ~id:session h in
+              let s, p = Session.of_graph ~id:session h in
               Hashtbl.replace t.registry session s;
               ( base
                 @ [
@@ -714,7 +710,7 @@ let handle t = function
                     ("procs", int_j (Session.n_procs s));
                     ("session_makespan", J.Num (Session.makespan s));
                   ]
-                @ repair_fields r,
+                @ placed_fields p,
                 State s )
           | None -> (base @ [ ("resident", J.Bool false) ], Nothing)))
 

@@ -7,8 +7,9 @@
     call {!drain} to process everything queued.  When the queue is full,
     {!post} replies [busy] immediately instead of buffering — backpressure
     the client can see.  {!drain} coalesces consecutive [add_task]
-    requests for the same session into one {!Semimatch.Repair.place} pass
-    (each request still gets its own reply, tagged with the batch size); a
+    requests for the same session into one {!Session.add_tasks} call, one
+    {!Semimatch.Repair.place} pass over just the new tasks (each request
+    still gets its own reply, tagged with the batch size); a
     request whose ["idem"] id is already in the batch ends it and is
     answered from the idempotency cache instead.
 

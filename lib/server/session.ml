@@ -25,7 +25,10 @@ let unplaced t =
     (fun e -> if e.chosen < 0 then Some e.tid else None)
     (Array.to_list t.entries)
 
-let makespan t =
+(* Processor loads of the placed entries, summed in entry order: the order
+   a from-scratch sum over the session graph adds them in, so placement
+   sees bit-identical loads whatever the weights. *)
+let loads t =
   let loads = Array.make t.n2 0.0 in
   Array.iter
     (fun e ->
@@ -34,47 +37,54 @@ let makespan t =
         Array.iter (fun u -> loads.(u) <- loads.(u) +. c.Protocol.weight) c.Protocol.procs
       end)
     t.entries;
-  Array.fold_left Float.max 0.0 loads
+  loads
+
+let makespan t = Array.fold_left Float.max 0.0 (loads t)
+
+(* Task [i] of the graph is [entries.(i)] with its configurations in entry
+   order, so config [k] of entry [i] is hyperedge [task_off.(i) + k]. *)
+let graph_of n2 entries =
+  let hyperedges = ref 0 and pins = ref 0 in
+  Array.iter
+    (fun e ->
+      hyperedges := !hyperedges + Array.length e.configs;
+      Array.iter (fun c -> pins := !pins + Array.length c.Protocol.procs) e.configs)
+    entries;
+  let b = H.builder ~n1:(Array.length entries) ~n2 ~hyperedges:!hyperedges ~pins:!pins in
+  Array.iteri
+    (fun i e ->
+      Array.iter
+        (fun c -> H.add b ~task:i ~procs:c.Protocol.procs ~weight:c.Protocol.weight)
+        e.configs)
+    entries;
+  H.build b
 
 let graph t =
   match t.cache with
   | Some h -> h
   | None ->
-      let hyperedges = ref 0 and pins = ref 0 in
-      Array.iter
-        (fun e ->
-          hyperedges := !hyperedges + Array.length e.configs;
-          Array.iter (fun c -> pins := !pins + Array.length c.Protocol.procs) e.configs)
-        t.entries;
-      let b =
-        H.builder ~n1:(Array.length t.entries) ~n2:t.n2 ~hyperedges:!hyperedges ~pins:!pins
-      in
-      Array.iteri
-        (fun i e ->
-          Array.iter
-            (fun c -> H.add b ~task:i ~procs:c.Protocol.procs ~weight:c.Protocol.weight)
-            e.configs)
-        t.entries;
-      let h = H.build b in
+      let h = graph_of t.n2 t.entries in
       t.cache <- Some h;
       h
 
-(* Hyperedge-id view of the per-entry chosen configuration indices.  The
-   graph groups hyperedges by task preserving insertion order, so config
-   [k] of entry [i] is hyperedge [task_off.(i) + k]. *)
-let choice_array t h =
-  Array.mapi (fun i e -> if e.chosen < 0 then -1 else h.H.task_off.(i) + e.chosen) t.entries
-
-let write_back t h choice =
+(* [h] is [graph_of _ entries]; [choice] holds one hyperedge id per task. *)
+let write_back entries h choice =
   Array.iteri
     (fun i e -> e.chosen <- (if choice.(i) < 0 then -1 else choice.(i) - h.H.task_off.(i)))
-    t.entries
+    entries
 
-let place t tasks =
-  let h = graph t in
-  let r = Repair.place ~dead:t.dead ~tasks h (choice_array t h) in
-  write_back t h r.Repair.choice;
-  r
+let count_unplaced entries = Array.fold_left (fun n e -> if e.chosen < 0 then n + 1 else n) 0 entries
+
+type placed = { affected : int; moved : int; unplaced : int }
+
+(* (Re-)place exactly the [listed] entries (ascending) against the loads of
+   the others: only their graph is built. *)
+let place t listed =
+  Array.iter (fun e -> e.chosen <- -1) listed;
+  let h = graph_of t.n2 listed in
+  write_back listed h (Repair.place ~dead:t.dead ~loads:(loads t) h);
+  let n = Array.length listed in
+  { affected = n; moved = n - count_unplaced listed; unplaced = count_unplaced t.entries }
 
 let of_graph ~id h =
   let entries =
@@ -89,8 +99,9 @@ let of_graph ~id h =
   let t =
     { id; n2 = h.H.n2; dead = Array.make h.H.n2 false; next_tid = h.H.n1; entries; cache = None }
   in
-  let r = place t (List.init (Array.length entries) Fun.id) in
-  (t, r)
+  (t, place t entries)
+
+let lower_bound t = Repair.lower_bound ~dead:t.dead (graph t)
 
 let index_of t tid =
   let found = ref (-1) in
@@ -124,20 +135,19 @@ let add_tasks t configs_list =
   match !bad with
   | Some msg -> Error msg
   | None ->
-      let base = Array.length t.entries in
       let fresh =
-        List.map
-          (fun configs ->
-            let tid = t.next_tid in
-            t.next_tid <- tid + 1;
-            { tid; configs = Array.of_list configs; chosen = -1 })
-          configs_list
+        Array.of_list
+          (List.map
+             (fun configs ->
+               let tid = t.next_tid in
+               t.next_tid <- tid + 1;
+               { tid; configs = Array.of_list configs; chosen = -1 })
+             configs_list)
       in
-      t.entries <- Array.append t.entries (Array.of_list fresh);
+      t.entries <- Array.append t.entries fresh;
       t.cache <- None;
-      let added = List.mapi (fun k _ -> base + k) fresh in
-      let r = place t added in
-      Ok (List.map (fun e -> e.tid) fresh, r)
+      let p = place t fresh in
+      Ok (Array.to_list (Array.map (fun e -> e.tid) fresh), p)
 
 let remove_task t tid =
   let i = index_of t tid in
@@ -156,34 +166,29 @@ let kill_proc t proc =
     (* Re-place the tasks whose chosen configuration touched the dead
        processor, and retry the already-unplaced ones (they stay
        infeasible, but are re-reported under the new mask). *)
-    let tasks = ref [] in
-    Array.iteri
-      (fun i e ->
-        if e.chosen < 0 then tasks := i :: !tasks
-        else if Array.exists (fun u -> u = proc) e.configs.(e.chosen).Protocol.procs then
-          tasks := i :: !tasks)
-      t.entries;
-    Ok (place t (List.rev !tasks))
+    let touched e =
+      e.chosen < 0 || Array.mem proc e.configs.(e.chosen).Protocol.procs
+    in
+    Ok (place t (Array.of_list (List.filter touched (Array.to_list t.entries))))
   end
 
 let resolve ?jobs ~budget_s t =
   let h = graph t in
   let d = Deadline.solve_surviving ?jobs ~dead:t.dead ~budget_s h in
-  let replaced = d.Deadline.d_repair.Repair.makespan < makespan t in
-  if replaced then write_back t h d.Deadline.d_repair.Repair.choice;
+  let replaced = d.Deadline.d_makespan < makespan t in
+  if replaced then write_back t.entries h d.Deadline.d_choice;
   (d, replaced)
 
 let solve ?jobs t =
   let h = graph t in
   let d = Deadline.solve_surviving ?jobs ~dead:t.dead ~budget_s:1e9 h in
-  write_back t h d.Deadline.d_repair.Repair.choice;
+  write_back t.entries h d.Deadline.d_choice;
   d
 
-(* Feasibility recompute, for post-recovery verification: a restored
-   schedule must not pin any task on a processor recorded dead (restore
-   validates ranges but accepts any chosen index; a live session can never
-   reach this state because kill_proc re-places the affected tasks). *)
-let verify t =
+(* The first task pinned on a processor recorded dead.  A live session never
+   has one (kill_proc re-places the affected tasks), and restore rejects a
+   state that does. *)
+let placed_on_dead t =
   let bad = ref None in
   Array.iter
     (fun e ->
@@ -194,11 +199,12 @@ let verify t =
               bad := Some (Printf.sprintf "task %d placed on dead processor %d" e.tid u))
           e.configs.(e.chosen).Protocol.procs)
     t.entries;
-  match !bad with
+  !bad
+
+let verify t =
+  match placed_on_dead t with
   | Some msg -> Error msg
-  | None ->
-      if Float.is_finite (makespan t) then Ok ()
-      else Error "non-finite makespan"
+  | None -> if Float.is_finite (makespan t) then Ok () else Error "non-finite makespan"
 
 (* --- snapshot / restore: the instance rides through Hyper.Io text --- *)
 
@@ -290,4 +296,5 @@ let restore ~id state =
         in
         { tid = tids.(i); configs; chosen = chosen.(i) })
   in
-  Ok { id; n2 = h.H.n2; dead; next_tid; entries; cache = Some h }
+  let t = { id; n2 = h.H.n2; dead; next_tid; entries; cache = Some h } in
+  match placed_on_dead t with Some msg -> Error msg | None -> Ok t

@@ -2,12 +2,14 @@
     instance plus its incumbent schedule, mutated in place as tasks arrive
     and depart and processors die.
 
-    Tasks carry stable external ids ([tid]s) that survive removals; the
-    dense {!Hyper.Graph} view (and the hyperedge-id choice vector) is
-    rebuilt lazily from the entry list whenever the structure changed, in
-    insertion order, so a rebuilt graph is deterministic in the session
-    history.  Mutations go through {!Semimatch.Repair.place} — only the
-    delta is re-placed, the rest of the schedule stays put — while
+    Tasks carry stable external ids ([tid]s) that survive removals.  The
+    session keeps an entry list in insertion order (each task's
+    configurations and the index of its chosen one).  [add_tasks],
+    [kill_proc] and [of_graph] build a {!Hyper.Graph} of just the entries
+    they (re-)place, and {!Semimatch.Repair.place} places those against the
+    loads of the others; the rest of the schedule stays put.  The graph of
+    the whole session is built lazily from the same entries, in the same
+    order, for {!lower_bound}, {!resolve}, {!solve}, snapshots and bundles.
     {!resolve} runs the budgeted from-scratch
     {!Semimatch.Deadline.solve_surviving} and adopts its schedule only when
     it is strictly better than the incumbent. *)
@@ -24,11 +26,20 @@ val unplaced : t -> int list
 val makespan : t -> float
 (** Max processor load of the incumbent schedule ([0.] when empty). *)
 
-val of_graph : id:string -> Hyper.Graph.t -> t * Semimatch.Repair.t
+type placed = {
+  affected : int;  (** entries (re-)placed: the new ones, or those a kill touched *)
+  moved : int;  (** of those, the ones that received a configuration *)
+  unplaced : int;  (** tasks of the whole session left without one *)
+}
+
+val of_graph : id:string -> Hyper.Graph.t -> t * placed
 (** Adopt the graph's tasks (tids [0..n1-1]) and greedily place them all. *)
 
-val add_tasks :
-  t -> Protocol.config list list -> (int list * Semimatch.Repair.t, string) result
+val lower_bound : t -> float
+(** The refined lower bound of the session's surviving machine
+    ({!Semimatch.Repair.lower_bound}), as the [load] reply carries it. *)
+
+val add_tasks : t -> Protocol.config list list -> (int list * placed, string) result
 (** Append one task per configuration list and place them all in one
     {!Semimatch.Repair.place} pass (the batch path); returns the fresh
     [tid]s in request order.  [Error] (validation: processor range,
@@ -38,7 +49,7 @@ val remove_task : t -> int -> (float, string) result
 (** Drop a task by [tid]; its load vanishes, nothing else moves.  Returns
     the new makespan. *)
 
-val kill_proc : t -> int -> (Semimatch.Repair.t, string) result
+val kill_proc : t -> int -> (placed, string) result
 (** Mark a processor dead and incrementally re-place the tasks whose chosen
     configuration touched it (plus any still-unplaced ones).  Idempotent. *)
 
@@ -68,4 +79,5 @@ val snapshot : t -> Obs.Json.t
 val restore : id:string -> Obs.Json.t -> (t, string) result
 (** Inverse of {!snapshot}: restoring and continuing is byte-identical to
     never having snapshotted.  [Error] on malformed or inconsistent
-    state. *)
+    state, a task placed on a dead processor included (with the message
+    {!verify} gives). *)

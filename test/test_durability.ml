@@ -230,7 +230,7 @@ let test_idempotency_dedup () =
 
 (* --- recovery of a coalesced add_task batch ------------------------------ *)
 
-(* Six add_tasks drained together are one Repair.place pass and one journal
+(* Six add_tasks drained together are one placement pass and one journal
    group; recovery must replay them as one step.  On this instance the same
    adds sent one at a time place differently, so a lost batch boundary
    changes the recovered snapshot. *)

@@ -171,7 +171,6 @@ let test_repair_infeasible_reported () =
   let a = A.of_choices h [| 0; 1 |] in
   let dead = [| true; false |] in
   let r = R.repair ~dead h a in
-  check "assignment withheld" true (r.R.assignment = None);
   check "task 0 infeasible" true (r.R.infeasible = [ 0 ]);
   check "task 0 unplaced" true (r.R.choice.(0) = -1);
   check "task 1 survives on proc 1" true (r.R.choice.(1) = 2);

@@ -191,6 +191,92 @@ let test_matching_digest () =
   Alcotest.(check string)
     "matchings and exact assignments" "d42685625869f4b4bde9c4221fb67cf7" (matching_digest ())
 
+(* Daemon decisions: a seeded request script through one [Server.Engine]
+   (40-160 tasks on 7 or 24 processors), with runs of up to four add_tasks
+   drained as one batch, removals anywhere in the session, a few processor
+   kills, generous resolves and snapshots, then a final solve and snapshot.
+   Weights are tenths, so loads are inexact sums: a placement that adds
+   them in another order shows up.  One MD5 covers every reply with
+   [elapsed_ms] blanked.  Pinned from the build that rebuilt the whole
+   session graph on every add_task, so placing only the new tasks must
+   reproduce every reply and snapshot. *)
+let daemon_rounds ~seed ~steps =
+  let module J = Obs.Json in
+  let rng = Randkit.Prng.create ~seed in
+  let int k = Randkit.Prng.int rng k in
+  let tenths () = float_of_int (1 + int 40) /. 10.0 in
+  let p = if int 2 = 0 then 7 else 24 in
+  let n = 40 + int 121 in
+  let h =
+    Hyper.Generate.generate rng ~family:Hyper.Generate.Fewg_manyg ~n ~p ~dv:3 ~dh:2
+      ~g:(if p = 7 then 1 else 4) ~weights:Hyper.Weights.Unit
+  in
+  let h = Hyper.Graph.with_weights h (Array.init (Hyper.Graph.num_hyperedges h) (fun _ -> tenths ())) in
+  let num i = J.Num (float_of_int i) in
+  let req op fields = J.to_string (J.Obj (("op", J.Str op) :: ("session", J.Str "d") :: fields)) in
+  let live = ref (List.init n Fun.id) and next_tid = ref n and kills = ref 0 in
+  let config () =
+    let procs = Randkit.Prng.sample_without_replacement rng ~k:(1 + int 3) ~n:p in
+    let weight = tenths () in
+    J.Obj [ ("procs", J.List (Array.to_list (Array.map num procs))); ("weight", J.Num weight) ]
+  in
+  let add () =
+    let configs = List.init (1 + int 3) (fun _ -> config ()) in
+    live := !live @ [ !next_tid ];
+    incr next_tid;
+    req "add_task" [ ("configs", J.List configs) ]
+  in
+  let step () =
+    let r = int 100 in
+    if r < 45 then List.init (1 + int 4) (fun _ -> add ())
+    else if r < 70 && !live <> [] then begin
+      let tid = List.nth !live (int (List.length !live)) in
+      live := List.filter (( <> ) tid) !live;
+      [ req "remove_task" [ ("task", num tid) ] ]
+    end
+    else if r < 74 && !kills < p / 3 then begin
+      incr kills;
+      [ req "kill_proc" [ ("proc", num (int p)) ] ]
+    end
+    else if r < 88 then [ req "resolve" [ ("budget_ms", J.Num 1e6) ] ]
+    else [ req "snapshot" [] ]
+  in
+  let load = [ req "load" [ ("instance", J.Str (Hyper.Io.to_string h)) ] ] in
+  let rounds = List.init steps (fun _ -> step ()) in
+  (load :: rounds) @ [ [ req "solve" [] ]; [ req "snapshot" [] ] ]
+
+let daemon_replies ~seed ~steps =
+  let module J = Obs.Json in
+  let engine = Server.Engine.create () in
+  let replies = ref [] in
+  let blank reply =
+    match J.of_string reply with
+    | J.Obj fields ->
+        J.to_string
+          (J.Obj (List.map (fun (k, v) -> if k = "elapsed_ms" then (k, J.Num 0.0) else (k, v)) fields))
+    | _ -> reply
+  in
+  List.iter
+    (fun round ->
+      List.iter (Server.Engine.post engine ~reply:(fun r -> replies := blank r :: !replies)) round;
+      Server.Engine.drain engine)
+    (daemon_rounds ~seed ~steps);
+  List.rev !replies
+
+let test_daemon_digest () =
+  List.iter
+    (fun (seed, expected) ->
+      let replies = daemon_replies ~seed ~steps:180 in
+      Alcotest.(check string)
+        (Printf.sprintf "seed %d: %d replies" seed (List.length replies))
+        expected
+        (Digest.to_hex (Digest.string (String.concat "\n" replies))))
+    [
+      (1, "77ad809f477a425147d973b7ad3b3f55");
+      (2, "d9d159325d253a54bb735620d5950994");
+      (3, "4019ce719c618337b9d8a6bfa5a34078");
+    ]
+
 let suite =
   [
     Alcotest.test_case "golden: FG-5-1-MP unit" `Quick test_fg51_unit;
@@ -203,4 +289,5 @@ let suite =
     Alcotest.test_case "golden solvers: HLM-5-1-MP/8 unit" `Quick solvers_hlm51_unit;
     Alcotest.test_case "golden solvers: HLM-5-1-MP/8 related" `Quick solvers_hlm51_related;
     Alcotest.test_case "golden: SINGLEPROC matchings digest" `Quick test_matching_digest;
+    Alcotest.test_case "golden: daemon decisions digest" `Quick test_daemon_digest;
   ]

@@ -443,11 +443,18 @@ let test_error_codes () =
                    ("op", J.Str "load"); ("session", J.Str "x");
                    ("path", J.Str "/nonexistent/instance.hg");
                  ])));
-      ignore
-        (expect_error "bad_request"
-           (L.request lb
-              (line
-                 [ ("op", J.Str "restore"); ("session", J.Str "x"); ("state", J.Str "garbage") ])));
+      List.iter
+        (fun state ->
+          ignore
+            (expect_error "bad_request"
+               (L.request lb
+                  (line [ ("op", J.Str "restore"); ("session", J.Str "x"); ("state", state) ]))))
+        [
+          J.Str "garbage";
+          (* Task 0's chosen configuration sits on dead processor 0. *)
+          J.of_string
+            {|{"format":"semimatch.session/1","instance":"hypergraph 2 2\nh 0 5 0\nh 0 1 1\nh 1 1 1\n","tids":[0,1],"chosen":[0,0],"dead":[0],"next_tid":2}|};
+        ];
       ignore (expect_ok (L.request lb (load_line ~session:"x" (tiny ()))));
       (* Validation failures mutate nothing: the failed add leaves the task
          count unchanged. *)
