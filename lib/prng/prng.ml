@@ -2,7 +2,15 @@
    Stdlib.Random for cross-version output stability: instance generation must
    be bit-reproducible so that Table I statistics are stable. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The state words s0..s3 sit at byte offsets 0, 8, 16 and 24 of a 32-byte
+   buffer and are read and written through the unboxed 64-bit primitives, so
+   a step allocates nothing; mutable int64 record fields would box every
+   word on every write.  The buffer is always 32 bytes long, which makes the
+   unchecked accessors safe. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let splitmix64_next state =
   let open Int64 in
@@ -18,37 +26,42 @@ let create ~seed =
   let s1 = splitmix64_next state in
   let s2 = splitmix64_next state in
   let s3 = splitmix64_next state in
+  let t = Bytes.create 32 in
   (* xoshiro256** is ill-defined on the all-zero state; splitmix64 cannot
      produce four consecutive zeros, so this is unreachable, but we guard to
      keep the invariant local. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then { s0 = 1L; s1; s2; s3 }
-  else { s0; s1; s2; s3 }
+  set t 0 (if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then 1L else s0);
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let rotl x k =
+let[@inline] rotl x k =
   Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let next_int64 t =
+(* One xoshiro256** step, inlined into every draw so that neither the state
+   words nor the output are boxed. *)
+let[@inline] next t =
   let open Int64 in
-  let result = mul (rotl (mul t.s1 5L) 7) 9L in
-  let tmp = shift_left t.s1 17 in
-  t.s2 <- logxor t.s2 t.s0;
-  t.s3 <- logxor t.s3 t.s1;
-  t.s1 <- logxor t.s1 t.s2;
-  t.s0 <- logxor t.s0 t.s3;
-  t.s2 <- logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = mul (rotl (mul s1 5L) 7) 9L in
+  let s2 = logxor s2 s0 and s3 = logxor s3 s1 in
+  set t 0 (logxor s0 s3);
+  set t 8 (logxor s1 s2);
+  set t 16 (logxor s2 (shift_left s1 17));
+  set t 24 (rotl s3 45);
   result
 
+let next_int64 t = next t
+
 let split t =
-  let seed = Int64.to_int (next_int64 t) in
+  let seed = Int64.to_int (next t) in
   create ~seed
 
-let bits30 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 34)
-
 (* Non-negative 62-bit value. *)
-let bits62 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 2)
+let[@inline] bits62 t = Int64.to_int (Int64.shift_right_logical (next t) 2)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
@@ -58,22 +71,21 @@ let int t bound =
        uniformity. *)
     let max62 = (1 lsl 62) - 1 in
     let limit = max62 - (max62 mod bound) in
-    let rec draw () =
-      let v = bits62 t in
-      if v >= limit then draw () else v mod bound
-    in
-    draw ()
+    let v = ref (bits62 t) in
+    while !v >= limit do
+      v := bits62 t
+    done;
+    !v mod bound
   end
 
 let int_in_range t ~lo ~hi =
   if lo > hi then invalid_arg "Prng.int_in_range: lo > hi";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let x = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
-  x *. (1.0 /. 9007199254740992.0) *. bound
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (next t) 11)
+let[@inline] float t bound = Float.of_int (bits53 t) *. 0x1p-53 *. bound
 
-let bool t = Int64.compare (Int64.logand (next_int64 t) 1L) 0L <> 0
+let bool t = Int64.to_int (next t) land 1 <> 0
 
 let shuffle_in_place t a =
   for i = Array.length a - 1 downto 1 do
