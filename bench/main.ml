@@ -1,14 +1,11 @@
-(* Bechamel benchmarks: one group per table/figure of the paper's evaluation
-   plus the ablations called out in DESIGN.md.
+(* The bench harness: a seconds-scale telemetry smoke, the multicore
+   acceptance check, and the benchmark-regression gate.
 
-     dune exec bench/main.exe            # full bechamel run
-     dune exec bench/main.exe -- --smoke # reduced telemetry smoke (runtest)
+     dune exec bench/main.exe -- --smoke            # telemetry smoke (runtest)
+     dune exec bench/main.exe -- --smoke --jobs 2   # + parallel check (runtest)
 
    Quality numbers — the table contents — come from bin/experiments_main.exe;
-   this harness measures the running-time side: how expensive each heuristic,
-   the exact algorithm and the substrates are on representative paper-sized
-   instances, mirroring the "Average time" rows of Tables II/III and the
-   timing discussion of Sec. V-B.
+   per-operation, per-layer timings come from perfbench/run.py.
 
    --smoke runs a scaled-down grid with Obs telemetry enabled and writes
    BENCH_smoke.json (JSON lines: bench rows + the full metrics snapshot),
@@ -25,13 +22,13 @@
    exceeds its median/MAD tolerance band (see Experiments.Bench_gate); on
    success it appends one row to BENCH_trajectory.json.  The undocumented
    --slowdown X flag multiplies the measured medians — the CI dry-run uses
-   it to prove an injected 3x regression actually trips the gate. *)
+   it to prove an injected 3x regression actually trips the gate.
 
-open Bechamel
-open Toolkit
+   Any other invocation (no mode, an unknown argument, a --jobs or
+   --slowdown value that is not a positive number) prints a one-line usage
+   to stderr and exits 2. *)
 
 module Gh = Semimatch.Greedy_hyper
-module Gb = Semimatch.Greedy_bipartite
 
 let find_spec name =
   List.find (fun s -> s.Experiments.Instances.name = name) (Experiments.Instances.paper_grid ())
@@ -40,170 +37,6 @@ let find_sp_spec name =
   List.find
     (fun s -> s.Experiments.Instances.sp_name = name)
     (Experiments.Instances.paper_grid_singleproc ())
-
-(* Representative mid-size instances (n = 5120, p = 256): big enough that
-   asymptotics show, small enough that slow variants still fit a quota. *)
-let fg_spec = find_spec "FG-20-1-MP"
-let hl_spec = find_spec "HLF-20-1-MP"
-let fg_unit = Experiments.Instances.generate_multiproc ~seed:0 ~weights:Hyper.Weights.Unit fg_spec
-let hl_unit = Experiments.Instances.generate_multiproc ~seed:0 ~weights:Hyper.Weights.Unit hl_spec
-let fg_related =
-  Experiments.Instances.generate_multiproc ~seed:0 ~weights:Hyper.Weights.Related fg_spec
-let fg_random =
-  Experiments.Instances.generate_multiproc ~seed:0 ~weights:Hyper.Weights.default_random fg_spec
-
-(* Smaller instance for the quadratic-ish naive vector variants. *)
-let fg_small =
-  Experiments.Instances.generate_multiproc ~seed:0 ~weights:Hyper.Weights.Related
-    (find_spec "FG-5-1-MP")
-
-let sp_fewg = Experiments.Instances.generate_singleproc ~seed:0 (find_sp_spec "FG-20-1")
-let sp_hilo = Experiments.Instances.generate_singleproc ~seed:0 (find_sp_spec "HLF-20-1")
-
-let greedy_tests h =
-  List.map
-    (fun algo ->
-      Test.make ~name:(Gh.short_name algo) (Staged.stage (fun () -> Gh.run algo h)))
-    Gh.all
-
-let table1 =
-  Test.make_grouped ~name:"table1"
-    [
-      Test.make ~name:"generate-FG-20-1-MP"
-        (Staged.stage (fun () ->
-             Experiments.Instances.generate_multiproc ~seed:1 ~weights:Hyper.Weights.Unit fg_spec));
-      Test.make ~name:"generate-HLF-20-1-MP"
-        (Staged.stage (fun () ->
-             Experiments.Instances.generate_multiproc ~seed:1 ~weights:Hyper.Weights.Unit hl_spec));
-      Test.make ~name:"lower-bound-FG-20-1-MP"
-        (Staged.stage (fun () -> Semimatch.Lower_bound.multiproc fg_unit));
-    ]
-
-let table2 =
-  Test.make_grouped ~name:"table2-unweighted"
-    (greedy_tests fg_unit
-    @ [ Test.make ~name:"SGH-hilo" (Staged.stage (fun () -> Gh.run Gh.Sorted_greedy_hyp hl_unit)) ])
-
-let table3 = Test.make_grouped ~name:"table3-related" (greedy_tests fg_related)
-let table_random = Test.make_grouped ~name:"table8-random" (greedy_tests fg_random)
-
-let singleproc =
-  Test.make_grouped ~name:"singleproc"
-    (List.map
-       (fun algo -> Test.make ~name:(Gb.name algo) (Staged.stage (fun () -> Gb.run algo sp_fewg)))
-       Gb.all
-    @ [
-        Test.make ~name:"exact-fewg"
-          (Staged.stage (fun () -> Semimatch.Exact_unit.solve sp_fewg));
-        Test.make ~name:"exact-hilo"
-          (Staged.stage (fun () -> Semimatch.Exact_unit.solve sp_hilo));
-      ])
-
-let fig3 =
-  let trap = Bipartite.Adversarial.sorted_greedy_trap ~k:12 in
-  Test.make_grouped ~name:"fig3-adversarial"
-    [
-      Test.make ~name:"sorted-greedy-k12" (Staged.stage (fun () -> Gb.run Gb.Sorted trap));
-      Test.make ~name:"expected-greedy-k12" (Staged.stage (fun () -> Gb.run Gb.Expected trap));
-      Test.make ~name:"exact-k12" (Staged.stage (fun () -> Semimatch.Exact_unit.solve trap));
-    ]
-
-let ablation_vector =
-  Test.make_grouped ~name:"ablation-vector-variant"
-    [
-      Test.make ~name:"VGH-merged"
-        (Staged.stage (fun () -> Gh.run ~vector_variant:Gh.Merged Gh.Vector_greedy_hyp fg_small));
-      Test.make ~name:"VGH-naive"
-        (Staged.stage (fun () -> Gh.run ~vector_variant:Gh.Naive Gh.Vector_greedy_hyp fg_small));
-      Test.make ~name:"EVG-merged"
-        (Staged.stage (fun () ->
-             Gh.run ~vector_variant:Gh.Merged Gh.Expected_vector_greedy_hyp fg_small));
-      Test.make ~name:"EVG-naive"
-        (Staged.stage (fun () ->
-             Gh.run ~vector_variant:Gh.Naive Gh.Expected_vector_greedy_hyp fg_small));
-    ]
-
-let ablation_exact =
-  (* HLF-20-4 has its optimum well above ceil(n/p), so the incremental scan
-     pays for many infeasible deadlines that the bisection skips. *)
-  let gap_instance = Experiments.Instances.generate_singleproc ~seed:0 (find_sp_spec "HLF-20-4") in
-  Test.make_grouped ~name:"ablation-exact-search"
-    [
-      Test.make ~name:"incremental"
-        (Staged.stage (fun () ->
-             Semimatch.Exact_unit.solve ~strategy:Semimatch.Exact_unit.Incremental gap_instance));
-      Test.make ~name:"bisection"
-        (Staged.stage (fun () ->
-             Semimatch.Exact_unit.solve ~strategy:Semimatch.Exact_unit.Bisection gap_instance));
-      Test.make ~name:"harvey"
-        (Staged.stage (fun () -> Semimatch.Harvey.solve gap_instance));
-      Test.make ~name:"gen-hk"
-        (Staged.stage (fun () -> Semimatch.Gen_hk.solve gap_instance));
-      Test.make ~name:"dnc"
-        (Staged.stage (fun () -> Semimatch.Divide_conquer.solve gap_instance));
-    ]
-
-let ablation_engines =
-  let d = Semimatch.Lower_bound.singleproc_unit sp_hilo in
-  let caps = Array.make sp_hilo.Bipartite.Graph.n2 d in
-  Test.make_grouped ~name:"ablation-matching-engines"
-    (List.map
-       (fun engine ->
-         Test.make ~name:(Matching.engine_name engine)
-           (Staged.stage (fun () -> Matching.solve ~engine ~capacities:caps sp_hilo)))
-       Matching.all_engines)
-
-let ablation_local_search =
-  let start = Gh.run Gh.Sorted_greedy_hyp fg_small in
-  Test.make_grouped ~name:"ablation-local-search"
-    [
-      Test.make ~name:"refine-after-SGH"
-        (Staged.stage (fun () -> Semimatch.Local_search.refine fg_small start));
-    ]
-
-let baselines =
-  Test.make_grouped ~name:"baselines"
-    [
-      Test.make ~name:"random-assignment"
-        (Staged.stage (fun () ->
-             Semimatch.Randomized.random_assignment (Randkit.Prng.create ~seed:1) fg_small));
-      Test.make ~name:"random-order-greedy"
-        (Staged.stage (fun () ->
-             Semimatch.Randomized.random_order_greedy (Randkit.Prng.create ~seed:1) fg_small));
-    ]
-
-let simulation =
-  let assignment = Gh.run Gh.Sorted_greedy_hyp fg_small in
-  Test.make_grouped ~name:"simulator"
-    [
-      Test.make ~name:"run-fifo" (Staged.stage (fun () -> Simulator.run fg_small assignment));
-      Test.make ~name:"run-spt"
-        (Staged.stage (fun () -> Simulator.run ~policy:Simulator.Spt fg_small assignment));
-    ]
-
-let all_tests =
-  Test.make_grouped ~name:"semimatch"
-    [
-      table1;
-      table2;
-      table3;
-      table_random;
-      singleproc;
-      fig3;
-      ablation_vector;
-      ablation_exact;
-      ablation_engines;
-      ablation_local_search;
-      baselines;
-      simulation;
-    ]
-
-let benchmark () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |] in
-  let instance = Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:1000 ~quota:(Time.second 1.0) ~kde:None () in
-  let raw = Benchmark.all cfg [ instance ] all_tests in
-  Analyze.all ols instance raw
 
 (* --smoke: a seconds-scale telemetry exercise run from `dune runtest`.  It
    runs a 1/16-scale slice of the paper grid with Obs enabled, writes every
@@ -459,32 +292,6 @@ let smoke_parallel jobs =
       (Printf.sprintf "bench --smoke --jobs %d: speedup %.2fx below the 2x acceptance bar on a %d-core machine"
          jobs speedup cores)
 
-let run_bechamel () =
-  let results = benchmark () in
-  let rows =
-    Hashtbl.fold
-      (fun name ols acc ->
-        let ns =
-          match Analyze.OLS.estimates ols with Some (t :: _) -> t | Some [] | None -> nan
-        in
-        (name, ns) :: acc)
-      results []
-  in
-  let rows = List.sort compare rows in
-  Printf.printf "%-60s %15s\n" "benchmark" "time/run";
-  Printf.printf "%s\n" (String.make 76 '-');
-  List.iter
-    (fun (name, ns) ->
-      let pretty =
-        if Float.is_nan ns then "n/a"
-        else if ns < 1e3 then Printf.sprintf "%.0f ns" ns
-        else if ns < 1e6 then Printf.sprintf "%.1f us" (ns /. 1e3)
-        else if ns < 1e9 then Printf.sprintf "%.2f ms" (ns /. 1e6)
-        else Printf.sprintf "%.3f s" (ns /. 1e9)
-      in
-      Printf.printf "%-60s %15s\n" name pretty)
-    rows
-
 (* ---------- benchmark-regression gate (Experiments.Bench_gate) ---------- *)
 
 module Gate = Experiments.Bench_gate
@@ -644,34 +451,56 @@ let gate_check ?slowdown path =
     exit 1
   end
 
-(* ---------- ad-hoc argv parsing (this is not a cmdliner binary) ---------- *)
+(* ---------- argv (this is not a cmdliner binary) ---------- *)
 
-let flag_value name =
-  let v = ref None in
-  Array.iteri
-    (fun i a -> if a = name && i + 1 < Array.length Sys.argv then v := Some Sys.argv.(i + 1))
-    Sys.argv;
-  !v
+let usage =
+  "usage: main.exe [--smoke [--jobs N]] [--check [--slowdown X] | --write-baseline] \
+   [--baseline FILE]"
 
-let has_flag name = Array.exists (fun a -> a = name) Sys.argv
-let parsed_jobs () = Option.bind (flag_value "--jobs") int_of_string_opt
+let bad_invocation fmt =
+  Printf.ksprintf
+    (fun msg ->
+      Printf.eprintf "bench: %s; %s\n" msg usage;
+      exit 2)
+    fmt
 
 let () =
-  let baseline = flag_value "--baseline" in
-  let slowdown = Option.bind (flag_value "--slowdown") float_of_string_opt in
+  let want_smoke = ref false and want_check = ref false and want_write = ref false in
+  let jobs = ref None and baseline = ref None and slowdown = ref None in
+  let rec parse = function
+    | [] -> ()
+    | "--smoke" :: rest -> want_smoke := true; parse rest
+    | "--check" :: rest -> want_check := true; parse rest
+    | "--write-baseline" :: rest -> want_write := true; parse rest
+    | "--baseline" :: v :: rest -> baseline := Some v; parse rest
+    | "--jobs" :: v :: rest ->
+        (match int_of_string_opt v with
+        | Some j when j >= 1 -> jobs := Some j
+        | _ -> bad_invocation "--jobs wants a positive integer, not %S" v);
+        parse rest
+    | "--slowdown" :: v :: rest ->
+        (match float_of_string_opt v with
+        | Some x when x > 0.0 -> slowdown := Some x
+        | _ -> bad_invocation "--slowdown wants a positive number, not %S" v);
+        parse rest
+    | [ ("--baseline" | "--jobs" | "--slowdown") as a ] -> bad_invocation "%s needs a value" a
+    | a :: _ -> bad_invocation "unknown argument %S" a
+  in
+  parse (List.tl (Array.to_list Sys.argv));
+  if not (!want_smoke || !want_check || !want_write) then
+    bad_invocation "nothing to do: give --smoke, --check or --write-baseline";
   let require_baseline what =
-    match baseline with
+    match !baseline with
     | Some path -> path
     | None ->
         Printf.eprintf "bench %s requires --baseline FILE\n" what;
         exit 2
   in
-  if has_flag "--write-baseline" then gate_write_baseline (require_baseline "--write-baseline")
+  if !want_write then gate_write_baseline (require_baseline "--write-baseline")
   else begin
-    if has_flag "--smoke" then begin
+    if !want_smoke then begin
       smoke ();
-      Option.iter (fun jobs -> if jobs >= 1 then smoke_parallel jobs) (parsed_jobs ())
+      Option.iter smoke_parallel !jobs
     end;
-    if has_flag "--check" then gate_check ?slowdown (require_baseline "--check")
-    else if not (has_flag "--smoke") then run_bechamel ()
+    if !want_check then gate_check ?slowdown:!slowdown (require_baseline "--check")
   end

@@ -17,7 +17,6 @@ let create n =
   { keys = Array.make (max n 1) (-1); prio = Array.make (max n 1) 0.0; pos = Array.make (max n 1) (-1); len = 0 }
 
 let length t = t.len
-let is_empty t = t.len = 0
 
 let mem t key = key >= 0 && key < Array.length t.pos && t.pos.(key) >= 0
 
@@ -65,8 +64,6 @@ let update t key p =
   t.prio.(key) <- p;
   let i = t.pos.(key) in
   if p < old then sift_up t i else sift_down t i
-
-let priority t key = if mem t key then t.prio.(key) else raise Not_found
 
 let min t = if t.len = 0 then None else Some (t.keys.(0), t.prio.(t.keys.(0)))
 

@@ -12,7 +12,6 @@ val create : int -> t
 (** [create n] is an empty heap over keys [0 .. n-1]. *)
 
 val length : t -> int
-val is_empty : t -> bool
 val mem : t -> int -> bool
 
 val insert : t -> int -> float -> unit
@@ -22,9 +21,6 @@ val insert : t -> int -> float -> unit
 val update : t -> int -> float -> unit
 (** [update t key prio] changes the priority of a present [key] (up or
     down). *)
-
-val priority : t -> int -> float
-(** Priority of a present key.  Raises [Not_found] otherwise. *)
 
 val min : t -> (int * float) option
 (** Smallest-priority binding without removing it. *)

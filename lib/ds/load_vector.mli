@@ -24,12 +24,11 @@ type t
 val create : int -> t
 (** [create p] has all [p] loads at 0. *)
 
-val size : t -> int
 val load : t -> int -> float
 
 val max_load : t -> float
-(** The largest load, negative when every load is; 0 when [size t = 0].
-    O(p). *)
+(** The largest load, negative when every load is; 0 when there are no
+    processors.  O(p). *)
 
 val apply : t -> procs:int array -> w:float -> unit
 (** Add [w] to the load of every processor in [procs] (a realized

@@ -6,7 +6,7 @@ let time_it f = Runner.time_it ~span:"experiments.ablation" f
 
 let mean xs = Ds.Stats.mean (Array.of_list xs)
 
-let vector_variants ?(seeds = 3) spec =
+let vector_variants ~seeds spec =
   let replicates =
     List.init seeds (fun seed ->
         Instances.generate_multiproc ~seed ~weights:Hyper.Weights.Related spec)
@@ -34,7 +34,7 @@ let vector_variants ?(seeds = 3) spec =
     spec.Instances.name seeds
     (Tables.render ~header:[ "variant"; "mean time (s)"; "mean makespan" ] ~rows ())
 
-let matching_engines ?(seeds = 3) spec =
+let matching_engines ~seeds spec =
   let replicates = List.init seeds (fun seed -> Instances.generate_singleproc ~seed spec) in
   let rows =
     List.map
@@ -54,7 +54,7 @@ let matching_engines ?(seeds = 3) spec =
     spec.Instances.sp_name seeds
     (Tables.render ~header:[ "engine"; "mean time (s)"; "mean optimum" ] ~rows ())
 
-let exact_strategies ?(seeds = 3) spec =
+let exact_strategies ~seeds spec =
   let replicates = List.init seeds (fun seed -> Instances.generate_singleproc ~seed spec) in
   let strategy_row strategy =
     let measured =
@@ -101,7 +101,8 @@ let exact_strategies ?(seeds = 3) spec =
     spec.Instances.sp_name seeds
     (Tables.render ~header:[ "method"; "mean time (s)"; "deadlines"; "mean optimum" ] ~rows ())
 
-let baselines ?(seeds = 3) ?(weights = Hyper.Weights.Related) spec =
+let baselines ~seeds spec =
+  let weights = Hyper.Weights.Related in
   let replicates =
     List.init seeds (fun seed -> Instances.generate_multiproc ~seed ~weights spec)
   in

@@ -1,26 +1,22 @@
 (** Ablation studies for the design choices DESIGN.md calls out.
 
-    Each function measures on one instance specification over several seeds
+    Each study measures on one instance specification over several seeds
     and renders a small table:
 
-    - {!vector_variants}: naive re-sorting vs comparing only the changed
+    - vector variants: naive re-sorting vs comparing only the changed
       values in the two vector heuristics (Sec. IV-D3's unimplemented
       improvement) — identical outputs, different costs.
-    - {!matching_engines}: the exact SINGLEPROC-UNIT algorithm under each
+    - matching engines: the exact SINGLEPROC-UNIT algorithm under each
       maximum-matching engine.
-    - {!exact_strategies}: incremental vs bisection deadline search
+    - exact strategies: incremental vs bisection deadline search
       (deadlines tried and wall-clock), plus Harvey et al.'s direct
       algorithm as a third exact method.
-    - {!baselines}: the informed heuristics against random assignment,
-      random-order greedy, local search and GRASP-style restarts. *)
+    - baselines: the informed heuristics against random assignment,
+      random-order greedy, local search and GRASP-style restarts, under
+      related weights. *)
 
 type table = string
 (** Rendered plain text. *)
-
-val vector_variants : ?seeds:int -> Instances.multiproc_spec -> table
-val matching_engines : ?seeds:int -> Instances.singleproc_spec -> table
-val exact_strategies : ?seeds:int -> Instances.singleproc_spec -> table
-val baselines : ?seeds:int -> ?weights:Hyper.Weights.t -> Instances.multiproc_spec -> table
 
 val run_all : ?seeds:int -> ?scale:int -> unit -> table
 (** All four ablations on representative instances of the paper grid,

@@ -66,14 +66,17 @@ let calibrate () =
 let default_samples = 5
 let default_target_s = 0.02
 
-let reps_for ?(target_s = default_target_s) run =
+(* Repetition count so one timed batch lasts about [default_target_s]. *)
+let reps_for run =
   (* Warm up once (allocation, caches), then estimate a single run. *)
   run ();
   let _, once = Obs.Span.time_s run in
   if once <= 0.0 then 1024
-  else max 1 (min 100_000 (int_of_float (Float.ceil (target_s /. once))))
+  else max 1 (min 100_000 (int_of_float (Float.ceil (default_target_s /. once))))
 
-let measure ?(samples = default_samples) ~reps run =
+(* [samples] pairs: a calibration run, then the duration of a batch of
+   [reps] back-to-back runs timed right after it. *)
+let measure ~samples ~reps run =
   Array.init samples (fun _ ->
       let calib = calibrate () in
       let _, dt =

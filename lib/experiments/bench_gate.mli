@@ -22,20 +22,15 @@ val calibrate : unit -> float
     value between check time and baseline time scales the tolerance bands
     so a uniformly faster/slower machine does not move verdicts. *)
 
-val reps_for : ?target_s:float -> (unit -> unit) -> int
-(** Repetition count so one timed batch of the workload lasts about
-    [target_s] (default 20ms).  Warm-runs the workload once first. *)
-
-val measure : ?samples:int -> reps:int -> (unit -> unit) -> (float * float) array
-(** [samples] pairs: a {!calibrate} run, then the duration of a batch of
-    [reps] back-to-back runs timed right after it, so both see the same
-    load from neighbouring processes. *)
-
 val baseline_of_workloads : ?samples:int -> (string * (unit -> unit)) list -> baseline
-(** Pick reps per group, measure, and summarize — the whole
-    baseline-writing pipeline.  Each batch is rescaled from its own
+(** The whole baseline-writing pipeline.  Per group: warm-run the workload
+    once, pick the repetition count that makes one timed batch last about
+    20ms, then take [samples] samples, each a {!calibrate} run followed by
+    a batch of that many back-to-back runs, so both see the same load from
+    neighbouring processes.  Each batch is rescaled from its own
     calibration run to the median calibration of the measurement, which
-    becomes the baseline's [b_calib_s]. *)
+    becomes the baseline's [b_calib_s]; a group is summarized by the
+    median and MAD of its rescaled batches. *)
 
 val write_baseline : string -> baseline -> unit
 (** JSON-lines file: one [meta] row (calibration), one [group] row each. *)

@@ -23,15 +23,12 @@ type row = {
   resolve_wins : int;  (** replicates where the safety net was needed *)
 }
 
-val fractions : float list
-(** The default grid: 0.05, 0.125, 0.25, 0.5. *)
-
 val run_row : ?seeds:int -> ?n:int -> ?p:int -> kill_fraction:float -> unit -> row
 (** Defaults: 5 seeds, n = 320 tasks, p = 64 processors (FewgManyg family,
     related weights). *)
 
 val run : ?seeds:int -> unit -> row list
-(** One row per {!fractions} entry. *)
+(** One row per kill fraction of the grid 0.05, 0.125, 0.25, 0.5. *)
 
 val render : row list -> string
 (** Human-readable table. *)

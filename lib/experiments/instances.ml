@@ -20,7 +20,8 @@ let prefix family g =
 
 let multiproc_name family ~n ~p ~g = Printf.sprintf "%s-%d-%d-MP" (prefix family g) (n / 256) (p / 256)
 
-let paper_grid ?(dv = 5) ?(dh = 10) () =
+let paper_grid () =
+  let dv = 5 and dh = 10 in
   let block family =
     List.concat_map
       (fun (n, p) ->

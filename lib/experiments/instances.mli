@@ -20,9 +20,9 @@ type multiproc_spec = {
   g : int;
 }
 
-val paper_grid : ?dv:int -> ?dh:int -> unit -> multiproc_spec list
-(** The 24 rows of Table I in paper order (FewgManyg block then HiLo block);
-    [dv] defaults to 5 and [dh] to 10, the combination the paper details. *)
+val paper_grid : unit -> multiproc_spec list
+(** The 24 rows of Table I in paper order (FewgManyg block then HiLo block),
+    at [dv] = 5 and [dh] = 10, the combination the paper details. *)
 
 val scaled : int -> multiproc_spec -> multiproc_spec
 (** [scaled k spec] divides [n] and [p] by [k] (keeping n ≥ 5p ≥ 5) for

@@ -21,9 +21,6 @@ type row = {
   results : algo_result list;
 }
 
-val default_algorithms : Semimatch.Greedy_hyper.algorithm list
-(** SGH, VGH, EGH, EVG — Table II/III column order. *)
-
 val time_it : ?span:string -> (unit -> 'a) -> 'a * float
 (** [time_it f] runs [f] and returns its monotonic wall time in seconds
     ([Obs.Span.time_s], immune to NTP adjustments).  With telemetry enabled
@@ -36,7 +33,8 @@ val run_row :
   weights:Hyper.Weights.t ->
   Instances.multiproc_spec ->
   row
-(** [seeds] defaults to 10, the paper's replication. *)
+(** [algorithms] defaults to SGH, VGH, EGH, EVG, the Table II/III column
+    order; [seeds] defaults to 10, the paper's replication. *)
 
 val run :
   ?algorithms:Semimatch.Greedy_hyper.algorithm list ->

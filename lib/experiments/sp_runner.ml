@@ -11,12 +11,12 @@ type row = {
 
 let time_it f = Runner.time_it ~span:"experiments.singleproc" f
 
-let run_row ?(algorithms = Gb.all) ?(seeds = 10) ?exact_engine spec =
+let run_row ?(algorithms = Gb.all) ?(seeds = 10) spec =
   if seeds <= 0 then invalid_arg "Sp_runner.run_row: seeds must be positive";
   let replicates = List.init seeds (fun seed -> Instances.generate_singleproc ~seed spec) in
   let exact =
     List.map
-      (fun g -> time_it (fun () -> (Semimatch.Exact_unit.solve ?engine:exact_engine g).makespan))
+      (fun g -> time_it (fun () -> (Semimatch.Exact_unit.solve g).makespan))
       replicates
   in
   let optima = Array.of_list (List.map (fun (m, _) -> float_of_int m) exact) in

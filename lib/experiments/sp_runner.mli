@@ -23,7 +23,6 @@ type row = {
 val run_row :
   ?algorithms:Semimatch.Greedy_bipartite.algorithm list ->
   ?seeds:int ->
-  ?exact_engine:Matching.engine ->
   Instances.singleproc_spec ->
   row
 (** [seeds] defaults to 10.  HiLo instances are deterministic, so their

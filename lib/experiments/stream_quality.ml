@@ -135,7 +135,7 @@ type online_row = {
   o_csr_words : int;
 }
 
-let run_online_row ?(seeds = 3) ~weights (spec : Instances.multiproc_spec) =
+let run_online_row ?(seeds = 3) (spec : Instances.multiproc_spec) =
   let replicates =
     List.init seeds (fun seed ->
         with_stream_file (fun path ->
@@ -144,7 +144,7 @@ let run_online_row ?(seeds = 3) ~weights (spec : Instances.multiproc_spec) =
             let edges =
               Hyper.Generate.stream rng ~family:spec.Instances.family ~n:spec.Instances.n
                 ~p:spec.Instances.p ~dv:spec.Instances.dv ~dh:spec.Instances.dh
-                ~g:spec.Instances.g ~weights
+                ~g:spec.Instances.g ~weights:Hyper.Weights.Unit
                 ~emit:(fun ~task ~procs ~weight -> Sio.add w ~task ~procs ~weight)
             in
             Sio.close_writer w;
@@ -169,10 +169,10 @@ let run_online_row ?(seeds = 3) ~weights (spec : Instances.multiproc_spec) =
     o_csr_words = csr0;
   }
 
-let run_online ?seeds ?(scale = 1) ?(weights = Hyper.Weights.Unit) () =
+let run_online ?seeds ?(scale = 1) () =
   Instances.paper_grid ()
   |> List.map (Instances.scaled scale)
-  |> List.map (run_online_row ?seeds ~weights)
+  |> List.map (run_online_row ?seeds)
 
 let online_header =
   [ "Instance"; "edges"; "LB"; "online"; "portfolio"; "online/LB"; "online/port"; "state/CSR" ]

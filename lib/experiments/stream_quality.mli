@@ -42,11 +42,10 @@ type online_row = {
   o_csr_words : int;
 }
 
-val run_online :
-  ?seeds:int -> ?scale:int -> ?weights:Hyper.Weights.t -> unit -> online_row list
-(** MULTIPROC grid ({!Instances.paper_grid}); the online greedy has no
-    proven factor, so quality is reported against both the streamed refined
-    LB and the portfolio. *)
+val run_online : ?seeds:int -> ?scale:int -> unit -> online_row list
+(** MULTIPROC grid ({!Instances.paper_grid}, unit weights); the online
+    greedy has no proven factor, so quality is reported against both the
+    streamed refined LB and the portfolio. *)
 
 val render_online : online_row list -> string
 val online_to_csv : online_row list -> string

@@ -22,7 +22,8 @@ let random_weighted_bipartite rng ~n ~p ~d ~wmax =
   done;
   Bipartite.Graph.create ~n1:n ~n2:p ~edges:(List.rev !edges)
 
-let run_row ?(seeds = 5) ?(d = 3) ?(wmax = 10) ~n ~p () =
+let run_row ?(seeds = 5) ~n ~p () =
+  let d = 3 and wmax = 10 in
   let replicates =
     List.init seeds (fun seed ->
         random_weighted_bipartite (Randkit.Prng.create ~seed:(seed + (31 * n) + p)) ~n ~p ~d ~wmax)

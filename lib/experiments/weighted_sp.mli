@@ -19,7 +19,10 @@ type row = {
   refined_ratio : float;  (** best heuristic + local search *)
 }
 
-val run_row : ?seeds:int -> ?d:int -> ?wmax:int -> n:int -> p:int -> unit -> row
+val run_row : ?seeds:int -> n:int -> p:int -> unit -> row
+(** [seeds] (default 5) random instances with n tasks, p processors,
+    degree 3 and integer weights in [1, 10]. *)
+
 val run : ?seeds:int -> unit -> row list
 (** Default ladder: (10,3) with brute force, then (100,16), (1000,64),
     (5000,128) against the lower bound. *)

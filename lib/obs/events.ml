@@ -15,18 +15,11 @@ type level = Debug | Info | Warn
 let level_rank = function Debug -> 0 | Info -> 1 | Warn -> 2
 let level_name = function Debug -> "debug" | Info -> "info" | Warn -> "warn"
 
-let level_of_string = function
-  | "debug" -> Some Debug
-  | "info" -> Some Info
-  | "warn" -> Some Warn
-  | _ -> None
-
 (* Record everything by default: the ring is bounded and emits are coarse,
    so filtering is usually better done at render time. *)
 let min_level = ref Debug
 
 let set_level l = min_level := l
-let get_level () = !min_level
 
 type field = string * Json.t
 
@@ -126,9 +119,9 @@ let render_jsonl ?(min_level = Debug) ?(since_ns = Int64.min_int) () =
     (records ());
   Buffer.contents buf
 
-(* Human-readable lines: timestamps relative to the first kept record. *)
-let render_text ?(min_level = Debug) () =
-  let rs = List.filter (fun r -> level_rank r.e_level >= level_rank min_level) (records ()) in
+(* Human-readable lines: timestamps relative to the oldest record. *)
+let render_text () =
+  let rs = records () in
   match rs with
   | [] -> ""
   | first :: _ ->
@@ -152,8 +145,6 @@ let render_text ?(min_level = Debug) () =
         rs;
       Buffer.contents buf
 
-let write_jsonl ?min_level ?since_ns path =
+let write_jsonl path =
   let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (render_jsonl ?min_level ?since_ns ()))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc (render_jsonl ()))

@@ -4,9 +4,15 @@
    [histogram] take a registry mutex); the per-event operations touch only
    the calling domain's shard (found through [Domain.DLS]), so probes are
    lock-free and contention-free however many domains record concurrently.
-   Shards register themselves in a global list on first use and outlive
-   their domain, so metrics recorded by a pool worker survive the worker;
-   [fold_counters] / [summary] / the sinks merge all shards at report time.
+   Shards register themselves in a global list on first use.  When a
+   domain other than the main one exits, its shard is folded into one
+   [retired] shard and leaves the list, so what a pool helper recorded
+   survives the helper while the list stays as long as the number of live
+   recording domains (every fork-join batch spawns fresh helpers, so a
+   list of every shard ever created would grow with every batch).
+   [fold_counters] / [fold_histograms] / the sinks merge all shards at
+   report time, under the registry mutex that retirement also holds, so a
+   retiring shard is counted exactly once.
 
    Within a shard, updates are plain in-place writes (single writer: the
    owning domain).  Merging while other domains are still recording is safe
@@ -50,9 +56,6 @@ let histogram name =
           Hashtbl.add histograms name h;
           h)
 
-let counter_name c = c.c_name
-let histogram_name h = h.h_name
-
 (* ---------- per-domain shards ---------- *)
 
 type hshard = {
@@ -71,16 +74,12 @@ type shard = {
   mutable sh : hshard option array; (* histogram shards, indexed by id *)
 }
 
-(* Every shard ever created, including those of terminated domains. *)
-let shards : shard list ref = ref []
+(* What exited domains recorded, folded together by [retire]. *)
+let retired = { sc = [||]; sh = [||] }
 
-let shard_key =
-  Domain.DLS.new_key (fun () ->
-      let s = { sc = [||]; sh = [||] } in
-      Mutex.protect reg_mutex (fun () -> shards := s :: !shards);
-      s)
-
-let local_shard () = Domain.DLS.get shard_key
+(* The shard of every live domain that has recorded, plus [retired].
+   Guarded by [reg_mutex], and so is every write to [retired]. *)
+let shards : shard list ref = ref [ retired ]
 
 (* Growth replaces the arrays (merge readers read the field once and may
    see the smaller array — they just miss the newest entries, which is the
@@ -112,6 +111,45 @@ let hist_slot s id =
       let hs = fresh_hshard () in
       sh.(id) <- Some hs;
       hs
+
+let merge_hshard d (hs : hshard) =
+  for i = 0 to num_buckets - 1 do
+    d.(i) <- d.(i) + hs.hbuckets.(i)
+  done
+
+(* Exact fold of an exiting domain's shard into [retired]: counts, sums
+   and buckets add, extremes take the min/max.  Runs on the exiting domain
+   itself (no writer left) under [reg_mutex] (no reader in between). *)
+let retire s =
+  Mutex.protect reg_mutex (fun () ->
+      Array.iteri
+        (fun id v ->
+          if v <> 0 then begin
+            let sc = counter_slot retired id in
+            sc.(id) <- sc.(id) + v
+          end)
+        s.sc;
+      Array.iteri
+        (fun id -> function
+          | None -> ()
+          | Some (hs : hshard) ->
+              let d = hist_slot retired id in
+              d.hn <- d.hn + hs.hn;
+              d.hsum <- d.hsum +. hs.hsum;
+              if hs.hlo < d.hlo then d.hlo <- hs.hlo;
+              if hs.hhi > d.hhi then d.hhi <- hs.hhi;
+              merge_hshard d.hbuckets hs)
+        s.sh;
+      shards := List.filter (fun x -> x != s) !shards)
+
+let shard_key =
+  Domain.DLS.new_key (fun () ->
+      let s = { sc = [||]; sh = [||] } in
+      Mutex.protect reg_mutex (fun () -> shards := s :: !shards);
+      if not (Domain.is_main_domain ()) then Domain.at_exit (fun () -> retire s);
+      s)
+
+let local_shard () = Domain.DLS.get shard_key
 
 (* ---------- hot path ---------- *)
 
@@ -147,16 +185,21 @@ let observe h v =
 
 (* ---------- merging ---------- *)
 
-let all_shards () = Mutex.protect reg_mutex (fun () -> !shards)
+(* Every reader merges while holding [reg_mutex], so it never sees a shard
+   both in the list and already folded into [retired]. *)
+let with_shards f = Mutex.protect reg_mutex (fun () -> f !shards)
 
 let sum_counter ss c =
   List.fold_left
     (fun acc s -> if c.c_id < Array.length s.sc then acc + s.sc.(c.c_id) else acc)
     0 ss
 
-let value c = sum_counter (all_shards ()) c
-let shard_values c = List.map (fun s -> if c.c_id < Array.length s.sc then s.sc.(c.c_id) else 0) (all_shards ())
-let shard_count () = List.length (all_shards ())
+let value c = with_shards (fun ss -> sum_counter ss c)
+
+let shard_values c =
+  with_shards (List.map (fun s -> if c.c_id < Array.length s.sc then s.sc.(c.c_id) else 0))
+
+let shard_count () = with_shards List.length
 
 (* Merged histogram data: the shape every statistic is computed from. *)
 type hdata = {
@@ -169,11 +212,6 @@ type hdata = {
 
 let empty_hdata () =
   { d_n = 0; d_sum = 0.0; d_lo = infinity; d_hi = neg_infinity; d_buckets = Array.make num_buckets 0 }
-
-let merge_hshard d (hs : hshard) =
-  for i = 0 to num_buckets - 1 do
-    d.(i) <- d.(i) + hs.hbuckets.(i)
-  done
 
 let merged_hdata ss h =
   let buckets = Array.make num_buckets 0 in
@@ -191,7 +229,7 @@ let merged_hdata ss h =
     ss;
   { d_n = !n; d_sum = !sum; d_lo = !lo; d_hi = !hi; d_buckets = buckets }
 
-let merged h = merged_hdata (all_shards ()) h
+let merged h = with_shards (fun ss -> merged_hdata ss h)
 
 (* ---------- statistics on merged data ---------- *)
 
@@ -202,7 +240,6 @@ let mean_of d = if d.d_n = 0 then Float.nan else d.d_sum /. float_of_int d.d_n
 let min_of d = if d.d_n = 0 then Float.nan else d.d_lo
 let max_of d = if d.d_n = 0 then Float.nan else d.d_hi
 
-let mean h = mean_of (merged h)
 let minimum h = min_of (merged h)
 let maximum h = max_of (merged h)
 
@@ -262,8 +299,6 @@ let summary_of d =
     s_p99 = quantile_of d ~q:0.99;
   }
 
-let summary h = summary_of (merged h)
-
 (* Merged bucket boundaries as (upper bound, cumulative count) pairs through
    the highest non-empty bucket — the shape a Prometheus histogram exposition
    wants for its [le] series.  Empty histogram: []. *)
@@ -279,21 +314,25 @@ let cumulative_buckets h =
         (bucket_hi i, !acc))
   end
 
-let registered_sorted () =
-  Mutex.protect reg_mutex (fun () ->
-      let cs = Hashtbl.fold (fun _ c acc -> c :: acc) counters [] in
-      let hs = Hashtbl.fold (fun _ h acc -> h :: acc) histograms [] in
-      ( List.sort (fun a b -> compare a.c_name b.c_name) cs,
-        List.sort (fun a b -> compare a.h_name b.h_name) hs,
-        !shards ))
+(* Name-sorted registered handles; the caller holds [reg_mutex]. *)
+let sorted_counters () =
+  List.sort (fun a b -> compare a.c_name b.c_name) (Hashtbl.fold (fun _ c acc -> c :: acc) counters [])
 
+let sorted_histograms () =
+  List.sort
+    (fun a b -> compare a.h_name b.h_name)
+    (Hashtbl.fold (fun _ h acc -> h :: acc) histograms [])
+
+(* Merge under the mutex, then run [f] outside it: [f] may register a
+   handle, which takes the mutex again. *)
 let fold_counters f init =
-  let cs, _, ss = registered_sorted () in
-  List.fold_left (fun acc c -> f c.c_name (sum_counter ss c) acc) init cs
+  with_shards (fun ss -> List.map (fun c -> (c.c_name, sum_counter ss c)) (sorted_counters ()))
+  |> List.fold_left (fun acc (name, v) -> f name v acc) init
 
 let fold_histograms f init =
-  let _, hs, ss = registered_sorted () in
-  List.fold_left (fun acc h -> f h.h_name (summary_of (merged_hdata ss h)) acc) init hs
+  with_shards (fun ss ->
+      List.map (fun h -> (h.h_name, summary_of (merged_hdata ss h))) (sorted_histograms ()))
+  |> List.fold_left (fun acc (name, s) -> f name s acc) init
 
 (* ---------- local snapshots (per-solver deltas under parallelism) ---------- *)
 
@@ -326,7 +365,7 @@ let local_snapshot () =
 
 let diff_since snap =
   let s = local_shard () in
-  let cs, hs, _ = registered_sorted () in
+  let cs, hs = Mutex.protect reg_mutex (fun () -> (sorted_counters (), sorted_histograms ())) in
   let counter_deltas =
     List.filter_map
       (fun c ->

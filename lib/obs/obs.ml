@@ -9,7 +9,6 @@ module Runtime = Runtime
 module Recorder = Recorder
 module Anomaly = Anomaly
 
-let enabled = Config.enabled
 let set_enabled b = Config.enabled := b
 let is_enabled () = !Config.enabled
 

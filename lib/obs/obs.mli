@@ -2,22 +2,21 @@
     span timers with a bounded trace, and table/JSON-lines/CSV report sinks.
 
     Everything is off by default.  Probe points compile to one guarded
-    in-place update; with {!enabled} false they allocate nothing and cost a
-    load and a branch, so they can stay in release hot paths (the engine
-    ablation bench verifies this stays in the noise).
+    in-place update; with {!is_enabled} false they allocate nothing and cost a
+    load and a branch, so they can stay in release hot paths.
 
     The substrate is domain-safe: every domain records into its own shard
     (found through [Domain.DLS]), so probes stay zero-cost single-threaded
     and lock-free under parallelism — no atomics, no contention, no lost
     increments.  Shards are merged at report time ({!Metrics.fold_counters},
-    {!Metrics.summary}, the sinks); merge after the parallel section joins
-    (as the [Parpool] drivers do) and the sums are exact.  The historical
-    single-domain restriction ("run profiling with jobs = 1") is lifted. *)
-
-val enabled : bool ref
-(** The master switch shared by every probe.  Prefer {!set_enabled}. *)
+    {!Metrics.fold_histograms}, the sinks); merge after the parallel section
+    joins (as the [Parpool] drivers do) and the sums are exact.  The
+    historical single-domain restriction ("run profiling with jobs = 1") is
+    lifted. *)
 
 val set_enabled : bool -> unit
+(** The master switch shared by every probe (default off). *)
+
 val is_enabled : unit -> bool
 
 val reset : unit -> unit
@@ -35,10 +34,8 @@ module Metrics : sig
   (** Interned by name: same name, same counter, process-wide.  Call once at
       module initialization, not per event. *)
 
-  val counter_name : counter -> string
-
   val incr : counter -> unit
-  (** No-op unless {!enabled}.  Updates the calling domain's shard only:
+  (** No-op unless {!is_enabled}.  Updates the calling domain's shard only:
       lock-free and contention-free from any number of domains. *)
 
   val add : counter -> int -> unit
@@ -47,13 +44,16 @@ module Metrics : sig
   (** Sum over every domain's shard. *)
 
   val shard_values : counter -> int list
-  (** The per-domain shard values behind {!value}, one per registered shard
-      (domains that never recorded report 0), in no particular order.
-      [value c = List.fold_left (+) 0 (shard_values c)] when quiescent. *)
+  (** The per-shard values behind {!value}, one per shard that
+      {!shard_count} counts (a shard that never touched [c] reports 0), in
+      no particular order.  [value c = List.fold_left (+) 0 (shard_values c)]
+      when quiescent. *)
 
   val shard_count : unit -> int
-  (** Number of domain shards registered so far (a shard outlives its
-      domain, so pool workers stay counted after joining). *)
+  (** Number of shards held: one per domain that has recorded and not yet
+      exited, plus one that holds everything exited domains recorded.  A
+      domain's shard is folded into that one when the domain exits, so the
+      helpers each fork-join batch spawns do not pile up. *)
 
   type histogram
 
@@ -61,14 +61,11 @@ module Metrics : sig
   (** Interned by name.  Log₂-bucketed: bucket 0 is [0,1), bucket [i ≥ 1] is
       [2^(i-1), 2^i); exact count/sum/min/max on the side. *)
 
-  val histogram_name : histogram -> string
-
   val observe : histogram -> float -> unit
-  (** No-op unless {!enabled}. *)
+  (** No-op unless {!is_enabled}. *)
 
   val count : histogram -> int
   val sum : histogram -> float
-  val mean : histogram -> float
 
   val minimum : histogram -> float
   val maximum : histogram -> float
@@ -91,13 +88,6 @@ module Metrics : sig
     s_p99 : float;
   }
 
-  val summary : histogram -> summary
-
-  val cumulative_buckets : histogram -> (float * int) list
-  (** Merged log₂ buckets as (upper bound, cumulative count) pairs, through
-      the highest non-empty bucket — the shape a Prometheus histogram
-      exposition needs for its [le] series.  [[]] when empty. *)
-
   val fold_counters : (string -> int -> 'a -> 'a) -> 'a -> 'a
   (** Name-sorted, registered counters (including zeros), merged over all
       shards. *)
@@ -117,16 +107,12 @@ module Metrics : sig
       name-sorted.  Histogram delta count/sum/buckets (hence quantiles) are
       exact; min/max are bucket-resolution approximations unless the
       snapshot was empty for that histogram. *)
-
-  val reset_all : unit -> unit
-  (** Zero every shard of every metric; registered names and handles stay
-      valid. *)
 end
 
 module Span : sig
   val now_ns : unit -> int64
   (** Monotonic clock (CLOCK_MONOTONIC), immune to NTP adjustments.  Always
-      live, independent of {!enabled}. *)
+      live, independent of {!is_enabled}. *)
 
   val ns_to_s : int64 -> float
 
@@ -144,7 +130,7 @@ module Span : sig
   val enter : ?flow:int -> string -> t
   val exit : t -> unit
   (** Record a named span into the trace ring and per-name aggregates when
-      {!enabled}; otherwise free.  Spans nest: depth is tracked.  [flow]
+      {!is_enabled}; otherwise free.  Spans nest: depth is tracked.  [flow]
       (default 0 = none) tags the record with a cross-domain flow id so
       {!Obs.Trace} can draw an arrow from, say, a task's submission to its
       execution on another domain. *)
@@ -154,7 +140,7 @@ module Span : sig
 
   val instant : ?flow:int -> string -> unit
   (** Record a zero-duration point-in-time marker (no aggregate update) —
-      the flow-endpoint primitive.  No-op unless {!enabled}. *)
+      the flow-endpoint primitive.  No-op unless {!is_enabled}. *)
 
   val new_flows : int -> int
   (** [new_flows n] reserves [n] fresh process-unique nonzero flow ids and
@@ -191,7 +177,6 @@ module Span : sig
   type agg = { a_name : string; mutable a_count : int; mutable a_total_ns : int64 }
 
   val aggregates : unit -> agg list
-  val fold_aggregates : (string -> count:int -> total_s:float -> 'a -> 'a) -> 'a -> 'a
 
   val reset : unit -> unit
   (** Clear the ring and the aggregates (all domains' records), but —
@@ -228,19 +213,14 @@ module Events : sig
   (** Leveled, domain-safe structured event log: bounded ring of
       timestamped key→value records emitted at coarse decision points
       (portfolio incumbent improvements, LB cutoffs, annealing temperature
-      epochs, Hopcroft–Karp phases).  No-ops unless {!enabled}. *)
+      epochs, Hopcroft–Karp phases).  No-ops unless {!is_enabled}. *)
 
   type level = Debug | Info | Warn
-
-  val level_name : level -> string
-  val level_of_string : string -> level option
 
   val set_level : level -> unit
   (** Minimum level recorded by {!emit} (default [Debug]: record
       everything; the ring is bounded, so filtering is usually better done
       at render time). *)
-
-  val get_level : unit -> level
 
   type field = string * Json.t
 
@@ -251,7 +231,7 @@ module Events : sig
 
   val emit : ?level:level -> string -> field list -> unit
   (** Record one event (monotonic timestamp, emitting domain id) when
-      {!enabled} and [level >= set_level]; otherwise one load and a
+      {!is_enabled} and [level >= set_level]; otherwise one load and a
       branch. *)
 
   type record = {
@@ -277,9 +257,8 @@ module Events : sig
   (** [since_ns] keeps only records at or after that monotonic instant —
       the tail a diagnostic bundle wants. *)
 
-  val render_text : ?min_level:level -> unit -> string
-  val write_jsonl : ?min_level:level -> ?since_ns:int64 -> string -> unit
-  val reset : unit -> unit
+  val render_text : unit -> string
+  val write_jsonl : string -> unit
 end
 
 module Trace : sig
@@ -296,7 +275,6 @@ module Trace : sig
       monotonic instant (spans qualify by their stop time, so a span
       straddling the cut is kept). *)
 
-  val render : ?since_ns:int64 -> unit -> string
   val write_file : ?since_ns:int64 -> string -> unit
 end
 
@@ -307,15 +285,9 @@ module Prom : sig
       with [_sum]/[_count], span aggregates become
       [<ns>_span_<name>_seconds_total] / [_runs_total] counter pairs.
       Scraped by [semimatch client --metrics] through the daemon's
-      [metrics] protocol command. *)
-
-  val default_namespace : string
-  (** ["semimatch"]. *)
-
-  val metric_name : ?namespace:string -> string -> string
-  (** Namespaced, sanitized family name: dots (and anything else outside
-      [[a-zA-Z0-9_:]]) become underscores, e.g. ["server.requests"] ↦
-      ["semimatch_server_requests"]. *)
+      [metrics] protocol command.  [<ns>] is ["semimatch"], and dots (and
+      anything else outside [[a-zA-Z0-9_:]]) in a raw name become
+      underscores: ["server.requests"] ↦ ["semimatch_server_requests"]. *)
 
   type gauge = string * (string * string) list * float
   (** (metric name, labels, value) — the name is sanitized and namespaced
@@ -328,7 +300,7 @@ module Prom : sig
       registration get a kind-derived default, so every family always
       carries a HELP line. *)
 
-  val render : ?namespace:string -> ?gauges:gauge list -> unit -> string
+  val render : ?gauges:gauge list -> unit -> string
   (** The full exposition: every registered counter, histogram and span
       aggregate, plus the caller's gauges (live state the registry does not
       hold: resident sessions, queue depth...).  Each family is preceded by
@@ -351,7 +323,7 @@ module Runtime : sig
 
       [start] begins self-monitoring; a host loop calls [poll] periodically
       (the daemon does so every select round).  Replayed records only land
-      in the ring while {!Obs.enabled} is set. *)
+      in the ring while {!Obs.is_enabled} holds. *)
 
   val track_offset : int
   (** Span records with [dom >= track_offset] are runtime tracks:
@@ -363,23 +335,26 @@ module Runtime : sig
 
   val started : unit -> bool
 
-  val poll : ?max:int -> unit -> int
-  (** Drain pending runtime events into the span ring ([max] caps the batch);
-      returns the number of raw events read.  0 when not started. *)
+  val poll : unit -> int
+  (** Drain pending runtime events into the span ring; returns the number
+      of raw events read.  0 when not started. *)
 
   val stop : unit -> unit
   (** Final poll, then free the cursor.  Idempotent. *)
 end
 
 module Recorder : sig
-  (** Flight recorder: keep the last N seconds of telemetry resident in
-      bounded rings and write it out as a self-contained diagnostic bundle
-      directory on demand.
+  (** Flight recorder: keep recent telemetry resident in bounded rings and
+      write the last [window_s] seconds of it out as a self-contained
+      diagnostic bundle directory on demand.
 
-      {!start} sizes the {!Span} and {!Events} rings for the window and
-      enables telemetry; the host loop calls {!tick} periodically (the
-      daemon does so every select round) to take bounded periodic
-      Prometheus snapshots.  {!write_bundle} assembles a bundle directory:
+      {!start} resizes the {!Span} and {!Events} rings to [span_capacity]
+      and [event_capacity] records (16,384 each by default), whatever
+      [window_s] is, and enables telemetry.  The window does not size the
+      rings: it only cuts older records out of a bundle, so a busy process
+      can lap a ring before the window ends.  The host loop calls {!tick}
+      periodically (the daemon does so every select round) to take bounded
+      periodic Prometheus snapshots.  {!write_bundle} assembles a bundle directory:
       [manifest.json] (written last — its presence marks a complete
       bundle), [trace.json] (Chrome/Perfetto slice of the window),
       [events.jsonl] (event tail), [metrics.prom] (exposition at the
@@ -388,7 +363,7 @@ module Recorder : sig
       instance dump for replay). *)
 
   type config = {
-    window_s : float;  (** recording window the rings are sized for *)
+    window_s : float;  (** how far back a bundle's trace and event tail reach *)
     span_capacity : int;
     event_capacity : int;
     snapshot_every_s : float;
@@ -416,10 +391,6 @@ module Recorder : sig
 
   val snapshots : unit -> snapshot list
   (** Oldest first. *)
-
-  val since_ns : unit -> int64
-  (** Start of the current recording window ([Int64.min_int] — everything —
-      when the recorder is not running). *)
 
   val format_tag : string
   (** ["semimatch.bundle/1"], the manifest ["format"] field. *)
@@ -548,9 +519,6 @@ end
 module Sink : sig
   type format = Table | Json | Csv
 
-  val format_name : format -> string
-  val format_of_string : string -> format option
-
   val render : ?label:string -> format -> string
   (** Snapshot of every registered counter, histogram summary and span
       aggregate.  [Json] is JSON lines: one object per metric with ["type"],
@@ -559,6 +527,5 @@ module Sink : sig
       snapshots in one report. *)
 
   val emit : ?label:string -> ?oc:out_channel -> format -> unit
-  val write_file : ?label:string -> string -> format -> unit
 end
 

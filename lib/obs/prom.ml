@@ -18,7 +18,7 @@
    run by the CLI's [client --metrics] path so CI fails on a malformed
    exposition. *)
 
-let default_namespace = "semimatch"
+let namespace = "semimatch"
 
 let sanitize name =
   let ok c =
@@ -26,7 +26,7 @@ let sanitize name =
   in
   String.map (fun c -> if ok c then c else '_') name
 
-let metric_name ?(namespace = default_namespace) name = namespace ^ "_" ^ sanitize name
+let metric_name name = namespace ^ "_" ^ sanitize name
 
 let escape_label v =
   let buf = Buffer.create (String.length v) in
@@ -76,7 +76,7 @@ let escape_help v =
     v;
   Buffer.contents buf
 
-let render ?(namespace = default_namespace) ?(gauges : gauge list = []) () =
+let render ?(gauges : gauge list = []) () =
   let buf = Buffer.create 4096 in
   let family ~raw ~kind ~default fam =
     let help = match Hashtbl.find_opt descriptions raw with Some d -> d | None -> default in
@@ -89,14 +89,14 @@ let render ?(namespace = default_namespace) ?(gauges : gauge list = []) () =
   (* counters *)
   Metrics.fold_counters
     (fun name v () ->
-      let fam = metric_name ~namespace name ^ "_total" in
+      let fam = metric_name name ^ "_total" in
       family ~raw:name ~kind:"counter" ~default:(Printf.sprintf "Total %s events." name) fam;
       sample fam (float_of_int v))
     ();
   (* histograms: cumulative le buckets + sum + count *)
   Metrics.fold_histograms
     (fun name s () ->
-      let fam = metric_name ~namespace name in
+      let fam = metric_name name in
       family ~raw:name ~kind:"histogram"
         ~default:(Printf.sprintf "Distribution of %s observations." name)
         fam;
@@ -113,7 +113,7 @@ let render ?(namespace = default_namespace) ?(gauges : gauge list = []) () =
   Span.fold_aggregates
     (fun name ~count ~total_s () ->
       let raw = "span." ^ name in
-      let base = metric_name ~namespace raw in
+      let base = metric_name raw in
       let secs = base ^ "_seconds_total" and runs = base ^ "_runs_total" in
       family ~raw ~kind:"counter"
         ~default:(Printf.sprintf "Cumulative seconds spent in span %s." name)
@@ -128,7 +128,7 @@ let render ?(namespace = default_namespace) ?(gauges : gauge list = []) () =
   let families = ref [] in
   List.iter
     (fun (name, labels, v) ->
-      let fam = metric_name ~namespace name in
+      let fam = metric_name name in
       match List.assoc_opt fam !families with
       | Some (_, cell) -> cell := (labels, v) :: !cell
       | None -> families := !families @ [ (fam, (name, ref [ (labels, v) ])) ])

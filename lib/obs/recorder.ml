@@ -6,10 +6,13 @@
    log, the GC records [Runtime] replays into the span ring — and adds the
    one thing they lack: a bounded ring of periodic Prometheus snapshots, so
    a bundle shows how the gauges and histograms were moving before the
-   trigger, not just their final value.  [start] sizes the rings for the
-   window and flips the master switch; [tick] is called by the host loop
-   (the daemon does so every select round) and takes a snapshot when one is
-   due.  Memory stays bounded by the ring capacities whatever the uptime.
+   trigger, not just their final value.  [start] resizes the span and event
+   rings to the configured capacities (16,384 records each by default,
+   whatever [window_s] is: the window only cuts older records out of a
+   bundle, so a busy process can lap a ring before the window ends) and
+   flips the master switch; [tick] is called by the host loop (the daemon
+   does so every select round) and takes a snapshot when one is due.
+   Memory stays bounded by the ring capacities whatever the uptime.
 
    A bundle is one directory:
 
@@ -26,7 +29,7 @@
    [semimatch doctor] treats a directory without one as corrupt. *)
 
 type config = {
-  window_s : float;  (* recording window the rings are sized for *)
+  window_s : float;  (* how far back a bundle's trace and event tail reach *)
   span_capacity : int;
   event_capacity : int;
   snapshot_every_s : float;

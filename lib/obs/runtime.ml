@@ -98,10 +98,10 @@ let start () =
     state := Some { cursor; callbacks }
   end
 
-let poll ?max () =
+let poll () =
   match !state with
   | None -> 0
-  | Some { cursor; callbacks } -> ( try RE.read_poll cursor callbacks max with Failure _ -> 0)
+  | Some { cursor; callbacks } -> ( try RE.read_poll cursor callbacks None with Failure _ -> 0)
 
 let stop () =
   match !state with

@@ -7,14 +7,6 @@
 
 type format = Table | Json | Csv
 
-let format_name = function Table -> "table" | Json -> "json" | Csv -> "csv"
-
-let format_of_string = function
-  | "table" -> Some Table
-  | "json" -> Some Json
-  | "csv" -> Some Csv
-  | _ -> None
-
 (* [nan] means "no data" (empty histogram min/mean, zero-count span mean).
    Each format gets a sentinel it can afford: the table prints "-", CSV
    leaves the cell empty (a numeric parser reads the column cleanly), and
@@ -168,7 +160,3 @@ let render ?label fmt =
   | Csv -> render_csv ?label rows
 
 let emit ?label ?(oc = stdout) fmt = output_string oc (render ?label fmt)
-
-let write_file ?label path fmt =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> emit ?label ~oc fmt)

@@ -23,5 +23,3 @@ let cancel t = if not t.inert then Atomic.set t.flag true
 let is_cancelled t =
   Atomic.get t.flag
   || match t.deadline with None -> false | Some d -> Obs.Span.now_ns () >= d
-
-let check t = if is_cancelled t then raise Cancelled

@@ -1,16 +1,16 @@
 (** Cooperative cancellation tokens, shared across domains.
 
     A token is a single atomic flag, optionally armed with a monotonic-clock
-    deadline.  Long-running work polls {!is_cancelled} (or calls {!check})
-    at convenient points; a batch skips tasks once its token has tripped,
+    deadline.  Long-running work polls {!is_cancelled} at convenient
+    points; a batch skips tasks once its token has tripped,
     which is how a task exception or a [race] winner drains the remaining
     work promptly instead of letting sibling domains run to completion. *)
 
 type t
 
 exception Cancelled
-(** Raised by {!check}, and by pool operations that were cut short by an
-    external cancellation (never by an internal one such as a race win). *)
+(** Raised by pool operations that were cut short by an external
+    cancellation (never by an internal one such as a race win). *)
 
 val create : ?timeout_s:float -> unit -> t
 (** Fresh, untripped token.  [timeout_s] arms a deadline [timeout_s] seconds
@@ -28,6 +28,3 @@ val cancel : t -> unit
 
 val is_cancelled : t -> bool
 (** True once {!cancel} was called or the deadline passed. *)
-
-val check : t -> unit
-(** Raise {!Cancelled} if {!is_cancelled}. *)

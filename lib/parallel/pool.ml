@@ -89,12 +89,12 @@ let map ?(cancel = Cancel.never) ?jobs ~f items =
           raise Cancel.Cancelled)
     results
 
-let map_list ?cancel ?jobs ~f items = Array.to_list (map ?cancel ?jobs ~f (Array.of_list items))
+let map_list ?jobs ~f items = Array.to_list (map ?jobs ~f (Array.of_list items))
 
-let race ?cancel ~jobs contenders =
+let race ~jobs contenders =
   let k = Array.length contenders in
   if k = 0 then invalid_arg "Pool.race: no contenders";
-  let token = match cancel with Some c -> c | None -> Cancel.create () in
+  let token = Cancel.create () in
   let winner = Atomic.make None in
   let fail = Atomic.make None in
   let bodies =

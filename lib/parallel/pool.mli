@@ -47,15 +47,13 @@ val map : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
     if [cancel] trips first, {!Cancel.Cancelled} is raised instead.  Raises
     [Invalid_argument] if [jobs < 1]. *)
 
-val map_list : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
+val map_list : ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
 (** List convenience wrapper over {!map}. *)
 
-val race : ?cancel:Cancel.t -> jobs:int -> (Cancel.t -> 'a) array -> int * 'a
+val race : jobs:int -> (Cancel.t -> 'a) array -> int * 'a
 (** [race ~jobs contenders] starts the contenders as one batch and returns
-    [(index, value)] of the {e first} to complete, tripping the shared token
-    so the not-yet-started rest are skipped; running contenders observe the
-    same token and should poll it to stop early.  [cancel] (default a fresh
-    token) lets the caller bound the whole race with a timeout.  With
-    [jobs = 1] the first contender necessarily wins.  If every contender
-    raises, the smallest-index exception is re-raised; if the token trips
-    with no winner, {!Cancel.Cancelled} is raised. *)
+    [(index, value)] of the {e first} to complete, tripping a fresh shared
+    token so the not-yet-started rest are skipped; running contenders
+    observe the same token and should poll it to stop early.  With
+    [jobs = 1] the first contender necessarily wins.  If no contender
+    returns, the smallest-index exception is re-raised. *)

@@ -13,8 +13,6 @@ type solution = {
   matchings : int;
 }
 
-let flow_time loads = Array.fold_left (fun acc l -> acc + (l * (l + 1) / 2)) 0 loads
-
 let check g =
   if not (G.is_unit_weighted g) then invalid_arg "Divide_conquer: weights must all be 1";
   if G.has_isolated_task g then
@@ -281,7 +279,7 @@ let solve g =
       assignment = Bip_assignment.of_edges g mate;
       makespan = Array.fold_left max 0 loads;
       loads;
-      total_flow_time = flow_time loads;
+      total_flow_time = Harvey.flow_time loads;
       matchings = !matchings;
     }
   end

@@ -16,8 +16,6 @@ type solution = {
   phases : int;
 }
 
-let flow_time loads = Array.fold_left (fun acc l -> acc + (l * (l + 1) / 2)) 0 loads
-
 let check g =
   if not (G.is_unit_weighted g) then invalid_arg "Gen_hk: weights must all be 1";
   if G.has_isolated_task g then invalid_arg "Gen_hk: task with no allowed processor";
@@ -215,6 +213,6 @@ let solve g =
     assignment = Bip_assignment.of_edges g st.mate;
     makespan = Array.fold_left max 0 st.loads;
     loads = st.loads;
-    total_flow_time = flow_time st.loads;
+    total_flow_time = Harvey.flow_time st.loads;
     phases = !phases;
   }

@@ -30,6 +30,3 @@ val solve : Bipartite.Graph.t -> solution
 (** Requires unit weights and no isolated task; raises [Invalid_argument]
     otherwise.  Deterministic: identical input bytes give identical
     assignments, independent of domains or timing. *)
-
-val flow_time : int array -> int
-(** Σ l·(l+1)/2 over a load vector. *)

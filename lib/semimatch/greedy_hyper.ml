@@ -233,5 +233,4 @@ let run ?(vector_variant = Merged) algorithm h =
   in
   Hyp_assignment.of_choices h choice
 
-let makespan ?vector_variant algorithm h =
-  Hyp_assignment.makespan h (run ?vector_variant algorithm h)
+let makespan algorithm h = Hyp_assignment.makespan h (run algorithm h)

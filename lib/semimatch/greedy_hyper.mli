@@ -47,4 +47,4 @@ val run : ?vector_variant:vector_variant -> algorithm -> Hyper.Graph.t -> Hyp_as
     [vector_variant] (default [Merged]) only affects the two vector
     heuristics' running time, never their output. *)
 
-val makespan : ?vector_variant:vector_variant -> algorithm -> Hyper.Graph.t -> float
+val makespan : algorithm -> Hyper.Graph.t -> float

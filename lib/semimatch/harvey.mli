@@ -12,8 +12,9 @@
     makespan and the total flow time Σ l(l+1)/2.
 
     Complexity O(|V1|·|E|), matching Harvey et al.'s ASM2 bound.  Works on
-    unit-weight bipartite graphs (SINGLEPROC-UNIT); an ablation bench
-    compares it against the repeated-matching algorithm of {!Exact_unit}. *)
+    unit-weight bipartite graphs (SINGLEPROC-UNIT); [experiments_main
+    ablations] times it against the repeated-matching algorithm of
+    {!Exact_unit}. *)
 
 type solution = {
   assignment : Bip_assignment.t;
@@ -26,4 +27,5 @@ val solve : Bipartite.Graph.t -> solution
     otherwise. *)
 
 val flow_time : int array -> int
-(** Σ l(l+1)/2 of a load vector, exposed for tests. *)
+(** Σ l(l+1)/2 of a load vector: the [total_flow_time] of this module,
+    {!Gen_hk} and {!Divide_conquer}. *)

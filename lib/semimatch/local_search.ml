@@ -101,10 +101,10 @@ let refine ?(max_passes = 50) h a =
   loop max_passes;
   (Hyp_assignment.of_choices h choice, !moves)
 
-let refine_bipartite ?max_passes g a =
+let refine_bipartite g a =
   let h = H.of_bipartite g in
   (* The embedding lists one singleton hyperedge per bipartite edge in the
      same order, so edge ids and hyperedge ids coincide. *)
   let start = Hyp_assignment.of_choices h a.Bip_assignment.edge in
-  let refined, moves = refine ?max_passes h start in
+  let refined, moves = refine h start in
   (Bip_assignment.of_edges g refined.Hyp_assignment.choice, moves)

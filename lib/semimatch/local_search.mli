@@ -13,7 +13,6 @@ val refine :
 (** [refine h a] returns the improved assignment and the number of accepted
     moves.  [max_passes] (default 50) caps full sweeps over the tasks. *)
 
-val refine_bipartite :
-  ?max_passes:int -> Bipartite.Graph.t -> Bip_assignment.t -> Bip_assignment.t * int
+val refine_bipartite : Bipartite.Graph.t -> Bip_assignment.t -> Bip_assignment.t * int
 (** Same idea on SINGLEPROC assignments, via the hypergraph embedding of the
-    bipartite instance. *)
+    bipartite instance, with the default [max_passes]. *)

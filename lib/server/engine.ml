@@ -141,9 +141,6 @@ let max_frame t = t.max_frame
 let shutting_down t = t.shutdown
 let pending t = Queue.length t.queue
 let sessions t = Hashtbl.length t.registry
-let version t = t.version
-let requests_posted t = t.posted
-let requests_served t = t.served
 let uptime_s t = Obs.Span.ns_to_s (Int64.sub (Obs.Span.now_ns ()) t.started_ns)
 
 let int_j n = J.Num (float_of_int n)
@@ -981,16 +978,11 @@ let recover t (r : Persist.recovery) =
     ];
   info
 
-let recovered t = t.recovered
-
 (* Resident sessions in deterministic (sorted) order — what the chaos
    harness and [doctor] compare snapshots over. *)
 let resident t =
   Hashtbl.fold (fun sid s acc -> (sid, s) :: acc) t.registry []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
-
-let checkpoints_written t = t.checkpoints
-let checkpoint = do_checkpoint
 
 (* Final checkpoint (best-effort: shutdown must not hang on a full disk)
    then release the journal fd.  After this the persist dir is exactly

@@ -101,26 +101,6 @@ val max_frame : t -> int
 val shutting_down : t -> bool
 (** Set by a [shutdown] request; the transport drains and exits. *)
 
-val pending : t -> int
-val sessions : t -> int
-val version : t -> string
-val uptime_s : t -> float
-(** Seconds since {!create}, from the monotonic clock. *)
-
-val requests_posted : t -> int
-(** Lines ever handed to {!post}, including busy-rejected ones.  Engine
-    state, live even when [Obs] is disabled. *)
-
-val requests_served : t -> int
-(** Replies sent from {!drain} (busy rejections reply from {!post} and are
-    not counted here). *)
-
-val prom : t -> string
-(** The Prometheus text exposition behind the [metrics] op: the full
-    {!Obs.Prom.render} plus engine gauges (resident sessions, queue depth,
-    uptime, request totals, per-session task/proc/makespan figures).
-    Rendered between requests, so it reads a consistent snapshot. *)
-
 val post : t -> reply:(string -> unit) -> string -> unit
 (** Enqueue one request line.  [reply] is invoked exactly once per posted
     line — during a later {!drain}, or immediately with a [busy] error
@@ -151,17 +131,6 @@ val recover : t -> Persist.recovery -> recovery_info
     to parse or apply, and a session that fails verification are each a
     Warn event counted in [rec_failures], never raised.  Call before
     serving traffic. *)
-
-val recovered : t -> recovery_info option
-(** The report of the {!recover} call that built this engine, if any. *)
-
-val checkpoint : t -> (string, string) result
-(** Force a checkpoint now (the [checkpoint] op does this).  [Ok name] is
-    the checkpoint directory basename; [Error] when no persist layer is
-    configured or the write failed (the previous checkpoint, if any, is
-    still intact either way). *)
-
-val checkpoints_written : t -> int
 
 val close_persist : t -> unit
 (** Graceful-shutdown hook: write a final checkpoint (best-effort) and

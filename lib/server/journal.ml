@@ -19,11 +19,6 @@ let policy_of_string s =
       | _ -> failwith (Printf.sprintf "bad fsync interval %S (want interval:MS, MS > 0)" ms))
   | _ -> failwith (Printf.sprintf "bad fsync policy %S (want always, never or interval:MS)" s)
 
-let policy_to_string = function
-  | Always -> "always"
-  | Never -> "never"
-  | Interval s -> Printf.sprintf "interval:%g" (1000.0 *. s)
-
 (* Records are length-prefixed: cap the length so a corrupt prefix can
    never demand an absurd allocation during a scan. *)
 let max_record = 1 lsl 26

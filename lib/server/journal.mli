@@ -22,8 +22,6 @@ val policy_of_string : string -> policy
 (** Parse ["always"], ["never"] or ["interval:MS"] (milliseconds, > 0).
     Raises [Failure] otherwise. *)
 
-val policy_to_string : policy -> string
-
 val crc32 : string -> int32
 (** CRC-32 (IEEE 802.3, reflected, as in zip/png): [crc32 "123456789" =
     0xCBF43926l]. *)

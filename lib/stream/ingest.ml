@@ -10,8 +10,6 @@ module Sio = Hyper.Stream_io
 
 type stream_solver = Auto | One_pass | Few_pass
 
-let stream_solver_name = function Auto -> "auto" | One_pass -> "one-pass" | Few_pass -> "few-pass"
-
 let stream_solver_of_string = function
   | "auto" -> Some Auto
   | "one-pass" -> Some One_pass

@@ -11,7 +11,6 @@
 
 type stream_solver = Auto | One_pass | Few_pass
 
-val stream_solver_name : stream_solver -> string
 val stream_solver_of_string : string -> stream_solver option
 
 type tier =

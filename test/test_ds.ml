@@ -1,6 +1,5 @@
 module Vec = Ds.Vec
 module Heap = Ds.Indexed_heap
-module Bitset = Ds.Bitset
 module Lv = Ds.Load_vector
 
 let check = Alcotest.(check bool)
@@ -94,104 +93,6 @@ let heap_property =
       in
       let popped = drain [] in
       List.sort compare popped = popped && List.length popped = Hashtbl.length tbl)
-
-(* --------------------------------------------------------- Bucket_queue *)
-
-module Bq = Ds.Bucket_queue
-
-let test_bucket_queue_basic () =
-  let q = Bq.create 8 in
-  check "empty" true (Bq.min_priority q = None);
-  Bq.insert q 3 5;
-  Bq.insert q 1 2;
-  Bq.insert q 4 2;
-  Alcotest.(check int) "count" 3 (Bq.length q);
-  Alcotest.(check (option int)) "min" (Some 2) (Bq.min_priority q);
-  Alcotest.(check int) "priority" 5 (Bq.priority q 3);
-  (match Bq.pop_min q with
-  | Some (k, 2) -> check "min key" true (k = 1 || k = 4)
-  | _ -> Alcotest.fail "expected priority-2 pop");
-  Bq.increase q 3 9;
-  (match Bq.pop_min q with
-  | Some (_, 2) -> ()
-  | _ -> Alcotest.fail "second priority-2 entry expected");
-  Alcotest.(check (option (pair int int))) "last" (Some (3, 9)) (Bq.pop_min q);
-  Alcotest.(check (option (pair int int))) "drained" None (Bq.pop_min q)
-
-let test_bucket_queue_errors () =
-  let q = Bq.create 2 in
-  Bq.insert q 0 1;
-  Alcotest.check_raises "double insert" (Invalid_argument "Bucket_queue.insert: key already present")
-    (fun () -> Bq.insert q 0 2);
-  Alcotest.check_raises "decrease" (Invalid_argument "Bucket_queue.increase: priority may only grow")
-    (fun () -> Bq.increase q 0 0);
-  Alcotest.check_raises "absent" (Invalid_argument "Bucket_queue.increase: key absent") (fun () ->
-      Bq.increase q 1 5);
-  check "not_found" true (match Bq.priority q 1 with exception Not_found -> true | _ -> false)
-
-let bucket_queue_matches_model =
-  QCheck.Test.make ~name:"bucket queue agrees with a hashtable model" ~count:200
-    QCheck.(int_bound 1000000)
-    (fun seed ->
-      (* Monotone workload: insert with priorities >= the last popped
-         minimum, occasionally increase, interleaved with pops. *)
-      let rng = Randkit.Prng.create ~seed in
-      let n = 40 in
-      let q = Bq.create n in
-      let model : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let floor = ref 0 in
-      let ok = ref true in
-      for _ = 1 to 150 do
-        match Randkit.Prng.int rng 3 with
-        | 0 ->
-            let key = Randkit.Prng.int rng n in
-            if not (Bq.mem q key) then begin
-              let p = !floor + Randkit.Prng.int rng 10 in
-              Bq.insert q key p;
-              Hashtbl.add model key p
-            end
-        | 1 ->
-            let key = Randkit.Prng.int rng n in
-            if Bq.mem q key then begin
-              let p = Bq.priority q key + Randkit.Prng.int rng 5 in
-              Bq.increase q key p;
-              Hashtbl.replace model key p
-            end
-        | _ -> (
-            let model_min = Hashtbl.fold (fun _ p acc -> min p acc) model max_int in
-            match Bq.pop_min q with
-            | None -> if Hashtbl.length model <> 0 then ok := false
-            | Some (key, p) ->
-                if p <> model_min then ok := false;
-                if Hashtbl.find_opt model key <> Some p then ok := false;
-                Hashtbl.remove model key;
-                floor := max !floor p)
-      done;
-      !ok && Bq.length q = Hashtbl.length model)
-
-(* --------------------------------------------------------------- Bitset *)
-
-let test_bitset_basic () =
-  let b = Bitset.create 70 in
-  Bitset.set b 0;
-  Bitset.set b 69;
-  Bitset.set b 33;
-  check "mem 0" true (Bitset.mem b 0);
-  check "mem 69" true (Bitset.mem b 69);
-  check "not mem 1" false (Bitset.mem b 1);
-  Alcotest.(check int) "cardinal" 3 (Bitset.cardinal b);
-  Bitset.clear b 33;
-  check "cleared" false (Bitset.mem b 33);
-  let collected = ref [] in
-  Bitset.iter (fun i -> collected := i :: !collected) b;
-  Alcotest.(check (list int)) "iter ascending" [ 0; 69 ] (List.rev !collected);
-  Bitset.reset b;
-  Alcotest.(check int) "reset" 0 (Bitset.cardinal b)
-
-let test_bitset_bounds () =
-  let b = Bitset.create 8 in
-  Alcotest.check_raises "oob" (Invalid_argument "Bitset: index out of bounds") (fun () ->
-      Bitset.set b 8)
 
 (* -------------------------------------------------------- Counting sort *)
 
@@ -378,11 +279,6 @@ let suite =
     Alcotest.test_case "heap update" `Quick test_heap_update;
     Alcotest.test_case "heap membership/errors" `Quick test_heap_mem_and_errors;
     QCheck_alcotest.to_alcotest heap_property;
-    Alcotest.test_case "bucket queue basics" `Quick test_bucket_queue_basic;
-    Alcotest.test_case "bucket queue errors" `Quick test_bucket_queue_errors;
-    QCheck_alcotest.to_alcotest bucket_queue_matches_model;
-    Alcotest.test_case "bitset basics" `Quick test_bitset_basic;
-    Alcotest.test_case "bitset bounds" `Quick test_bitset_bounds;
     Alcotest.test_case "counting sort permutation" `Quick test_counting_sort_permutation;
     QCheck_alcotest.to_alcotest counting_sort_property;
     Alcotest.test_case "stats median" `Quick test_stats_median;

@@ -115,20 +115,17 @@ let test_trajectory_append () =
             true)
         lines)
 
-(* The live pipeline on real (fast, synthetic) workloads: write a baseline,
-   re-check it — identical code passes, an injected 3x slowdown exits via
-   the failing verdict.  This is the in-process version of the CI dry-run. *)
+(* The live pipeline on real workloads: write a baseline, re-check it —
+   identical code passes, an injected 3x slowdown exits via the failing
+   verdict.  This is the in-process version of the CI dry-run.  Both
+   workloads are the calibration loop itself: every sample is rescaled by
+   that same loop, so the rescaled median sits at the calibration median
+   wherever the code lands in the binary.  A workload loop of its own can
+   run at two speeds depending on where it lands, and a slow baseline
+   phase then lets the injected 3x pass. *)
 let test_live_gate_roundtrip () =
-  let spin label =
-    ( label,
-      fun () ->
-        let acc = ref 0 in
-        for i = 1 to 20_000 do
-          acc := !acc + (i land 7)
-        done;
-        ignore (Sys.opaque_identity !acc) )
-  in
-  let workloads = [ spin "spin.a"; spin "spin.b" ] in
+  let calib label = (label, fun () -> ignore (Gate.calibrate () : float)) in
+  let workloads = [ calib "calib.a"; calib "calib.b" ] in
   let b = Gate.baseline_of_workloads ~samples:3 workloads in
   check_int "baseline covers the workloads" 2 (List.length b.Gate.b_groups);
   let verdicts, _calib = Gate.check ~samples:3 b workloads in

@@ -53,46 +53,6 @@ let vec_model_prop =
           && List.for_all2 (fun a b -> a = b) (Array.to_list (Ds.Vec.to_array v)) !model)
         cmds)
 
-(* --------------------------------------------- Bitset vs a bool array *)
-
-type bit_cmd = BSet of int | BClear of int | BReset
-
-let bitset_model_prop =
-  QCheck.Test.make ~name:"Bitset agrees with a bool-array model" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         pair (int_range 1 100)
-           (list_size (int_bound 60)
-              (frequency
-                 [
-                   (4, map (fun i -> BSet i) small_nat);
-                   (3, map (fun i -> BClear i) small_nat);
-                   (1, return BReset);
-                 ]))))
-    (fun (n, cmds) ->
-      let b = Ds.Bitset.create n in
-      let model = Array.make n false in
-      List.for_all
-        (fun cmd ->
-          (match cmd with
-          | BSet i when i < n ->
-              Ds.Bitset.set b i;
-              model.(i) <- true
-          | BClear i when i < n ->
-              Ds.Bitset.clear b i;
-              model.(i) <- false
-          | BReset ->
-              Ds.Bitset.reset b;
-              Array.fill model 0 n false
-          | BSet _ | BClear _ -> ());
-          let same = ref true in
-          for i = 0 to n - 1 do
-            if Ds.Bitset.mem b i <> model.(i) then same := false
-          done;
-          !same
-          && Ds.Bitset.cardinal b = Array.fold_left (fun acc x -> if x then acc + 1 else acc) 0 model)
-        cmds)
-
 (* --------------------------- Indexed_heap vs an association-list model *)
 
 type heap_cmd = HInsert of int * float | HUpdate of int * float | HPop
@@ -157,6 +117,5 @@ let heap_model_prop =
 let suite =
   [
     QCheck_alcotest.to_alcotest vec_model_prop;
-    QCheck_alcotest.to_alcotest bitset_model_prop;
     QCheck_alcotest.to_alcotest heap_model_prop;
   ]

@@ -323,6 +323,39 @@ let test_quantile_edge_cases () =
             (Obs.Metrics.quantile sharded ~q))
         [ 0.0; 0.25; 0.5; 0.75; 0.95; 1.0 ])
 
+(* Every fork-join batch spawns fresh helper domains, and each helper that
+   records gets a shard.  An exited helper's shard is folded into one
+   retired shard, so the shard list stays bounded while the totals stay
+   exact. *)
+let test_exited_shards_retire () =
+  let c = Obs.Metrics.counter "test.obs.retired_shards" in
+  let h = Obs.Metrics.histogram "test.obs.retired_shards_hist" in
+  Obs.with_recording (fun () ->
+      let batches = 200 in
+      for b = 1 to batches do
+        (* A barrier: neither task records before both have started, so the
+           calling domain and the helper each take one. *)
+        let arrived = Atomic.make 0 in
+        let task () =
+          Atomic.incr arrived;
+          while Atomic.get arrived < 2 do
+            Domain.cpu_relax ()
+          done;
+          Obs.Metrics.incr c;
+          Obs.Metrics.observe h (float_of_int b)
+        in
+        Parpool.Pool.run ~jobs:2 [| task; task |]
+      done;
+      check_int "counter total" (2 * batches) (Obs.Metrics.value c);
+      check_int "histogram count" (2 * batches) (Obs.Metrics.count h);
+      Alcotest.(check (float 0.0))
+        "histogram sum"
+        (float_of_int (batches * (batches + 1)))
+        (Obs.Metrics.sum h);
+      Alcotest.(check (float 0.0)) "histogram min" 1.0 (Obs.Metrics.minimum h);
+      Alcotest.(check (float 0.0)) "histogram max" (float_of_int batches) (Obs.Metrics.maximum h);
+      check "at most 2 shards" true (Obs.Metrics.shard_count () <= 2))
+
 (* When the event ring laps itself the oldest records vanish from any later
    render; the [events.dropped] counter makes that truncation visible. *)
 let test_events_dropped_counter () =
@@ -439,6 +472,7 @@ let suite =
     Alcotest.test_case "structured event log basics" `Quick test_events_basics;
     Alcotest.test_case "event ring drop counter" `Quick test_events_dropped_counter;
     Alcotest.test_case "quantile edge cases and shard merging" `Quick test_quantile_edge_cases;
+    Alcotest.test_case "exited domains' shards retire" `Quick test_exited_shards_retire;
     Alcotest.test_case "sink layout pins p95 columns" `Quick test_sink_layout_p95;
     Alcotest.test_case "Prometheus render and lint" `Quick test_prom_render_and_lint;
     Alcotest.test_case "CLI profile --stats=json" `Quick test_cli_profile_stats_json;
