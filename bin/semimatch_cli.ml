@@ -675,7 +675,7 @@ let profile_cmd =
       let histos =
         List.rev
           (Obs.Metrics.fold_histograms
-             (fun n s acc -> if s.Obs.Metrics.s_count > 0 then (n, s) :: acc else acc)
+             (fun n s _ acc -> if s.Obs.Metrics.s_count > 0 then (n, s) :: acc else acc)
              [])
       in
       capture label;

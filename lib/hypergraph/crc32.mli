@@ -1,5 +1,5 @@
 (** CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320, as in zip/png),
-    computed on native ints eight bytes at a time (slicing-by-8).  One
+    computed by a C kernel sixteen bytes at a time (slicing-by-16).  One
     implementation frames both the edge-stream chunks ({!Stream_io}) and the
     daemon's journal records. *)
 

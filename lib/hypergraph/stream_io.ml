@@ -203,7 +203,6 @@ type reader = {
   head : Bytes.t;  (* frame head / checksum scratch *)
   mutable chunk : Bytes.t;  (* payload buffer, reused while chunks fit *)
   mutable chunk_len : int;  (* payload bytes of the current chunk *)
-  mutable chunk_count : int;
   mutable chunk_pos : int;  (* byte cursor in [chunk] *)
   mutable chunk_left : int;  (* records left in [chunk] *)
   mutable file_pos : int;  (* byte offset of the next frame *)
@@ -250,7 +249,6 @@ let open_reader path =
         head = Bytes.create 8;
         chunk = Bytes.empty;
         chunk_len = 0;
-        chunk_count = 0;
         chunk_pos = 0;
         chunk_left = 0;
         file_pos = header_bytes;
@@ -297,11 +295,16 @@ let next_chunk r =
       if get_u32 head 0 <> Crc32.bytes payload ~pos:0 ~len then
         fail_at r.file_pos "chunk checksum mismatch";
       r.chunk_len <- len;
-      r.chunk_count <- count;
       r.chunk_pos <- 0;
       r.chunk_left <- count;
       r.file_pos <- r.file_pos + 8 + len + 4;
       true
+
+(* The pin at byte [off] of the chunk, range-checked. *)
+let[@inline] pin r b off =
+  let u = get_u32 b off in
+  if u >= r.hdr.h_n2 then fail_at r.file_pos "processor out of range";
+  u
 
 (* Decode one record at the cursor.  [procs] is a fresh array that [f]
    owns: the chunk buffer is reused, the pins never are. *)
@@ -316,13 +319,17 @@ let read_record r f =
   if pos + 16 + (4 * k) > r.chunk_len then fail_at r.file_pos "record overruns chunk";
   if task < 0 || task >= r.hdr.h_n1 then fail_at r.file_pos "task out of range";
   if not (weight > 0.0) then fail_at r.file_pos "weight must be positive";
-  let n2 = r.hdr.h_n2 in
-  let procs = Array.make k 0 in
-  for i = 0 to k - 1 do
-    let u = get_u32 b (pos + 16 + (4 * i)) in
-    if u >= n2 then fail_at r.file_pos "processor out of range";
-    Array.unsafe_set procs i u
-  done;
+  let procs =
+    (* Every SINGLEPROC stream has k = 1: a literal costs no C call. *)
+    if k = 1 then [| pin r b (pos + 16) |]
+    else begin
+      let procs = Array.make k 0 in
+      for i = 0 to k - 1 do
+        Array.unsafe_set procs i (pin r b (pos + 16 + (4 * i)))
+      done;
+      procs
+    end
+  in
   r.chunk_pos <- pos + 16 + (4 * k);
   r.chunk_left <- r.chunk_left - 1;
   f ~task ~procs ~weight

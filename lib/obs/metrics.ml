@@ -58,8 +58,10 @@ let histogram name =
 
 (* ---------- per-domain shards ---------- *)
 
+(* No separate count: a shard's count is its bucket total, so a merge that
+   races an observation still reads a bucket series whose total is the
+   count it reports (a scrape's [+Inf] bucket never trails a finite one). *)
 type hshard = {
-  mutable hn : int;
   mutable hsum : float;
   mutable hlo : float;
   mutable hhi : float;
@@ -67,7 +69,7 @@ type hshard = {
 }
 
 let fresh_hshard () =
-  { hn = 0; hsum = 0.0; hlo = infinity; hhi = neg_infinity; hbuckets = Array.make num_buckets 0 }
+  { hsum = 0.0; hlo = infinity; hhi = neg_infinity; hbuckets = Array.make num_buckets 0 }
 
 type shard = {
   mutable sc : int array; (* counter values, indexed by counter id *)
@@ -134,7 +136,6 @@ let retire s =
           | None -> ()
           | Some (hs : hshard) ->
               let d = hist_slot retired id in
-              d.hn <- d.hn + hs.hn;
               d.hsum <- d.hsum +. hs.hsum;
               if hs.hlo < d.hlo then d.hlo <- hs.hlo;
               if hs.hhi > d.hhi then d.hhi <- hs.hhi;
@@ -175,7 +176,6 @@ let bucket_hi i = Float.pow 2.0 (float_of_int i)
 let observe h v =
   if !Config.enabled then begin
     let hs = hist_slot (local_shard ()) h.h_id in
-    hs.hn <- hs.hn + 1;
     hs.hsum <- hs.hsum +. v;
     if v < hs.hlo then hs.hlo <- v;
     if v > hs.hhi then hs.hhi <- v;
@@ -213,21 +213,22 @@ type hdata = {
 let empty_hdata () =
   { d_n = 0; d_sum = 0.0; d_lo = infinity; d_hi = neg_infinity; d_buckets = Array.make num_buckets 0 }
 
+let bucket_total buckets = Array.fold_left ( + ) 0 buckets
+
 let merged_hdata ss h =
   let buckets = Array.make num_buckets 0 in
-  let n = ref 0 and sum = ref 0.0 and lo = ref infinity and hi = ref neg_infinity in
+  let sum = ref 0.0 and lo = ref infinity and hi = ref neg_infinity in
   List.iter
     (fun s ->
       match (if h.h_id < Array.length s.sh then s.sh.(h.h_id) else None) with
       | None -> ()
       | Some hs ->
-          n := !n + hs.hn;
           sum := !sum +. hs.hsum;
           if hs.hlo < !lo then lo := hs.hlo;
           if hs.hhi > !hi then hi := hs.hhi;
           merge_hshard buckets hs)
     ss;
-  { d_n = !n; d_sum = !sum; d_lo = !lo; d_hi = !hi; d_buckets = buckets }
+  { d_n = bucket_total buckets; d_sum = !sum; d_lo = !lo; d_hi = !hi; d_buckets = buckets }
 
 let merged h = with_shards (fun ss -> merged_hdata ss h)
 
@@ -299,11 +300,10 @@ let summary_of d =
     s_p99 = quantile_of d ~q:0.99;
   }
 
-(* Merged bucket boundaries as (upper bound, cumulative count) pairs through
-   the highest non-empty bucket — the shape a Prometheus histogram exposition
-   wants for its [le] series.  Empty histogram: []. *)
-let cumulative_buckets h =
-  let d = merged h in
+(* Bucket boundaries as (upper bound, cumulative count) pairs through the
+   highest non-empty bucket — the shape a Prometheus histogram exposition
+   wants for its [le] series; the last count is [d.d_n].  Empty: []. *)
+let cumulative_of d =
   if d.d_n = 0 then []
   else begin
     let top = ref 0 in
@@ -330,9 +330,8 @@ let fold_counters f init =
   |> List.fold_left (fun acc (name, v) -> f name v acc) init
 
 let fold_histograms f init =
-  with_shards (fun ss ->
-      List.map (fun h -> (h.h_name, summary_of (merged_hdata ss h))) (sorted_histograms ()))
-  |> List.fold_left (fun acc (name, s) -> f name s acc) init
+  with_shards (fun ss -> List.map (fun h -> (h.h_name, merged_hdata ss h)) (sorted_histograms ()))
+  |> List.fold_left (fun acc (name, d) -> f name (summary_of d) (cumulative_of d) acc) init
 
 (* ---------- local snapshots (per-solver deltas under parallelism) ---------- *)
 
@@ -348,13 +347,8 @@ let fold_histograms f init =
 type snapshot = { snap_c : int array; snap_h : hdata option array }
 
 let hdata_of_hshard hs =
-  {
-    d_n = hs.hn;
-    d_sum = hs.hsum;
-    d_lo = hs.hlo;
-    d_hi = hs.hhi;
-    d_buckets = Array.copy hs.hbuckets;
-  }
+  let buckets = Array.copy hs.hbuckets in
+  { d_n = bucket_total buckets; d_sum = hs.hsum; d_lo = hs.hlo; d_hi = hs.hhi; d_buckets = buckets }
 
 let local_snapshot () =
   let s = local_shard () in
@@ -423,7 +417,6 @@ let reset_all () =
             (function
               | None -> ()
               | Some hs ->
-                  hs.hn <- 0;
                   hs.hsum <- 0.0;
                   hs.hlo <- infinity;
                   hs.hhi <- neg_infinity;

@@ -92,7 +92,13 @@ module Metrics : sig
   (** Name-sorted, registered counters (including zeros), merged over all
       shards. *)
 
-  val fold_histograms : (string -> summary -> 'a -> 'a) -> 'a -> 'a
+  val fold_histograms : (string -> summary -> (float * int) list -> 'a -> 'a) -> 'a -> 'a
+  (** Name-sorted, registered histograms, each merged over all shards once:
+      the callback gets the summary and the cumulative buckets of that one
+      merge, as (bucket upper bound, cumulative count) pairs through the
+      highest non-empty bucket, the last count being [s_count] ([[]] when
+      empty).  A count is always its merged bucket total, so the two agree
+      even while other domains observe. *)
 
   type snapshot
   (** A copy of the {e calling domain's} shard at one instant. *)

@@ -95,12 +95,11 @@ let render ?(gauges : gauge list = []) () =
     ();
   (* histograms: cumulative le buckets + sum + count *)
   Metrics.fold_histograms
-    (fun name s () ->
+    (fun name s buckets () ->
       let fam = metric_name name in
       family ~raw:name ~kind:"histogram"
         ~default:(Printf.sprintf "Distribution of %s observations." name)
         fam;
-      let buckets = Metrics.cumulative_buckets (Metrics.histogram name) in
       List.iter
         (fun (le, cum) ->
           sample ~labels:[ ("le", fmt_value le) ] (fam ^ "_bucket") (float_of_int cum))

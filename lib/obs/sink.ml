@@ -32,7 +32,7 @@ let rows () =
   in
   let histograms =
     Metrics.fold_histograms
-      (fun name s acc ->
+      (fun name s _ acc ->
         {
           kind = "histogram";
           name;

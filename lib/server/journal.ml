@@ -27,10 +27,17 @@ let crc32 s = Int32.of_int (Hyper.Crc32.string s)
 
 let c_appends = Obs.Metrics.counter "server.journal.appends"
 let c_fsyncs = Obs.Metrics.counter "server.journal.fsyncs"
+let h_append = Obs.Metrics.histogram "server.journal.append_us"
+let h_sync = Obs.Metrics.histogram "server.journal.sync_ms"
 
 let () =
   Obs.Prom.describe "server.journal.appends" "Journal records appended.";
-  Obs.Prom.describe "server.journal.fsyncs" "Journal fsync calls issued."
+  Obs.Prom.describe "server.journal.fsyncs" "Journal fsync calls issued.";
+  Obs.Prom.describe "server.journal.append_us"
+    "Microseconds per journal append: framing, write and any fsync the policy runs.";
+  Obs.Prom.describe "server.journal.sync_ms" "Milliseconds per journal fsync."
+
+let since_ns t0 = Int64.to_float (Int64.sub (Obs.Span.now_ns ()) t0)
 
 type writer = {
   fd : Unix.file_descr;
@@ -54,7 +61,9 @@ let write_all fd bytes =
 
 let do_sync w =
   if w.dirty then begin
+    let t0 = Obs.Span.now_ns () in
     Unix.fsync w.fd;
+    Obs.Metrics.observe h_sync (since_ns t0 /. 1e6);
     Obs.Metrics.incr c_fsyncs;
     w.dirty <- false
   end;
@@ -74,6 +83,7 @@ let append w payload =
   let len = String.length payload in
   if len > max_record then
     invalid_arg (Printf.sprintf "Journal.append: %d-byte record exceeds the %d cap" len max_record);
+  let t0 = Obs.Span.now_ns () in
   let b = Bytes.create (8 + len) in
   Bytes.set_int32_le b 0 (Int32.of_int len);
   Bytes.set_int32_le b 4 (crc32 payload);
@@ -82,10 +92,11 @@ let append w payload =
   w.dirty <- true;
   w.records <- w.records + 1;
   Obs.Metrics.incr c_appends;
-  match w.policy with
+  (match w.policy with
   | Always -> do_sync w
   | Interval _ -> if interval_due w then do_sync w
-  | Never -> ()
+  | Never -> ());
+  Obs.Metrics.observe h_append (since_ns t0 /. 1e3)
 
 let records_written w = w.records
 

@@ -54,6 +54,44 @@ let test_crc32_vector () =
   (* The CRC-32 (IEEE, reflected) check vector. *)
   Alcotest.(check int32) "crc32 check vector" 0xCBF43926l (Journal.crc32 "123456789")
 
+(* A short segment's bytes are pinned, with a digest taken with the OCaml
+   CRC so that it shows the C kernel frames the same bytes: an empty
+   record, every byte value, a record longer than one CRC block stride and
+   a protocol line. *)
+let test_journal_golden () =
+  with_temp_dir "journal" (fun dir ->
+      let path = Filename.concat dir "j.wal" in
+      let w = Journal.open_writer ~policy:Journal.Never path in
+      List.iter (Journal.append w)
+        [
+          "";
+          String.init 256 Char.chr;
+          String.init 1001 (fun i -> Char.chr ((i * 37) land 0xff));
+          {|{"op":"add_task","session":"s","procs":[[0,1],[2]],"weights":[1.5,2.0]}|};
+        ];
+      Journal.close w;
+      Alcotest.(check string) "segment digest" "1047364b8931515832f4ac8c5eddbdc5"
+        (Digest.to_hex (Digest.file path)))
+
+(* Each append and each fsync is observed once, under the names the
+   Prometheus exposition describes. *)
+let test_journal_histograms () =
+  Obs.with_recording (fun () ->
+      Obs.reset ();
+      with_temp_dir "journal" (fun dir ->
+          let w = Journal.open_writer ~policy:Journal.Always (Filename.concat dir "j.wal") in
+          List.iter (Journal.append w) [ "one"; "two"; "three" ];
+          Journal.close w);
+      let count name = Obs.Metrics.count (Obs.Metrics.histogram name) in
+      Alcotest.(check int) "one append_us sample per append" 3 (count "server.journal.append_us");
+      Alcotest.(check int) "one sync_ms sample per fsync" 3 (count "server.journal.sync_ms");
+      let text = Obs.Prom.render () in
+      check "append histogram described" true
+        (Test_cli.contains ~needle:"# HELP semimatch_server_journal_append_us Microseconds" text);
+      check "sync histogram described" true
+        (Test_cli.contains ~needle:"# HELP semimatch_server_journal_sync_ms Milliseconds" text);
+      check "exposition lints" true (Obs.Prom.lint text = Ok ()))
+
 let test_journal_roundtrip_and_torn_tail () =
   with_temp_dir "journal" (fun dir ->
       let path = Filename.concat dir "j.wal" in
@@ -597,4 +635,6 @@ let suite =
     Alcotest.test_case "SIGTERM writes a final checkpoint" `Quick test_sigterm_graceful;
     Alcotest.test_case "recovery replays a coalesced add_task batch" `Quick test_batch_recovery;
     Alcotest.test_case "recovery counts a failed replayed step" `Quick test_failed_replay_counted;
+    Alcotest.test_case "journal segment golden digest" `Quick test_journal_golden;
+    Alcotest.test_case "journal phase histograms" `Quick test_journal_histograms;
   ]

@@ -459,6 +459,44 @@ let test_prom_render_and_lint () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "labelled samples under one family must pass: %s" msg
 
+(* Scrapes taken while a second domain observes into the same histogram
+   still lint: a scrape's finite [le] buckets, its [+Inf] bucket and its
+   [_count] all come from one merge, so none can run ahead of another. *)
+let test_prom_scrape_while_observing () =
+  Obs.with_recording (fun () ->
+      Obs.reset ();
+      let h = Obs.Metrics.histogram "prom.test.racing_us" in
+      let stop = Atomic.make false in
+      let observer =
+        Domain.spawn (fun () ->
+            let i = ref 0 in
+            while not (Atomic.get stop) do
+              Obs.Metrics.observe h (float_of_int (!i land 1023));
+              incr i
+            done)
+      in
+      let failure =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Domain.join observer)
+          (fun () ->
+            while Obs.Metrics.count h = 0 do
+              Domain.cpu_relax ()
+            done;
+            let failure = ref None in
+            for _ = 1 to 300 do
+              if !failure = None then
+                match Obs.Prom.lint (Obs.Prom.render ()) with
+                | Ok () -> ()
+                | Error msg -> failure := Some msg
+            done;
+            !failure)
+      in
+      match failure with
+      | None -> ()
+      | Some msg -> Alcotest.failf "scrape during observation fails lint: %s" msg)
+
 let suite =
   [
     Alcotest.test_case "disabled probes record nothing" `Quick test_disabled_records_nothing;
@@ -475,5 +513,6 @@ let suite =
     Alcotest.test_case "exited domains' shards retire" `Quick test_exited_shards_retire;
     Alcotest.test_case "sink layout pins p95 columns" `Quick test_sink_layout_p95;
     Alcotest.test_case "Prometheus render and lint" `Quick test_prom_render_and_lint;
+    Alcotest.test_case "Prometheus scrape while observing" `Quick test_prom_scrape_while_observing;
     Alcotest.test_case "CLI profile --stats=json" `Quick test_cli_profile_stats_json;
   ]
