@@ -104,7 +104,8 @@ let smoke () =
              ("algo", Obs.Json.Str ("exact-" ^ name));
              ("makespan", Obs.Json.Num (float_of_int s.Semimatch.Exact_unit.makespan));
              ("guarantee",
-              Obs.Json.Str (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee));
+              Obs.Json.Str
+                Semimatch.Exact_unit.(guarantee_name (exact_engine_guarantee exact)));
              ("time_s", Obs.Json.Num dt);
            ]))
     Semimatch.Exact_unit.all_exact_engines;

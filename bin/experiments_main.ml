@@ -29,9 +29,19 @@ let csv_arg =
   let doc = "Also write results as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
 
+(* Zero or negative domain counts are a usage error, reported before any
+   row runs. *)
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let jobs_arg =
   let doc = "Parallel domains for instance evaluation (quality unchanged;              keep 1 when timings matter)." in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"J" ~doc)
+  Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"J" ~doc)
 
 let d_arg =
   let doc = "Average degree d for SINGLEPROC instances (paper details d=10)." in

@@ -53,8 +53,22 @@ let stats_arg =
        & info [ "stats" ] ~docv:"FMT"
            ~doc:"Enable telemetry probes and append a metrics report (table, json or csv).")
 
+(* A domain count or a wall-clock budget of zero or less (or nan) is a
+   usage error, reported before any work starts; [inf] is a positive
+   budget, no deadline at all. *)
+let positive of_string zero pp kind =
+  let parse s =
+    match of_string s with
+    | Some x when x > zero -> Ok x
+    | _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected a positive %s" s kind))
+  in
+  Arg.conv (parse, pp)
+
+let positive_int = positive int_of_string_opt 0 Format.pp_print_int "integer"
+let positive_float = positive float_of_string_opt 0.0 Format.pp_print_float "number"
+
 let jobs_arg =
-  Arg.(value & opt int 1
+  Arg.(value & opt positive_int 1
        & info [ "jobs"; "j" ] ~docv:"J"
            ~doc:"Number of domains to run on (default 1: sequential).")
 
@@ -478,8 +492,9 @@ let solve_cmd =
                 the best schedule; implied by $(b,--jobs) > 1.  The best makespan is \
                 identical for every job count.")
   and timeout =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Portfolio wall-clock budget.")
+    Arg.(value & opt (some positive_float) None
+         & info [ "timeout" ] ~docv:"SECONDS"
+             ~doc:"Portfolio wall-clock budget, a positive number ($(b,inf): none).")
   and deadline =
     Arg.(value & opt (some float) None
          & info [ "deadline" ] ~docv:"MS"
@@ -542,7 +557,7 @@ let solve_cmd =
           $ trace_arg $ events_arg $ file_arg)
 
 let exact_cmd =
-  let run strategy engine jobs stats trace events file =
+  let run strategy engine stats trace events file =
     let h = load_instance file in
     match singleton_unit h with
     | None ->
@@ -558,17 +573,7 @@ let exact_cmd =
                 Printf.printf "optimal makespan: %d (%d deadlines tried, %s engine, %s)\n"
                   s.Semimatch.Exact_unit.makespan s.Semimatch.Exact_unit.deadlines_tried
                   (Semimatch.Exact_unit.exact_engine_name exact)
-                  (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee)
-            | None when jobs > 1 ->
-                (* Race bs-hk against gen-hk; both compute the same optimum,
-                   so only the winner (and its bookkeeping) depends on
-                   timing. *)
-                let s, exact = Semimatch.Portfolio.solve_exact_unit ~jobs g in
-                Printf.printf
-                  "optimal makespan: %d (%d deadlines tried, %s engine won the race, %s)\n"
-                  s.Semimatch.Exact_unit.makespan s.Semimatch.Exact_unit.deadlines_tried
-                  (Semimatch.Exact_unit.exact_engine_name exact)
-                  (Semimatch.Exact_unit.guarantee_name s.Semimatch.Exact_unit.guarantee)
+                  Semimatch.Exact_unit.(guarantee_name (exact_engine_guarantee exact))
             | None ->
                 let s = Semimatch.Exact_unit.solve ~strategy g in
                 Printf.printf "optimal makespan: %d (%d deadlines tried, %s search)\n"
@@ -596,12 +601,12 @@ let exact_cmd =
              ~doc:
                "exact engine: bs-dfs, bs-hk or bs-pr (deadline search over a matching \
                 engine; makespan-optimal), harvey, gen-hk or dnc (direct cost-reducing-path \
-                solvers; load-vector-optimal).  Default: the deadline search over Hopcroft-Karp, \
-                or with --jobs > 1 a race of bs-hk against gen-hk.")
+                solvers; load-vector-optimal).  Default: the deadline search over \
+                Hopcroft-Karp.")
   in
   Cmd.v
     (Cmd.info "exact" ~doc:"Exact optimum for SINGLEPROC-UNIT instances")
-    Term.(const run $ strategy $ engine $ jobs_arg $ stats_arg $ trace_arg $ events_arg $ file_arg)
+    Term.(const run $ strategy $ engine $ stats_arg $ trace_arg $ events_arg $ file_arg)
 
 let compare_cmd =
   let run refine stats file =
@@ -1704,14 +1709,24 @@ let () =
   let info =
     Cmd.info "semimatch_cli" ~doc:"Semi-matching scheduling under resource constraints"
   in
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err 1_000_000;
   let code =
-    Cmd.eval
+    Cmd.eval ~err
       (Cmd.group info
          [
            gen_cmd; gen_sp_cmd; info_cmd; solve_cmd; compare_cmd; profile_cmd; simulate_cmd;
            exact_cmd; serve_cmd; client_cmd; loadgen_cmd; doctor_cmd; version_cmd;
          ])
   in
-  (* Cmdliner reports usage errors (unknown flag, bad value) as 124; the
-     CLI's error-exit contract is 2 across the board. *)
-  exit (if code = Cmd.Exit.cli_error then 2 else code)
+  Format.pp_print_flush err ();
+  (* Cmdliner reports a usage error (unknown flag, bad value) as 124, its
+     diagnostic followed by a usage hint; the CLI's error contract is the
+     one diagnostic line and exit 2 across the board. *)
+  if code = Cmd.Exit.cli_error then begin
+    prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+    exit 2
+  end;
+  prerr_string (Buffer.contents buf);
+  exit code

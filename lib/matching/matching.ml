@@ -24,7 +24,7 @@ let solve_with_stats ?(engine = Hopcroft_karp) ?capacities g =
   in
   let size = Array.fold_left (fun acc m -> if m >= 0 then acc + 1 else acc) 0 mate1 in
   (* One event per engine run, whatever the engine: enough for the event
-     log to show which engine ran when (and how hard) inside a race. *)
+     log to show which engine ran when, and how hard. *)
   if Obs.is_enabled () then
     Obs.Events.emit "matching.solved"
       [

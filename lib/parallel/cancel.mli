@@ -3,14 +3,16 @@
     A token is a single atomic flag, optionally armed with a monotonic-clock
     deadline.  Long-running work polls {!is_cancelled} at convenient
     points; a batch skips tasks once its token has tripped,
-    which is how a task exception or a [race] winner drains the remaining
-    work promptly instead of letting sibling domains run to completion. *)
+    which is how a task exception or a portfolio timeout drains the
+    remaining work promptly instead of letting sibling domains run to
+    completion. *)
 
 type t
 
 exception Cancelled
 (** Raised by pool operations that were cut short by an external
-    cancellation (never by an internal one such as a race win). *)
+    cancellation (never by the batch's internal one, which a raising task
+    trips). *)
 
 val create : ?timeout_s:float -> unit -> t
 (** Fresh, untripped token.  [timeout_s] arms a deadline [timeout_s] seconds

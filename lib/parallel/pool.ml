@@ -90,23 +90,3 @@ let map ?(cancel = Cancel.never) ?jobs ~f items =
     results
 
 let map_list ?jobs ~f items = Array.to_list (map ?jobs ~f (Array.of_list items))
-
-let race ~jobs contenders =
-  let k = Array.length contenders in
-  if k = 0 then invalid_arg "Pool.race: no contenders";
-  let token = Cancel.create () in
-  let winner = Atomic.make None in
-  let fail = Atomic.make None in
-  let bodies =
-    Array.mapi
-      (fun i contender () ->
-        match contender token with
-        | v -> if Atomic.compare_and_set winner None (Some (i, v)) then Cancel.cancel token
-        | exception e -> record_min fail i e)
-      contenders
-  in
-  run ~cancel:token ~jobs bodies;
-  match Atomic.get winner with
-  | Some r -> r
-  | None -> (
-      match Atomic.get fail with Some (_, e) -> raise e | None -> raise Cancel.Cancelled)

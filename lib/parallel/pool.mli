@@ -35,8 +35,8 @@ val run : ?cancel:Cancel.t -> jobs:int -> (unit -> unit) array -> unit
     once [cancel] trips or once any task raises; after the batch drains,
     the raised exception with the smallest task index is re-raised.  A
     tripped [cancel] alone does not raise — callers decide what partial
-    completion means ({!map} raises {!Cancel.Cancelled}, {!race} treats it
-    as a win).  Raises [Invalid_argument] if [jobs < 1]. *)
+    completion means ({!map} raises {!Cancel.Cancelled}).  Raises
+    [Invalid_argument] if [jobs < 1]. *)
 
 val map : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
 (** [map ~f items] applies [f] to every element through {!run}, preserving
@@ -49,11 +49,3 @@ val map : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
 
 val map_list : ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
 (** List convenience wrapper over {!map}. *)
-
-val race : jobs:int -> (Cancel.t -> 'a) array -> int * 'a
-(** [race ~jobs contenders] starts the contenders as one batch and returns
-    [(index, value)] of the {e first} to complete, tripping a fresh shared
-    token so the not-yet-started rest are skipped; running contenders
-    observe the same token and should poll it to stop early.  With
-    [jobs = 1] the first contender necessarily wins.  If no contender
-    returns, the smallest-index exception is re-raised. *)

@@ -67,15 +67,17 @@ let solve ?jobs ~budget_s h =
     else None
   in
   (* Tier 3 — exact.  SINGLEPROC-UNIT instances (every configuration a
-     singleton of weight 1) get the polynomial Gen_hk engine whatever their
-     size; everything else falls back to brute force on tiny instances with
-     budget to spare.  Gen_hk adopts only on strict improvement so that an
-     undegraded run still returns the portfolio's bytes on ties. *)
+     singleton of weight 1) get the polynomial deadline search (bs-hk)
+     whatever their size; everything else falls back to brute force on tiny
+     instances with budget to spare.  The exact schedule is adopted only on
+     a strictly smaller makespan, so that an undegraded run still returns
+     the portfolio's bytes on ties; a load-vector-optimal engine would gain
+     nothing here. *)
   let _, best_m, _ = !incumbent in
   if remaining () > 0.0 && best_m > lower_bound then begin
     match Hyper.Graph.to_bipartite h with
     | Some g when Bipartite.Graph.is_unit_weighted g ->
-        let s = Exact_unit.solve_with ~exact:Exact_unit.Gen_hk g in
+        let s = Exact_unit.solve g in
         let m = float_of_int s.Exact_unit.makespan in
         if m < best_m then begin
           (* to_bipartite's contract: bipartite edge index = hyperedge
@@ -86,7 +88,7 @@ let solve ?jobs ~budget_s h =
         end;
         if Obs.is_enabled () then
           Obs.Events.emit "deadline.exact_engine"
-            [ Obs.Events.str "engine" (Exact_unit.exact_engine_name Exact_unit.Gen_hk) ];
+            [ Obs.Events.str "engine" (Exact_unit.exact_engine_name Exact_unit.default_engine) ];
         emit_tier Tier_exact m (elapsed ())
     | _ ->
         if search_space_small h then begin

@@ -11,10 +11,11 @@
       remaining heuristics (greedies, local search, annealing) under the
       leftover wall clock.
     - {b exact}: with budget still remaining, a SINGLEPROC-UNIT instance
-      (every hyperedge a unit-weight singleton) is settled by the direct
-      {!Gen_hk} engine — polynomial, so no size bound is needed — adopted
-      only when it strictly improves the incumbent, and a
-      ["deadline.exact_engine"] event names the engine.  Otherwise, with a
+      (every hyperedge a unit-weight singleton) is settled by
+      {!Exact_unit.solve}, the deadline search over Hopcroft–Karp matchings
+      (bs-hk) — polynomial, so no size bound is needed — adopted only when
+      it strictly improves the incumbent, and a ["deadline.exact_engine"]
+      event names the engine.  Otherwise, with a
       search space of at most [200_000] configurations (Π d_v),
       {!Brute_force.multiproc} settles the instance optimally.  The bound
       keeps brute force off any instance large enough that the portfolio's

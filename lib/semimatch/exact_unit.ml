@@ -14,7 +14,6 @@ type solution = {
   makespan : int;
   assignment : Bip_assignment.t;
   deadlines_tried : int;
-  guarantee : guarantee;
 }
 
 let check g =
@@ -96,12 +95,7 @@ let hall_bound g ~d mate1 =
 let solve ?engine ?(strategy = Incremental) g =
   check g;
   if g.G.n1 = 0 then
-    {
-      makespan = 0;
-      assignment = Bip_assignment.of_edges g [||];
-      deadlines_tried = 0;
-      guarantee = Makespan_optimal;
-    }
+    { makespan = 0; assignment = Bip_assignment.of_edges g [||]; deadlines_tried = 0 }
   else begin
     let tried = ref 0 in
     let attempt d =
@@ -122,7 +116,6 @@ let solve ?engine ?(strategy = Incremental) g =
               makespan = d;
               assignment = Bip_assignment.of_mates g result.Matching.mate1;
               deadlines_tried = !tried;
-              guarantee = Makespan_optimal;
             }
           else search (hall_bound g ~d result.Matching.mate1)
         in
@@ -131,7 +124,7 @@ let solve ?engine ?(strategy = Incremental) g =
         (* Invariant: makespan lo-1 infeasible (lo0-1 < LB is), hi feasible. *)
         let rec bisect lo hi best =
           if lo >= hi then
-            { makespan = hi; assignment = best; deadlines_tried = !tried; guarantee = Makespan_optimal }
+            { makespan = hi; assignment = best; deadlines_tried = !tried }
           else begin
             let mid = (lo + hi) / 2 in
             match attempt mid with
@@ -163,6 +156,8 @@ let all_exact_engines =
   List.map (fun e -> Binary_search e) Matching.all_engines
   @ [ Harvey_online; Gen_hk; Divide_conquer ]
 
+let default_engine = Binary_search Matching.Hopcroft_karp
+
 let exact_engine_name = function
   | Binary_search Matching.Dfs -> "bs-dfs"
   | Binary_search Matching.Hopcroft_karp -> "bs-hk"
@@ -180,19 +175,13 @@ let solve_with ?strategy ~exact g =
   | Binary_search engine -> solve ~engine ?strategy g
   | Harvey_online ->
       let s = Harvey.solve g in
-      {
-        makespan = s.Harvey.makespan;
-        assignment = s.Harvey.assignment;
-        deadlines_tried = 0;
-        guarantee = Load_vector_optimal;
-      }
+      { makespan = s.Harvey.makespan; assignment = s.Harvey.assignment; deadlines_tried = 0 }
   | Gen_hk ->
       let s = Gen_hk.solve g in
       {
         makespan = s.Gen_hk.makespan;
         assignment = s.Gen_hk.assignment;
         deadlines_tried = s.Gen_hk.phases;
-        guarantee = Load_vector_optimal;
       }
   | Divide_conquer ->
       let s = Divide_conquer.solve g in
@@ -200,5 +189,4 @@ let solve_with ?strategy ~exact g =
         makespan = s.Divide_conquer.makespan;
         assignment = s.Divide_conquer.assignment;
         deadlines_tried = s.Divide_conquer.matchings;
-        guarantee = Load_vector_optimal;
       }

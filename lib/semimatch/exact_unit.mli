@@ -16,8 +16,10 @@
       vector.  The direct engines ({!Harvey}, {!Gen_hk}, {!Divide_conquer})
       certify this strictly stronger property.
 
-    Every {!solution} records which level its engine guarantees, so callers
-    racing engines know what the winner's bytes actually promise. *)
+    {!exact_engine_guarantee} names the level each engine certifies.
+    Production code runs one engine, {!solve} (bs-hk, {!default_engine});
+    the rest of the catalogue serves the CLI's [exact --engine] and
+    [profile], the benches and the differential tests. *)
 
 type strategy = Incremental | Bisection
 
@@ -40,7 +42,6 @@ type solution = {
           searches (one per deadline tried; the incremental search's Hall
           witnesses cost no matching) and {!Divide_conquer}, BFS phases
           for {!Gen_hk}, 0 for Harvey insertion *)
-  guarantee : guarantee;  (** what the producing engine certifies *)
 }
 
 val solve :
@@ -69,8 +70,8 @@ val solve :
     matched climb toward the height limit 2(n1 + n2) + 5 one relabel at a
     time.  On FG-20-4 with
     d = 2 (generator seed 1002) its matching at deadline 5 makes 16.9 M
-    steals, where Hopcroft–Karp's scans 31 k vertices.  The result's
-    [guarantee] is [Makespan_optimal] only. *)
+    steals, where Hopcroft–Karp's scans 31 k vertices.  The result is
+    [Makespan_optimal] only. *)
 
 val feasible : ?engine:Matching.engine -> Bipartite.Graph.t -> d:int -> Bip_assignment.t option
 (** [feasible g ~d] is a schedule of makespan ≤ [d] if one exists — the
@@ -93,7 +94,7 @@ val hall_bound : Bipartite.Graph.t -> d:int -> int array -> int
 (** {2 The unified exact-engine catalogue}
 
     Everything that computes a provably optimal makespan, under one type so
-    the portfolio, the CLI and the benches can race and compare them. *)
+    the CLI, the benches and the tests can run and compare them. *)
 
 type exact_engine =
   | Binary_search of Matching.engine
@@ -111,12 +112,18 @@ type exact_engine =
 val all_exact_engines : exact_engine list
 (** The three binary searches then the three direct engines. *)
 
+val default_engine : exact_engine
+(** [Binary_search Hopcroft_karp] (bs-hk): what {!solve} runs by default,
+    and the one exact engine that production code runs. *)
+
 val exact_engine_name : exact_engine -> string
 (** "bs-dfs", "bs-hk", "bs-pr", "harvey", "gen-hk", "dnc". *)
 
 val exact_engine_guarantee : exact_engine -> guarantee
+(** The level every solution of this engine certifies. *)
 
 val solve_with : ?strategy:strategy -> exact:exact_engine -> Bipartite.Graph.t -> solution
 (** Run one engine.  [strategy] applies to [Binary_search] only.  All
     engines return the same optimal makespan; assignments (and therefore
-    load vectors) may differ within each engine's [guarantee]. *)
+    load vectors) may differ within each engine's
+    {!exact_engine_guarantee}. *)

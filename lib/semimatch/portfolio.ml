@@ -137,14 +137,4 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
   in
   { best_makespan; assignment; winner = solvers.(!winner_idx); lower_bound = lb; outcomes }
 
-(* One engine per guarantee: contenders ignore their cancel token, so every
-   extra engine that starts delays the race's answer. *)
-let solve_exact_unit ?(jobs = 1)
-    ?(engines = Exact_unit.[ Binary_search Matching.Hopcroft_karp; Gen_hk ]) g =
-  if engines = [] then invalid_arg "Portfolio.solve_exact_unit: engines must be non-empty";
-  let engines = Array.of_list engines in
-  let contenders =
-    Array.map (fun exact _token -> Exact_unit.solve_with ~exact g) engines
-  in
-  let idx, solution = Pool.race ~jobs contenders in
-  (solution, engines.(idx))
+let solve_exact_unit ?jobs:_ g = (Exact_unit.solve g, Exact_unit.default_engine)

@@ -1,5 +1,4 @@
-(** A multicore solver portfolio for MULTIPROC (and the matching-engine race
-    for SINGLEPROC-UNIT).
+(** A multicore solver portfolio for MULTIPROC.
 
     The heuristics in this library have incomparable strengths: the greedies
     are fast but myopic, local search fixes single-task mistakes, annealing
@@ -56,21 +55,9 @@ val solve : ?jobs:int -> ?cutoff:bool -> ?timeout_s:float -> Hyper.Graph.t -> re
     on infeasible instances. *)
 
 val solve_exact_unit :
-  ?jobs:int ->
-  ?engines:Exact_unit.exact_engine list ->
-  Bipartite.Graph.t ->
-  Exact_unit.solution * Exact_unit.exact_engine
-(** Race exact engines on the same SINGLEPROC-UNIT instance
-    ({!Parpool.Pool.race} on at most [jobs] domains, default 1) and return
-    the first solution to arrive with the engine that produced it.  The
-    default [engines] are one per guarantee: [Binary_search Hopcroft_karp]
-    (bs-hk, makespan-optimal) then [Gen_hk] (load-vector-optimal); pass
-    {!Exact_unit.all_exact_engines} to race all six.  All engines compute
-    the same optimal {e makespan}, so that value is engine- and
-    timing-independent; the assignment, [deadlines_tried] bookkeeping, the
-    winning engine and its [guarantee] (makespan- vs load-vector-optimal —
-    see {!Exact_unit.guarantee}) vary with the winner.  With [jobs = 1]
-    only the first engine in [engines] runs, and it wins deterministically.
-    Contenders do not poll the cancel token, so with [jobs >= 2] the race
-    waits for every engine that started: a slow engine in [engines] (bs-dfs
-    or harvey on large instances) delays the answer even when it loses. *)
+  ?jobs:int -> Bipartite.Graph.t -> Exact_unit.solution * Exact_unit.exact_engine
+(** [solve_exact_unit g] is [(Exact_unit.solve g, Exact_unit.default_engine)]:
+    bs-hk's solution, named.  [jobs] is ignored: one engine has nothing to
+    run in parallel.  The argument stays only because the repository
+    benchmark's stream workload ([perfbench/wl_stream.ml]) passes
+    [~jobs:1]; new code calls {!Exact_unit.solve}. *)

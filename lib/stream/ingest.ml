@@ -17,7 +17,7 @@ let stream_solver_of_string = function
   | _ -> None
 
 type tier =
-  | In_core_exact  (** materialized, unit bipartite: the exact-engine race *)
+  | In_core_exact  (** materialized, unit bipartite: the exact deadline search *)
   | In_core_portfolio  (** materialized, general: the heuristic portfolio *)
   | Stream_kr of Kr.guarantee  (** solved over the stream, never materialized *)
 
@@ -54,12 +54,13 @@ let solve_in_core ?jobs h =
   match Hyper.Graph.to_bipartite h with
   | Some g when Bipartite.Graph.is_unit_weighted g && not (Bipartite.Graph.has_isolated_task g)
     ->
-      let sol, engine = Semimatch.Portfolio.solve_exact_unit ?jobs g in
       let open Semimatch.Exact_unit in
       ( In_core_exact,
-        float_of_int sol.makespan,
+        float_of_int (solve g).makespan,
         float_of_int (Semimatch.Lower_bound.singleproc_unit g),
-        Printf.sprintf "%s (%s)" (guarantee_name sol.guarantee) (exact_engine_name engine),
+        Printf.sprintf "%s (%s)"
+          (guarantee_name (exact_engine_guarantee default_engine))
+          (exact_engine_name default_engine),
         1.0 )
   | _ ->
       let r = Semimatch.Portfolio.solve ?jobs h in

@@ -5,7 +5,8 @@
     The decision is O(1): the sealed header's CSR estimate
     ({!Hyper.Stream_io.csr_estimate_words}) is compared against a word
     budget before any record is read.  Small instances are materialized and
-    solved exactly (unit bipartite) or by the portfolio (general); large
+    solved exactly (unit bipartite, by the deadline search over
+    Hopcroft–Karp matchings) or by the portfolio (general); large
     ones are solved by the bounded-memory Konrad–Rosén solvers with the
     CSR never existing. *)
 
@@ -14,7 +15,7 @@ type stream_solver = Auto | One_pass | Few_pass
 val stream_solver_of_string : string -> stream_solver option
 
 type tier =
-  | In_core_exact  (** materialized, unit bipartite: the exact-engine race *)
+  | In_core_exact  (** materialized, unit bipartite: the exact deadline search *)
   | In_core_portfolio  (** materialized, general: the heuristic portfolio *)
   | Stream_kr of Kr.guarantee  (** solved over the stream, never materialized *)
 
@@ -47,7 +48,8 @@ val solve :
 (** [solve path] ingests the stream at [path].  [stream_solver] picks the
     solver when the streamed tier wins and the stream is singleton
     unit-weight ([Auto] = few-pass, the better factor); general streams
-    always get the online greedy.  [jobs] (default 1) is passed to the
-    in-core tier's {!Semimatch.Portfolio.solve_exact_unit} or
+    always get the online greedy.  An in-core unit bipartite instance is
+    solved by {!Semimatch.Exact_unit.solve} (bs-hk) at every [jobs];
+    [jobs] (default 1) is passed to the general in-core tier's
     {!Semimatch.Portfolio.solve}.  Raises [Failure] on unsealed or corrupt
     files and [Invalid_argument]/[Failure] on infeasible instances. *)

@@ -19,6 +19,8 @@ let cli =
   | Some path -> path
   | None -> List.hd candidates
 
+let experiments = Filename.concat (Filename.dirname cli) "experiments_main.exe"
+
 let run_capture args =
   let command = Filename.quote_command cli args in
   let ic = Unix.open_process_in command in
@@ -93,7 +95,7 @@ let test_exact_on_singleproc () =
 
 (* A batch spawns at most one helper per task beyond the caller, so a
    --jobs far above the runtime's 128-domain limit still answers: 5 helpers
-   for the 6-solver portfolio, 1 for the 2-engine exact race. *)
+   for the 6-solver portfolio. *)
 let test_jobs_above_domain_limit () =
   let line_with ~prefix out =
     match List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' out) with
@@ -108,19 +110,7 @@ let test_jobs_above_domain_limit () =
       let wide = expect_ok (run_capture [ "solve"; "--jobs"; "200"; path ]) in
       let single = expect_ok (run_capture [ "solve"; "--portfolio"; "--jobs"; "1"; path ]) in
       Alcotest.(check string) "solve makespan" (line_with ~prefix:"makespan:" single)
-        (line_with ~prefix:"makespan:" wide));
-  with_temp (fun path ->
-      ignore
-        (expect_ok
-           (run_capture
-              [ "gen-sp"; "--tasks"; "60"; "--procs"; "12"; "--groups"; "3"; "--degree"; "3";
-                "--seed"; "2"; "-o"; path ]));
-      let optimum out =
-        List.hd (String.split_on_char '(' (line_with ~prefix:"optimal makespan:" out))
-      in
-      let wide = expect_ok (run_capture [ "exact"; "--jobs"; "200"; path ]) in
-      let single = expect_ok (run_capture [ "exact"; "--jobs"; "1"; path ]) in
-      Alcotest.(check string) "exact optimum" (optimum single) (optimum wide))
+        (line_with ~prefix:"makespan:" wide))
 
 let test_exact_rejects_multiproc () =
   with_temp (fun path ->
@@ -181,6 +171,53 @@ let test_corrupt_instance_file () =
 let test_unknown_flag () =
   ignore (expect_clean_failure "unknown flag" (run_capture_err [ "solve"; "--frobnicate"; "x" ]));
   ignore (expect_clean_failure "unknown command" (run_capture_err [ "frobnicate" ]))
+
+(* A domain count or a portfolio budget of zero or less is a usage error:
+   one line naming the option, exit 2, before any work (an instance that
+   would otherwise solve is given, and serve gets no listener, so only the
+   option can be what fails). *)
+let test_nonpositive_jobs_and_timeout () =
+  with_temp (fun path ->
+      ignore
+        (expect_ok
+           (run_capture [ "gen"; "--tasks"; "20"; "--procs"; "4"; "--groups"; "2"; "-o"; path ]));
+      let rejects ~option ~expected args =
+        let name = String.concat " " args in
+        let out = expect_clean_failure name (run_capture_err args) in
+        Alcotest.(check int) (name ^ ": one line") 1 (count_lines out);
+        check (name ^ ": names " ^ option) true (contains ~needle:option out);
+        check (name ^ ": says what is expected") true (contains ~needle:expected out);
+        check (name ^ ": no internal error") false (contains ~needle:"internal error" out)
+      in
+      List.iter (rejects ~option:"--jobs" ~expected:"expected a positive integer")
+        [
+          [ "solve"; "--jobs"; "0"; path ];
+          [ "solve"; "--jobs=-2"; path ];
+          [ "solve"; "--deadline"; "5"; "--jobs"; "0"; path ];
+          [ "profile"; "--jobs"; "0"; path ];
+          [ "serve"; "--jobs"; "0" ];
+        ];
+      List.iter (rejects ~option:"--timeout" ~expected:"expected a positive number")
+        [
+          [ "solve"; "--portfolio"; "--timeout"; "0"; path ];
+          [ "solve"; "--portfolio"; "--timeout=-1"; path ];
+          [ "solve"; "--portfolio"; "--timeout=nan"; path ];
+        ];
+      let out = expect_ok (run_capture [ "solve"; "--portfolio"; "--timeout"; "inf"; path ]) in
+      check "--timeout inf: no deadline" true (contains ~needle:"winner:" out));
+  (* experiments_main reports the same mistake as a cmdliner usage error. *)
+  let status, out =
+    let command = Filename.quote_command experiments [ "sweep"; "--jobs"; "0" ] ^ " 2>&1" in
+    let ic = Unix.open_process_in command in
+    let out = In_channel.input_all ic in
+    (Unix.close_process_in ic, out)
+  in
+  check "experiments_main --jobs 0: usage error" true (status = Unix.WEXITED 124);
+  check "experiments_main --jobs 0: names the option" true (contains ~needle:"--jobs" out);
+  check "experiments_main --jobs 0: says what is expected" true
+    (contains ~needle:"positive" out);
+  check "experiments_main --jobs 0: no internal error" false
+    (contains ~needle:"internal error" out)
 
 let test_unwritable_trace () =
   with_temp (fun path ->
@@ -367,6 +404,8 @@ let suite =
     Alcotest.test_case "missing instance file" `Quick test_missing_instance_file;
     Alcotest.test_case "corrupt instance file" `Quick test_corrupt_instance_file;
     Alcotest.test_case "unknown flag and command" `Quick test_unknown_flag;
+    Alcotest.test_case "non-positive --jobs and --timeout" `Quick
+      test_nonpositive_jobs_and_timeout;
     Alcotest.test_case "unwritable trace path" `Quick test_unwritable_trace;
     Alcotest.test_case "bad fault specs" `Quick test_bad_fault_spec;
     Alcotest.test_case "faulted solve and simulate" `Quick test_faulted_solve_and_simulate;

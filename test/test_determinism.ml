@@ -77,12 +77,10 @@ let test_portfolio_identical_across_jobs () =
       (outcomes 1 = outcomes 4)
   done
 
-let test_exact_engines_identical_across_jobs () =
+let test_exact_engines_identical_across_runs () =
   (* The direct exact engines are pure functions of the instance bytes:
-     repeated runs and any pool size must return byte-identical edge
-     choices, not merely equal makespans.  Raced through the portfolio
-     with a singleton engine list, the winner is forced, so the raced
-     assignment must equal the sequential one at jobs 1, 4 and 8. *)
+     repeated runs must return byte-identical edge choices, not merely
+     equal makespans. *)
   let module E = Semimatch.Exact_unit in
   let rng = Randkit.Prng.create ~seed:23 in
   for _ = 1 to 8 do
@@ -99,24 +97,11 @@ let test_exact_engines_identical_across_jobs () =
       (fun exact ->
         let name = E.exact_engine_name exact in
         let edges_of (s : E.solution) = s.E.assignment.Semimatch.Bip_assignment.edge in
-        let reference = edges_of (E.solve_with ~exact g) in
         Alcotest.(check (array int))
-          (name ^ " repeated run byte-identical") reference
-          (edges_of (E.solve_with ~exact g));
-        List.iter
-          (fun jobs ->
-            let s, _ = Semimatch.Portfolio.solve_exact_unit ~jobs ~engines:[ exact ] g in
-            Alcotest.(check (array int))
-              (Printf.sprintf "%s raced at jobs=%d byte-identical" name jobs)
-              reference (edges_of s))
-          [ 1; 4; 8 ])
-      [ E.Gen_hk; E.Divide_conquer ];
-    (* The default race, bs-hk against gen-hk: makespan independent of
-       jobs. *)
-    let m jobs = (fst (Semimatch.Portfolio.solve_exact_unit ~jobs g)).E.makespan in
-    let sequential = m 1 in
-    Alcotest.(check int) "race jobs=4" sequential (m 4);
-    Alcotest.(check int) "race jobs=8" sequential (m 8)
+          (name ^ " repeated run byte-identical")
+          (edges_of (E.solve_with ~exact g))
+          (edges_of (E.solve_with ~exact g)))
+      [ E.Gen_hk; E.Divide_conquer ]
   done
 
 let test_merged_counters_equal_shard_sum () =
@@ -170,8 +155,8 @@ let suite =
       test_runner_table_identical_across_jobs;
     Alcotest.test_case "portfolio makespans identical across jobs" `Quick
       test_portfolio_identical_across_jobs;
-    Alcotest.test_case "direct exact engines byte-identical across jobs 1/4/8" `Quick
-      test_exact_engines_identical_across_jobs;
+    Alcotest.test_case "direct exact engines byte-identical on repeated runs" `Quick
+      test_exact_engines_identical_across_runs;
     Alcotest.test_case "merged counters = sum of shards" `Quick
       test_merged_counters_equal_shard_sum;
     Alcotest.test_case "local shard diff exact under concurrency" `Quick

@@ -133,18 +133,6 @@ let test_portfolio_never_worse_than_sequential () =
         portfolio.Semimatch.Portfolio.best_makespan best_sequential
   done
 
-let test_portfolio_exact_unit_race () =
-  let rng = Prng.create ~seed:106 in
-  for _ = 1 to 25 do
-    let g = gen_bipartite (Prng.split rng) in
-    let sequential = (Semimatch.Exact_unit.solve g).Semimatch.Exact_unit.makespan in
-    List.iter
-      (fun jobs ->
-        let s, _engine = Semimatch.Portfolio.solve_exact_unit ~jobs g in
-        Alcotest.(check int) "raced optimum" sequential s.Semimatch.Exact_unit.makespan)
-      [ 1; 3 ]
-  done
-
 let suite =
   [
     Alcotest.test_case "matching engines agree on cardinality (250 instances)" `Quick
@@ -157,6 +145,4 @@ let suite =
       test_brute_force_agrees_multiproc;
     Alcotest.test_case "portfolio never worse than best sequential" `Quick
       test_portfolio_never_worse_than_sequential;
-    Alcotest.test_case "raced exact-unit equals sequential optimum" `Quick
-      test_portfolio_exact_unit_race;
   ]

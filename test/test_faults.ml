@@ -260,6 +260,57 @@ let test_deadline_exact_tier_settles_tiny () =
   check "exact tier credited when it had to run" true
     (r.D.makespan <= r.D.lower_bound +. 1e-9 || r.D.tier = D.Tier_exact)
 
+(* SINGLEPROC-UNIT instances (every configuration a unit-weight
+   singleton) reach the exact tier's deadline search whatever their size. *)
+let singleproc_unit ~scale ~d ~seed name =
+  let module I = Experiments.Instances in
+  let spec = List.find (fun s -> s.I.sp_name = name) (I.paper_grid_singleproc ~d ()) in
+  H.of_bipartite (I.generate_singleproc ~seed (I.scaled_singleproc scale spec))
+
+let exact_engine_events () =
+  List.filter_map
+    (fun e ->
+      if e.Obs.Events.e_name <> "deadline.exact_engine" then None
+      else
+        match List.assoc_opt "engine" e.Obs.Events.e_fields with
+        | Some (Obs.Json.Str name) -> Some name
+        | _ -> Some "")
+    (Obs.Events.records ())
+
+let test_deadline_exact_tier_singleproc_unit () =
+  (* HLF-5-1/32 with d = 2: the portfolio stops at 6, above the optimum 5,
+     so the deadline search's schedule is adopted. *)
+  let h = singleproc_unit ~scale:32 ~d:2 ~seed:1 "HLF-5-1" in
+  let g = Option.get (H.to_bipartite h) in
+  let opt = float_of_int (Semimatch.Exact_unit.solve g).Semimatch.Exact_unit.makespan in
+  let p = Semimatch.Portfolio.solve ~jobs:1 h in
+  check "portfolio above the optimum" true (p.Semimatch.Portfolio.best_makespan > opt);
+  Obs.with_recording (fun () ->
+      let r = D.solve ~jobs:1 ~budget_s:60.0 h in
+      check "exact tier answered" true (r.D.tier = D.Tier_exact);
+      checkf "Exact_unit.solve's optimum" opt r.D.makespan;
+      check "valid schedule" true (A.is_valid h r.D.assignment);
+      checkf "makespan is real" (A.makespan h r.D.assignment) r.D.makespan;
+      check "not degraded" false r.D.degraded;
+      Alcotest.(check (list string)) "engine event" [ "bs-hk" ] (exact_engine_events ()))
+
+let test_deadline_exact_tier_keeps_portfolio_ties () =
+  (* FG-20-4/16 with d = 2: the portfolio reaches the optimum 6, above the
+     lower bound 5, so the exact tier runs and ties: the portfolio's bytes
+     stay. *)
+  let h = singleproc_unit ~scale:16 ~d:2 ~seed:1 "FG-20-4" in
+  let g = Option.get (H.to_bipartite h) in
+  let opt = float_of_int (Semimatch.Exact_unit.solve g).Semimatch.Exact_unit.makespan in
+  let p = Semimatch.Portfolio.solve ~jobs:1 h in
+  checkf "portfolio at the optimum" opt p.Semimatch.Portfolio.best_makespan;
+  check "optimum above the lower bound" true (opt > p.Semimatch.Portfolio.lower_bound);
+  Obs.with_recording (fun () ->
+      let r = D.solve ~jobs:1 ~budget_s:60.0 h in
+      check "portfolio tier answered" true (r.D.tier = D.Tier_portfolio);
+      check "byte-identical assignment" true
+        (r.D.assignment.A.choice = p.Semimatch.Portfolio.assignment.A.choice);
+      Alcotest.(check (list string)) "the exact tier ran" [ "bs-hk" ] (exact_engine_events ()))
+
 let suite =
   [
     Alcotest.test_case "spec roundtrip" `Quick test_spec_roundtrip;
@@ -279,4 +330,8 @@ let suite =
     Alcotest.test_case "tight budget stays feasible" `Quick test_deadline_tight_budget_still_feasible;
     Alcotest.test_case "exact tier settles tiny instances" `Quick
       test_deadline_exact_tier_settles_tiny;
+    Alcotest.test_case "exact tier: bs-hk beats the portfolio" `Quick
+      test_deadline_exact_tier_singleproc_unit;
+    Alcotest.test_case "exact tier keeps portfolio ties" `Quick
+      test_deadline_exact_tier_keeps_portfolio_ties;
   ]

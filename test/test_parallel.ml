@@ -109,35 +109,6 @@ let test_map_timeout () =
   | exception Cancel.Cancelled -> ()
   | _ -> Alcotest.fail "expected Cancelled"
 
-let test_race_first_wins_sequential () =
-  let idx, v =
-    Pool.race ~jobs:1 [| (fun _ -> "first"); (fun _ -> Alcotest.fail "loser must be skipped") |]
-  in
-  Alcotest.(check int) "winner index" 0 idx;
-  Alcotest.(check string) "winner value" "first" v
-
-let test_race_cancels_losers () =
-  (* The loser spins on the shared token; the race only returns because the
-     winner trips it, so returning at all is the assertion. *)
-  let idx, v =
-    Pool.race ~jobs:2
-      [|
-        (fun token ->
-          while not (Cancel.is_cancelled token) do
-            Domain.cpu_relax ()
-          done;
-          "spinner");
-        (fun _ -> "quick");
-      |]
-  in
-  check "some contender won" true (idx = 0 || idx = 1);
-  check "value matches winner" true ((idx = 0 && v = "spinner") || (idx = 1 && v = "quick"))
-
-let test_race_all_raise () =
-  match Pool.race ~jobs:2 [| (fun _ -> failwith "a"); (fun _ -> failwith "b") |] with
-  | exception Failure msg -> Alcotest.(check string) "smallest index" "a" msg
-  | _ -> Alcotest.fail "expected exception"
-
 let test_cancel_deadline () =
   let t = Cancel.create ~timeout_s:1e-9 () in
   Unix.sleepf 0.002;
@@ -228,9 +199,6 @@ let suite =
     Alcotest.test_case "early failure drains promptly" `Quick test_early_failure_drains;
     Alcotest.test_case "map on a cancelled token" `Quick test_map_cancelled_token;
     Alcotest.test_case "map timeout" `Quick test_map_timeout;
-    Alcotest.test_case "race: first wins sequentially" `Quick test_race_first_wins_sequential;
-    Alcotest.test_case "race: winner cancels losers" `Quick test_race_cancels_losers;
-    Alcotest.test_case "race: all raise" `Quick test_race_all_raise;
     Alcotest.test_case "cancel deadlines" `Quick test_cancel_deadline;
     Alcotest.test_case "past deadline runs nothing" `Quick test_past_deadline_runs_nothing;
     QCheck_alcotest.to_alcotest prop_map_contract;
