@@ -305,7 +305,20 @@ let () =
              technical report's random-weights variant.";
         ]
   in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ table1_cmd; table2_cmd; table3_cmd; table_random_cmd; singleproc_cmd; weighted_sp_cmd; online_cmd; ablations_cmd; sweep_cmd; hardness_cmd; bounds_cmd; robustness_cmd; faults_cmd; stream_cmd; all_cmd ]))
+  let buf = Buffer.create 256 in
+  let err = Format.formatter_of_buffer buf in
+  Format.pp_set_margin err 1_000_000;
+  let code =
+    Cmd.eval ~err
+      (Cmd.group info
+         [ table1_cmd; table2_cmd; table3_cmd; table_random_cmd; singleproc_cmd; weighted_sp_cmd; online_cmd; ablations_cmd; sweep_cmd; hardness_cmd; bounds_cmd; robustness_cmd; faults_cmd; stream_cmd; all_cmd ])
+  in
+  Format.pp_print_flush err ();
+  (* semimatch_cli's contract: a usage error (unknown flag, bad value) is
+     cmdliner's first diagnostic line alone, and exit 2, not 124. *)
+  if code = Cmd.Exit.cli_error then begin
+    prerr_endline (List.hd (String.split_on_char '\n' (Buffer.contents buf)));
+    exit 2
+  end;
+  prerr_string (Buffer.contents buf);
+  exit code

@@ -38,8 +38,14 @@ let of_csr ~n1 ~n2 ~off ~adj ~w =
   for v = 0 to n1 - 1 do
     if off.(v) > off.(v + 1) then invalid_arg "Bipartite.Graph.of_csr: malformed offsets"
   done;
-  Array.iter (fun u -> if u < 0 || u >= n2 then invalid_arg "Bipartite.Graph: V2 endpoint out of range") adj;
-  Array.iter (fun x -> if not (x > 0.0) then invalid_arg "Bipartite.Graph: weight must be positive") w;
+  (* Plain loops: a closure over the float array would box every weight. *)
+  for e = 0 to m - 1 do
+    let u = adj.(e) in
+    if u < 0 || u >= n2 then invalid_arg "Bipartite.Graph: V2 endpoint out of range"
+  done;
+  for e = 0 to m - 1 do
+    if not (w.(e) > 0.0) then invalid_arg "Bipartite.Graph: weight must be positive"
+  done;
   { n1; n2; off; adj; w }
 
 let of_adjacency ~n2 adjacency =

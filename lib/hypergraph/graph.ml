@@ -65,16 +65,20 @@ let builder ~n1 ~n2 ~hyperedges ~pins =
 
 let check_open b = if b.b_built then invalid_arg "Hyper.Graph: builder used after build"
 
-let add_pin b u =
+let grow_pins b =
+  let a = Array.make (max 8 (2 * b.b_np)) 0 in
+  Array.blit b.b_adj 0 a 0 b.b_np;
+  b.b_adj <- a
+
+let[@inline] add_pin b u =
   check_open b;
-  if b.b_np = Array.length b.b_adj then begin
-    let a = Array.make (max 8 (2 * b.b_np)) 0 in
-    Array.blit b.b_adj 0 a 0 b.b_np;
-    b.b_adj <- a
-  end;
+  if b.b_np = Array.length b.b_adj then grow_pins b;
   Array.unsafe_set b.b_adj b.b_np u;
   b.b_np <- b.b_np + 1
 
+let task_out_of_range = Some "Hyper.Graph: task out of range"
+let weight_not_positive = Some "Hyper.Graph: weight must be positive"
+let empty_config = Some "Hyper.Graph: empty processor set"
 let out_of_range = Some "Hyper.Graph: processor out of range"
 let duplicate = Some "Hyper.Graph: duplicate processor in hyperedge"
 
@@ -83,11 +87,13 @@ let duplicate = Some "Hyper.Graph: duplicate processor in hyperedge"
    header may name n2 = 1e8. *)
 let small_config = 32
 
-let rec occurs adj lo hi u = lo < hi && (adj.(lo) = u || occurs adj (lo + 1) hi u)
+(* Typed, so the comparison is an integer compare, not [caml_equal]. *)
+let rec occurs (adj : int array) lo hi (u : int) =
+  lo < hi && (adj.(lo) = u || occurs adj (lo + 1) hi u)
 
 (* The first bad pin of adj.(pos .. stop - 1) in order: out of range, or a
    repeat of an earlier pin. *)
-let rec check_small ~n2 adj pos i stop =
+let rec check_small ~n2 (adj : int array) pos i stop =
   if i = stop then None
   else
     let u = adj.(i) in
@@ -95,7 +101,7 @@ let rec check_small ~n2 adj pos i stop =
     else if occurs adj pos i u then duplicate
     else check_small ~n2 adj pos (i + 1) stop
 
-let check_large ~n2 adj pos stop =
+let check_large ~n2 (adj : int array) pos stop =
   let seen = Hashtbl.create (stop - pos) in
   let rec go i =
     if i = stop then None
@@ -109,13 +115,6 @@ let check_large ~n2 adj pos stop =
       end
   in
   go pos
-
-let check_hyperedge b ~task ~weight pos stop =
-  if task < 0 || task >= b.b_n1 then Some "Hyper.Graph: task out of range"
-  else if not (weight > 0.0) then Some "Hyper.Graph: weight must be positive"
-  else if pos = stop then Some "Hyper.Graph: empty processor set"
-  else if stop - pos <= small_config then check_small ~n2:b.b_n2 b.b_adj pos pos stop
-  else check_large ~n2:b.b_n2 b.b_adj pos stop
 
 let grow_hyperedges b =
   let cap = max 8 (2 * b.b_nh) in
@@ -142,18 +141,28 @@ let ungroup b =
   b.b_tasks <- tasks;
   b.b_grouped <- false
 
-let end_hyperedge b ~task ~weight =
-  check_open b;
-  let pos = b.b_off.(b.b_nh) in
+(* Once invalid, the graph is never built: keep the first failure, drop the
+   pins. *)
+let drop_pins b = b.b_np <- b.b_off.(b.b_nh)
+
+let reject b error =
+  b.b_error <- error;
+  drop_pins b
+
+(* Close the hyperedge under construction, whose task and weight the caller
+   has checked: check its pins, then append it.  Its slot, where the caller
+   stores the weight, or -1 when a pin is bad. *)
+let close b task =
+  let pos = b.b_off.(b.b_nh) and stop = b.b_np in
   let error =
-    match b.b_error with Some _ as e -> e | None -> check_hyperedge b ~task ~weight pos b.b_np
+    if pos = stop then empty_config
+    else if stop - pos <= small_config then check_small ~n2:b.b_n2 b.b_adj pos pos stop
+    else check_large ~n2:b.b_n2 b.b_adj pos stop
   in
   match error with
   | Some _ ->
-      (* once invalid, the graph is never built: keep the failure, drop the
-         pins *)
-      b.b_error <- error;
-      b.b_np <- pos
+      reject b error;
+      -1
   | None ->
       let e = b.b_nh in
       if e = Array.length b.b_w then grow_hyperedges b;
@@ -161,9 +170,20 @@ let end_hyperedge b ~task ~weight =
       if not b.b_grouped then b.b_tasks.(e) <- task;
       b.b_last <- task;
       b.b_count.(task + 1) <- b.b_count.(task + 1) + 1;
-      b.b_w.(e) <- weight;
-      b.b_off.(e + 1) <- b.b_np;
-      b.b_nh <- e + 1
+      b.b_off.(e + 1) <- stop;
+      b.b_nh <- e + 1;
+      e
+
+(* Small enough to inline, and the weight goes only into a float array: a
+   caller whose weight is an unboxed local passes it without boxing. *)
+let[@inline] end_hyperedge b ~task ~weight =
+  check_open b;
+  if Option.is_some b.b_error then drop_pins b
+  else if task < 0 || task >= b.b_n1 then reject b task_out_of_range
+  else if not (weight > 0.0) then reject b weight_not_positive
+  else
+    let e = close b task in
+    if e >= 0 then Array.unsafe_set b.b_w e weight
 
 let add b ~task ~procs ~weight =
   for i = 0 to Array.length procs - 1 do

@@ -6,6 +6,11 @@
    converting digits as it goes, and appends pins straight into the
    builder.  Neither makes a string, list or tuple per line or per field.
 
+   In the second pass a canonical line, as [to_string] writes every
+   hyperedge of integer weight below 1e6, is read by one loop
+   ([canonical_line]); every other line goes to the general scanner, from
+   the line's first byte.
+
    The accepted language is exactly that of a split-and-trim reading: lines
    split on '\n'; each trimmed of String.trim's whitespace; '#' starts a
    comment only as a line's first non-blank character; fields split on ' '
@@ -81,6 +86,7 @@ type scanner = {
   mutable tok : int;
   mutable stop : int;
   mutable num : int;
+  mutable pins : int array;  (* a canonical line's pins until it is accepted *)
 }
 
 let trimmed_end s =
@@ -188,14 +194,20 @@ let count_hyperedges text =
   let len = String.length text in
   let hyperedges = ref 0 and spaces = ref 0 and i = ref 0 in
   while !i < len do
-    let h_line =
-      String.unsafe_get text !i = 'h' && !i + 1 < len && String.unsafe_get text (!i + 1) = ' '
-    in
-    if h_line then incr hyperedges;
-    while !i < len && String.unsafe_get text !i <> '\n' do
-      if h_line && String.unsafe_get text !i = ' ' then incr spaces;
-      incr i
-    done;
+    if String.unsafe_get text !i = 'h' && !i + 1 < len && String.unsafe_get text (!i + 1) = ' ' then begin
+      incr hyperedges;
+      (* no branch per space: where fields end is not predictable *)
+      let c = ref 'h' in
+      while !c <> '\n' do
+        spaces := !spaces + Bool.to_int (!c = ' ');
+        incr i;
+        c := if !i < len then String.unsafe_get text !i else '\n'
+      done
+    end
+    else
+      while !i < len && String.unsafe_get text !i <> '\n' do
+        incr i
+      done;
     incr i
   done;
   (!hyperedges, max 0 (!spaces - (2 * !hyperedges)))
@@ -234,25 +246,83 @@ let parse_line s builder ~hyperedges ~pins =
   end
   else fail line_no "unrecognized line"
 
+(* A canonical hyperedge line from its first byte [start]: "h", then fields
+   of plain digits (at most 18, or 15 for the weight), each after exactly
+   one space, ending at '\n' or at the end of the text.  Such a line reads
+   as the general scanner would read it and cannot fail to parse.  The
+   fields stay in locals, and the pins in [s.pins], until the line is
+   accepted; only then do they reach the builder, so a line rejected at any
+   byte costs nothing but the rescan.  The next line's first byte, or -1
+   when the line is not canonical. *)
+let canonical_line s b start =
+  let text = s.text and len = s.len in
+  if start + 1 >= len || String.unsafe_get text start <> 'h' || String.unsafe_get text (start + 1) <> ' '
+  then -1
+  else begin
+    (* [next] is -2 while fields remain, then -1 or the next line's start;
+       past the text's last byte [c] reads '\n'. *)
+    let i = ref (start + 2) and fields = ref 0 and task = ref 0 and weight = ref 0 and next = ref (-2) in
+    while !next = -2 do
+      let first = !i and v = ref 0 in
+      let c = ref (if first < len then String.unsafe_get text first else '\n') in
+      while '0' <= !c && !c <= '9' do
+        v := (!v * 10) + Char.code !c - 48;
+        incr i;
+        c := if !i < len then String.unsafe_get text !i else '\n'
+      done;
+      let digits = !i - first in
+      if digits = 0 || digits > (if !fields = 1 then 15 else 18) || (!c <> ' ' && !c <> '\n') then next := -1
+      else begin
+        if !fields = 0 then task := !v
+        else if !fields = 1 then weight := !v
+        else begin
+          let k = !fields - 2 in
+          if k = Array.length s.pins then begin
+            let a = Array.make (2 * k) 0 in
+            Array.blit s.pins 0 a 0 k;
+            s.pins <- a
+          end;
+          Array.unsafe_set s.pins k !v
+        end;
+        incr fields;
+        incr i;
+        if !c = '\n' then next := if !fields >= 2 then !i else -1
+      end
+    done;
+    if !next >= 0 then begin
+      for k = 0 to !fields - 3 do
+        Graph.add_pin b (Array.unsafe_get s.pins k)
+      done;
+      Graph.end_hyperedge b ~task:!task ~weight:(float_of_int !weight)
+    end;
+    !next
+  end
+
 let of_string text =
   let hyperedges, pins = count_hyperedges text in
   let len = String.length text in
-  let s = { text; len; pos = 0; line_no = 0; line_end = -1; tok = 0; stop = 0; num = 0 } in
+  let s =
+    { text; len; pos = 0; line_no = 0; line_end = -1; tok = 0; stop = 0; num = 0; pins = Array.make 8 0 }
+  in
   let builder = ref None in
   (* Lines as String.split_on_char '\n' gives them: "" is one line, and a
      trailing '\n' ends one more. *)
   while s.pos <= len do
     s.line_no <- s.line_no + 1;
-    s.line_end <- -1;
-    while s.pos < len && String.unsafe_get text s.pos <> '\n' && is_blank (String.unsafe_get text s.pos) do
+    let next = match !builder with Some b -> canonical_line s b s.pos | None -> -1 in
+    if next >= 0 then s.pos <- next
+    else begin
+      s.line_end <- -1;
+      while s.pos < len && String.unsafe_get text s.pos <> '\n' && is_blank (String.unsafe_get text s.pos) do
+        s.pos <- s.pos + 1
+      done;
+      if s.pos < len && String.unsafe_get text s.pos <> '\n' && String.unsafe_get text s.pos <> '#' then
+        parse_line s builder ~hyperedges ~pins;
+      while s.pos < len && String.unsafe_get text s.pos <> '\n' do
+        s.pos <- s.pos + 1
+      done;
       s.pos <- s.pos + 1
-    done;
-    if s.pos < len && String.unsafe_get text s.pos <> '\n' && String.unsafe_get text s.pos <> '#' then
-      parse_line s builder ~hyperedges ~pins;
-    while s.pos < len && String.unsafe_get text s.pos <> '\n' do
-      s.pos <- s.pos + 1
-    done;
-    s.pos <- s.pos + 1
+    end
   done;
   match !builder with
   | None -> failwith "Hyper.Io: missing header"

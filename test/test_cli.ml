@@ -134,8 +134,8 @@ let test_simulate () =
 (* --- error paths: every operator mistake is one short diagnostic on
    stderr and exit 2, never an OCaml backtrace. --- *)
 
-let run_capture_err args =
-  let command = Filename.quote_command cli args ^ " 2>&1" in
+let run_capture_err ?(exe = cli) args =
+  let command = Filename.quote_command exe args ^ " 2>&1" in
   let ic = Unix.open_process_in command in
   let output = In_channel.input_all ic in
   let status = Unix.close_process_in ic in
@@ -170,7 +170,12 @@ let test_corrupt_instance_file () =
 
 let test_unknown_flag () =
   ignore (expect_clean_failure "unknown flag" (run_capture_err [ "solve"; "--frobnicate"; "x" ]));
-  ignore (expect_clean_failure "unknown command" (run_capture_err [ "frobnicate" ]))
+  ignore (expect_clean_failure "unknown command" (run_capture_err [ "frobnicate" ]));
+  let out =
+    expect_clean_failure "experiments_main unknown flag"
+      (run_capture_err ~exe:experiments [ "sweep"; "--frobnicate" ])
+  in
+  Alcotest.(check int) "experiments_main unknown flag: one line" 1 (count_lines out)
 
 (* A domain count or a portfolio budget of zero or less is a usage error:
    one line naming the option, exit 2, before any work (an instance that
@@ -205,14 +210,12 @@ let test_nonpositive_jobs_and_timeout () =
         ];
       let out = expect_ok (run_capture [ "solve"; "--portfolio"; "--timeout"; "inf"; path ]) in
       check "--timeout inf: no deadline" true (contains ~needle:"winner:" out));
-  (* experiments_main reports the same mistake as a cmdliner usage error. *)
-  let status, out =
-    let command = Filename.quote_command experiments [ "sweep"; "--jobs"; "0" ] ^ " 2>&1" in
-    let ic = Unix.open_process_in command in
-    let out = In_channel.input_all ic in
-    (Unix.close_process_in ic, out)
+  (* experiments_main reports the same mistake under the same contract. *)
+  let out =
+    expect_clean_failure "experiments_main --jobs 0"
+      (run_capture_err ~exe:experiments [ "sweep"; "--jobs"; "0" ])
   in
-  check "experiments_main --jobs 0: usage error" true (status = Unix.WEXITED 124);
+  Alcotest.(check int) "experiments_main --jobs 0: one line" 1 (count_lines out);
   check "experiments_main --jobs 0: names the option" true (contains ~needle:"--jobs" out);
   check "experiments_main --jobs 0: says what is expected" true
     (contains ~needle:"positive" out);

@@ -139,7 +139,27 @@ let test_bipartite_round_trip () =
       ignore (Bipartite.Graph.of_csr ~n1:1 ~n2:1 ~off:[| 0; 1 |] ~adj:[| 1 |] ~w:[| 1.0 |]));
   Alcotest.check_raises "of_csr offsets"
     (Invalid_argument "Bipartite.Graph.of_csr: malformed offsets") (fun () ->
-      ignore (Bipartite.Graph.of_csr ~n1:2 ~n2:1 ~off:[| 0; 2; 1 |] ~adj:[| 0 |] ~w:[| 1.0 |]))
+      ignore (Bipartite.Graph.of_csr ~n1:2 ~n2:1 ~off:[| 0; 2; 1 |] ~adj:[| 0 |] ~w:[| 1.0 |]));
+  Alcotest.check_raises "of_csr weights"
+    (Invalid_argument "Bipartite.Graph: weight must be positive") (fun () ->
+      ignore (Bipartite.Graph.of_csr ~n1:1 ~n2:1 ~off:[| 0; 2 |] ~adj:[| 0; 0 |] ~w:[| 1.0; Float.nan |]));
+  Alcotest.check_raises "of_csr: any bad endpoint before any bad weight"
+    (Invalid_argument "Bipartite.Graph: V2 endpoint out of range") (fun () ->
+      ignore (Bipartite.Graph.of_csr ~n1:1 ~n2:1 ~off:[| 0; 2 |] ~adj:[| 0; 1 |] ~w:[| 0.0; 1.0 |]))
+
+(* [to_bipartite] shares the CSR arrays and validates them with plain
+   loops, so it allocates nothing per edge (a closure over the weights
+   would box each one, 2 words). *)
+let test_to_bipartite_allocation () =
+  let rng = Randkit.Prng.create ~seed:3 in
+  let h = H.of_bipartite (Bipartite.Fewg_manyg.generate rng ~n1:2000 ~n2:64 ~g:4 ~d:6) in
+  let m = H.num_hyperedges h in
+  check "over 10k edges" true (m > 10_000);
+  let before = Gc.minor_words () in
+  let g = H.to_bipartite h in
+  let words = Gc.minor_words () -. before in
+  check "singleton" true (Option.is_some g);
+  check (Printf.sprintf "%.0f minor words for %d edges" words m) true (words /. float_of_int m < 0.01)
 
 (* ---------------------------------------------------------------- Weights *)
 
@@ -319,4 +339,5 @@ let suite =
     Alcotest.test_case "uniform generator" `Quick test_generate_uniform;
     Alcotest.test_case "powerlaw generator" `Quick test_generate_powerlaw;
     Alcotest.test_case "powerlaw invalid alpha" `Quick test_generate_powerlaw_invalid_alpha;
+    Alcotest.test_case "to_bipartite: no words per edge" `Quick test_to_bipartite_allocation;
   ]

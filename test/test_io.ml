@@ -462,6 +462,106 @@ let test_to_string_bytes () =
     (fun (name, h) -> Alcotest.(check string) name (Reference.to_string h) (Io.to_string h))
     [ ("unit", unit); ("related", related); ("random", random); ("odd weights", odd) ]
 
+(* ------------------------------------------------------- builder checks *)
+
+(* A configuration of 1-40 distinct pins, on either side of the builder's
+   switch from a pairwise to a hashed duplicate check at 32 pins.  Each
+   fault (a repeated pin, a pin out of range, a task out of range, a weight
+   that is not positive) is injected with probability 1/6, so some
+   configurations carry several and the order of the checks shows. *)
+let faulty_hyperedge ~n1 ~n2 =
+  let open QCheck.Gen in
+  let* k = int_range 1 40 in
+  let* procs = map (fun l -> Array.of_list (List.filteri (fun i _ -> i < k) l)) (shuffle_l (List.init n2 Fun.id)) in
+  let* task = int_bound (n1 - 1) and* weight = oneofl [ 1.0; 2.0; 7.0; 0.5 ] in
+  let fault bad = frequency [ (5, return None); (1, map Option.some bad) ] in
+  let* repeat = fault (pair (int_bound (k - 1)) (int_bound (k - 1)))
+  and* bad_pin = fault (pair (int_bound (k - 1)) (oneofl [ -1; n2; n2 + 5 ]))
+  and* bad_task = fault (oneofl [ -1; n1 ])
+  and* bad_weight = fault (oneofl [ 0.0; -1.0; Float.nan ]) in
+  Option.iter (fun (i, j) -> if i <> j then procs.(max i j) <- procs.(min i j)) repeat;
+  Option.iter (fun (i, u) -> procs.(i) <- u) bad_pin;
+  return (Option.value bad_task ~default:task, procs, Option.value bad_weight ~default:weight)
+
+let hg_text ~n1 ~n2 hyperedges =
+  let line (task, procs, weight) =
+    String.concat " " ("h" :: string_of_int task :: Printf.sprintf "%g" weight :: Array.to_list (Array.map string_of_int procs))
+  in
+  String.concat "\n" (Printf.sprintf "hypergraph %d %d" n1 n2 :: List.map line hyperedges) ^ "\n"
+
+let via_builder ~n1 ~n2 hyperedges =
+  let pins = List.fold_left (fun acc (_, procs, _) -> acc + Array.length procs) 0 hyperedges in
+  let b = H.builder ~n1 ~n2 ~hyperedges:(List.length hyperedges) ~pins in
+  List.iter
+    (fun (task, procs, weight) ->
+      Array.iter (H.add_pin b) procs;
+      H.end_hyperedge b ~task ~weight)
+    hyperedges;
+  view (H.build b)
+
+let builder_checks_prop =
+  let n1 = 4 and n2 = 48 in
+  QCheck.Test.make ~name:"builder = reference create on 1-40-pin configurations" ~count:1000
+    (QCheck.make ~print:(hg_text ~n1 ~n2) QCheck.Gen.(list_size (int_range 1 5) (faulty_hyperedge ~n1 ~n2)))
+    (fun hyperedges ->
+      let got = outcome (via_builder ~n1 ~n2) hyperedges
+      and want = outcome (fun hyperedges -> Reference.create ~n1 ~n2 ~hyperedges) hyperedges in
+      (same_outcome got want
+      || QCheck.Test.fail_reportf "builder:   %s\nreference: %s" (show got) (show want))
+      && agrees_with_reference (hg_text ~n1 ~n2 hyperedges))
+
+(* ------------------------------------------------------ golden digests *)
+
+(* MD5 of the parsed CSR arrays, weights by their bits. *)
+let csr_digest h =
+  let buf = Buffer.create (1 lsl 16) in
+  let int x = Buffer.add_int64_le buf (Int64.of_int x) in
+  let ints a =
+    int (Array.length a);
+    Array.iter int a
+  in
+  int h.H.n1;
+  int h.H.n2;
+  ints h.H.task_off;
+  ints h.H.h_off;
+  ints h.H.h_adj;
+  int (Array.length h.H.w);
+  Array.iter (fun x -> Buffer.add_int64_le buf (Int64.bits_of_float x)) h.H.w;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Two texts of over 10k lines, written canonically, then respelled so that
+   every line (CRLF), the comment lines, or every other line (a doubled
+   space) take the general scanner.  The digests are the general scanner's
+   reading of all four spellings; the canonical-line loop must give the
+   same graph. *)
+let test_golden_digests () =
+  let singleproc =
+    let rng = Randkit.Prng.create ~seed:24 in
+    Io.to_string (H.of_bipartite (Bipartite.Fewg_manyg.generate rng ~n1:5120 ~n2:256 ~g:32 ~d:2))
+  and multiproc =
+    let rng = Randkit.Prng.create ~seed:24 in
+    Io.to_string
+      (Hyper.Generate.generate rng ~family:Hyper.Generate.Hilo ~n:2560 ~p:256 ~dv:4 ~dh:5 ~g:32
+         ~weights:Hyper.Weights.Related)
+  in
+  let lines s = String.split_on_char '\n' s in
+  let commented s =
+    String.concat "\n" (List.concat_map (fun l -> [ "# " ^ string_of_int (String.length l); l ]) (lines s))
+  and doubled s =
+    String.concat "\n"
+      (List.mapi (fun i l -> if i mod 2 = 1 then String.concat "  " (String.split_on_char ' ' l) else l) (lines s))
+  in
+  List.iter
+    (fun (name, text, digest) ->
+      check (name ^ ": over 10k lines") true (List.length (lines text) > 10_000);
+      List.iter
+        (fun (spelling, text) -> Alcotest.(check string) (name ^ ", " ^ spelling) digest (csr_digest (Io.of_string text)))
+        [ ("canonical", text); ("CRLF", crlf text); ("comments", commented text); ("double spaces", doubled text) ])
+    [
+      ("SINGLEPROC", singleproc, "4b780aeb12cbd015ac1234de65c54372");
+      ("MULTIPROC", multiproc, "590c26cbcc8a7abaf323ffc8f33ada35");
+    ]
+
 let suite =
   [
     QCheck_alcotest.to_alcotest parser_total_prop;
@@ -484,4 +584,6 @@ let suite =
     Alcotest.test_case "ungrouped input keeps per-task order" `Quick test_ungrouped_order;
     Alcotest.test_case "n2 = 1e8 header: 40 pins under 1 MB" `Quick test_hostile_n2_allocation;
     Alcotest.test_case "to_string bytes = sprintf reference" `Quick test_to_string_bytes;
+    QCheck_alcotest.to_alcotest builder_checks_prop;
+    Alcotest.test_case "golden digests of 10k-line parses, four spellings" `Quick test_golden_digests;
   ]
