@@ -1693,13 +1693,14 @@ let doctor_cmd =
 
 (* version: one line for bug reports and CI log headers — package version
    (from semimatch.opam via dune's %{version:semimatch}) plus the build
-   features that change behavior. *)
+   features that change behavior and the CRC-32 kernel this CPU runs. *)
 let version_cmd =
   let run () =
-    Printf.printf "semimatch %s ocaml=%s domains=%d obs=%s\n" Cli_version.version
+    Printf.printf "semimatch %s ocaml=%s domains=%d obs=%s crc32=%s\n" Cli_version.version
       Sys.ocaml_version
       (Domain.recommended_domain_count ())
       (if Obs.is_enabled () then "on" else "available")
+      Hyper.Crc32.kernel
   in
   Cmd.v
     (Cmd.info "version" ~doc:"Print the package version and build features on one line")

@@ -1,22 +1,124 @@
-/* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), slicing-by-16.
+/* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320): two kernels, one
+   answer.
 
-   Table k (entries [k][0..255]) is the CRC of a byte followed by k zero
-   bytes, so sixteen lookups advance the CRC over sixteen input bytes at
-   once; table 0 is the classic bytewise table and serves the tail (fewer
-   than sixteen bytes).  The word the running CRC is folded into is
-   assembled from its bytes in little-endian order and the other twelve
+   Slicing-by-16.  Table k (entries [k][0..255]) is the CRC of a byte
+   followed by k zero bytes, so sixteen lookups advance the CRC over sixteen
+   input bytes at once; table 0 is the classic bytewise table and serves the
+   tail (fewer than sixteen bytes).  The word the running CRC is folded into
+   is assembled from its bytes in little-endian order and the other twelve
    bytes index their tables directly, so the result does not depend on the
    host's byte order.  (Twelve byte loads measured faster than three more
    assembled words: 0.33-0.41 against 0.43-0.49 ns per byte on 64 KB,
-   gcc -O2 on a 2-core x86-64 VM.)  The tables are filled once, by
-   semimatch_crc32_init, which the OCaml module calls while it
-   initialises: every later call only reads them, from any domain. */
+   gcc -O2 on a 2-core x86-64 VM.)
+
+   Carry-less multiplication (x86-64 with PCLMULQDQ and SSE4.1), after
+   Gopal et al., "Fast CRC Computation for Generic Polynomials Using
+   PCLMULQDQ Instruction" (Intel, 2009).  Four 128-bit accumulators fold
+   64 bytes per step, then fold into one, which folds 16 bytes per step;
+   128 bits are reduced to 64 and then, by Barrett reduction, to the 32-bit
+   CRC.  It runs on the whole 16-byte blocks of a range of at least 64
+   bytes, and table 0 finishes the tail.  About 0.05 against 0.34 ns per
+   byte on a 164 KB chunk (gcc -O2, 2-core x86-64 VM).  Only this function
+   is compiled for PCLMULQDQ and SSE4.1 (a per-function target attribute),
+   so the library's flags are unchanged and other CPUs never execute it.
+
+   semimatch_crc32_init fills the tables and picks the kernel once; the
+   OCaml module calls it while it initialises, so every later call, from
+   any domain, only reads them. */
 
 #include <stdint.h>
 #include <caml/mlvalues.h>
 
 static uint32_t crc_table[16][256];
 
+static inline uint32_t le32(const unsigned char *p)
+{
+  return (uint32_t)p[0] | ((uint32_t)p[1] << 8) | ((uint32_t)p[2] << 16) | ((uint32_t)p[3] << 24);
+}
+
+/* Advance the running (inverted) CRC [c] over [len] bytes at [p]. */
+static uint32_t crc32_slice16(uint32_t c, const unsigned char *p, intnat len)
+{
+  for (; len >= 16; len -= 16, p += 16) {
+    uint32_t w = c ^ le32(p);
+    c = crc_table[15][w & 0xff] ^ crc_table[14][(w >> 8) & 0xff]
+        ^ crc_table[13][(w >> 16) & 0xff] ^ crc_table[12][w >> 24]
+        ^ crc_table[11][p[4]] ^ crc_table[10][p[5]] ^ crc_table[9][p[6]] ^ crc_table[8][p[7]]
+        ^ crc_table[7][p[8]] ^ crc_table[6][p[9]] ^ crc_table[5][p[10]] ^ crc_table[4][p[11]]
+        ^ crc_table[3][p[12]] ^ crc_table[2][p[13]] ^ crc_table[1][p[14]] ^ crc_table[0][p[15]];
+  }
+  for (; len > 0; len--, p++) c = crc_table[0][(c ^ *p) & 0xff] ^ (c >> 8);
+  return c;
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define HAVE_CLMUL 1
+#include <immintrin.h>
+
+/* Advance the running CRC [c] over [len] bytes at [p]; [len] is a multiple
+   of 16 and at least 64.  The constants are the paper's for the reflected
+   polynomial (' is bit reflection): k1, k2 = (x^(4*128+32), x^(4*128-32)
+   mod P << 32)' << 1 for the 64-byte folds; k3, k4 the same with 128 for
+   the 16-byte folds; k5 = (x^64 mod P << 32)' << 1 for the step from 128
+   to 64 bits; P' and mu' = (x^64 div P)' for the Barrett reduction. */
+__attribute__((target("pclmul,sse4.1")))
+static uint32_t crc32_clmul(uint32_t c, const unsigned char *p, intnat len)
+{
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  __m128i x1, x2, x3, x4, t1, t2, t3, t4;
+
+  x1 = _mm_xor_si128(_mm_loadu_si128((const __m128i *)p), _mm_cvtsi32_si128((int)c));
+  x2 = _mm_loadu_si128((const __m128i *)(p + 16));
+  x3 = _mm_loadu_si128((const __m128i *)(p + 32));
+  x4 = _mm_loadu_si128((const __m128i *)(p + 48));
+  for (p += 64, len -= 64; len >= 64; p += 64, len -= 64) {
+    t1 = _mm_clmulepi64_si128(x1, k1k2, 0x00);
+    t2 = _mm_clmulepi64_si128(x2, k1k2, 0x00);
+    t3 = _mm_clmulepi64_si128(x3, k1k2, 0x00);
+    t4 = _mm_clmulepi64_si128(x4, k1k2, 0x00);
+    x1 = _mm_clmulepi64_si128(x1, k1k2, 0x11);
+    x2 = _mm_clmulepi64_si128(x2, k1k2, 0x11);
+    x3 = _mm_clmulepi64_si128(x3, k1k2, 0x11);
+    x4 = _mm_clmulepi64_si128(x4, k1k2, 0x11);
+    x1 = _mm_xor_si128(_mm_xor_si128(x1, t1), _mm_loadu_si128((const __m128i *)p));
+    x2 = _mm_xor_si128(_mm_xor_si128(x2, t2), _mm_loadu_si128((const __m128i *)(p + 16)));
+    x3 = _mm_xor_si128(_mm_xor_si128(x3, t3), _mm_loadu_si128((const __m128i *)(p + 32)));
+    x4 = _mm_xor_si128(_mm_xor_si128(x4, t4), _mm_loadu_si128((const __m128i *)(p + 48)));
+  }
+
+  /* Four accumulators into one, then 16-byte folds. */
+#define FOLD16(next)                                                   \
+  do {                                                                 \
+    t1 = _mm_clmulepi64_si128(x1, k3k4, 0x00);                         \
+    x1 = _mm_clmulepi64_si128(x1, k3k4, 0x11);                         \
+    x1 = _mm_xor_si128(_mm_xor_si128(x1, t1), (next));                 \
+  } while (0)
+  FOLD16(x2);
+  FOLD16(x3);
+  FOLD16(x4);
+  for (; len >= 16; p += 16, len -= 16) FOLD16(_mm_loadu_si128((const __m128i *)p));
+#undef FOLD16
+
+  /* 128 bits to 64, then 64 to 32 bits of remainder. */
+  t1 = _mm_clmulepi64_si128(x1, k3k4, 0x10);
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8), t1);
+  t1 = _mm_srli_si128(x1, 4);
+  x1 = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x1, low32), k5, 0x00), t1);
+
+  /* Barrett reduction. */
+  t1 = _mm_clmulepi64_si128(_mm_and_si128(x1, low32), poly, 0x10);
+  t1 = _mm_clmulepi64_si128(_mm_and_si128(t1, low32), poly, 0x00);
+  return (uint32_t)_mm_extract_epi32(_mm_xor_si128(x1, t1), 1);
+}
+
+static int use_clmul;
+#endif
+
+/* Fill the tables and pick the kernel; true when it is the CLMUL one. */
 CAMLprim value semimatch_crc32_init(value unit)
 {
   (void)unit;
@@ -30,12 +132,13 @@ CAMLprim value semimatch_crc32_init(value unit)
       uint32_t c = crc_table[k - 1][n];
       crc_table[k][n] = (c >> 8) ^ crc_table[0][c & 0xff];
     }
-  return Val_unit;
-}
-
-static inline uint32_t le32(const unsigned char *p)
-{
-  return (uint32_t)p[0] | ((uint32_t)p[1] << 8) | ((uint32_t)p[2] << 16) | ((uint32_t)p[3] << 24);
+#ifdef HAVE_CLMUL
+  __builtin_cpu_init();
+  use_clmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  return Val_bool(use_clmul);
+#else
+  return Val_false;
+#endif
 }
 
 /* The caller has checked that [pos, pos + len) lies inside [b]. */
@@ -43,19 +146,31 @@ intnat semimatch_crc32(value b, intnat pos, intnat len)
 {
   const unsigned char *p = (const unsigned char *)Bytes_val(b) + pos;
   uint32_t c = 0xFFFFFFFFu;
-  for (; len >= 16; len -= 16, p += 16) {
-    uint32_t w = c ^ le32(p);
-    c = crc_table[15][w & 0xff] ^ crc_table[14][(w >> 8) & 0xff]
-        ^ crc_table[13][(w >> 16) & 0xff] ^ crc_table[12][w >> 24]
-        ^ crc_table[11][p[4]] ^ crc_table[10][p[5]] ^ crc_table[9][p[6]] ^ crc_table[8][p[7]]
-        ^ crc_table[7][p[8]] ^ crc_table[6][p[9]] ^ crc_table[5][p[10]] ^ crc_table[4][p[11]]
-        ^ crc_table[3][p[12]] ^ crc_table[2][p[13]] ^ crc_table[1][p[14]] ^ crc_table[0][p[15]];
+#ifdef HAVE_CLMUL
+  if (use_clmul && len >= 64) {
+    intnat blocks = len & ~(intnat)15;
+    c = crc32_clmul(c, p, blocks);
+    p += blocks;
+    len -= blocks;
   }
-  for (; len > 0; len--, p++) c = crc_table[0][(c ^ *p) & 0xff] ^ (c >> 8);
-  return (intnat)(c ^ 0xFFFFFFFFu);
+#endif
+  return (intnat)(crc32_slice16(c, p, len) ^ 0xFFFFFFFFu);
 }
 
 CAMLprim value semimatch_crc32_bytecode(value b, value pos, value len)
 {
   return Val_long(semimatch_crc32(b, Long_val(pos), Long_val(len)));
+}
+
+/* Slicing-by-16 alone, whichever kernel [semimatch_crc32] uses: the tests
+   compare it with the bytewise reference on every CPU. */
+intnat semimatch_crc32_table(value b, intnat pos, intnat len)
+{
+  const unsigned char *p = (const unsigned char *)Bytes_val(b) + pos;
+  return (intnat)(crc32_slice16(0xFFFFFFFFu, p, len) ^ 0xFFFFFFFFu);
+}
+
+CAMLprim value semimatch_crc32_table_bytecode(value b, value pos, value len)
+{
+  return Val_long(semimatch_crc32_table(b, Long_val(pos), Long_val(len)));
 }

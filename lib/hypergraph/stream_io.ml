@@ -300,10 +300,14 @@ let next_chunk r =
       r.file_pos <- r.file_pos + 8 + len + 4;
       true
 
+(* A bad record names the offset of its chunk's frame, which ends where
+   the next frame starts. *)
+let record_error r msg = fail_at (r.file_pos - 12 - r.chunk_len) msg
+
 (* The pin at byte [off] of the chunk, range-checked. *)
 let[@inline] pin r b off =
   let u = get_u32 b off in
-  if u >= r.hdr.h_n2 then fail_at r.file_pos "processor out of range";
+  if u >= r.hdr.h_n2 then record_error r "processor out of range";
   u
 
 (* Decode one record at the cursor.  [procs] is a fresh array that [f]
@@ -311,14 +315,16 @@ let[@inline] pin r b off =
 let read_record r f =
   let b = r.chunk in
   let pos = r.chunk_pos in
-  if pos + 16 > r.chunk_len then fail_at r.file_pos "record overruns chunk";
+  if pos + 16 > r.chunk_len then record_error r "record overruns chunk";
   let task = get_u32 b pos in
   let weight = Int64.float_of_bits (Bytes.get_int64_le b (pos + 4)) in
   let k = get_u32 b (pos + 12) in
-  if k <= 0 || k > max_pins then fail_at r.file_pos "bad pin count";
-  if pos + 16 + (4 * k) > r.chunk_len then fail_at r.file_pos "record overruns chunk";
-  if task < 0 || task >= r.hdr.h_n1 then fail_at r.file_pos "task out of range";
-  if not (weight > 0.0) then fail_at r.file_pos "weight must be positive";
+  if k <= 0 || k > max_pins then record_error r "bad pin count";
+  if k <> 1 && singleton r.hdr then record_error r "several processors under a singleton header";
+  if pos + 16 + (4 * k) > r.chunk_len then record_error r "record overruns chunk";
+  if task < 0 || task >= r.hdr.h_n1 then record_error r "task out of range";
+  if not (weight > 0.0) then record_error r "weight must be positive";
+  if weight <> 1.0 && unit_weight r.hdr then record_error r "weight is not 1 under a unit-weight header";
   let procs =
     (* Every SINGLEPROC stream has k = 1: a literal costs no C call. *)
     if k = 1 then [| pin r b (pos + 16) |]
@@ -340,6 +346,53 @@ let iter r f =
   while !continue do
     if r.chunk_left > 0 then read_record r f
     else if not (next_chunk r) then continue := false
+  done
+
+(* Unchecked little-endian u32 loads, for [iter_unit] after its bound
+   check. *)
+external unsafe_get_int32_ne : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external swap32 : int32 -> int32 = "%bswap_int32"
+
+let[@inline] unsafe_u32 b pos =
+  let v = unsafe_get_int32_ne b pos in
+  Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFFFFFF
+
+(* Under a singleton unit-weight header [read_record] accepts exactly the
+   records [iter_unit]'s fast path accepts, so handing it a refused record
+   raises [read_record]'s error, in [read_record]'s order. *)
+let[@inline never] unit_record_error r pos =
+  r.chunk_pos <- pos;
+  read_record r (fun ~task:_ ~procs:_ ~weight:_ -> ());
+  assert false
+
+(* A SINGLEPROC-UNIT record is 20 bytes: task, the weight 1.0
+   (0x3FF0000000000000), k = 1 and the processor.  One bound check covers
+   the record; the weight is compared on its two 32-bit halves, so no float
+   is built; only ints reach [f]. *)
+let iter_unit r f =
+  let hdr = r.hdr in
+  if not (singleton hdr && unit_weight hdr) then
+    invalid_arg "Stream_io.iter_unit: needs a singleton unit-weight stream";
+  let n1 = hdr.h_n1 and n2 = hdr.h_n2 in
+  while r.chunk_left > 0 || next_chunk r do
+    let b = r.chunk and stop = r.chunk_len in
+    let pos = ref r.chunk_pos in
+    for _ = 1 to r.chunk_left do
+      let p = !pos in
+      if p + 20 > stop then unit_record_error r p;
+      let task = unsafe_u32 b p and proc = unsafe_u32 b (p + 16) in
+      if
+        not
+          (unsafe_u32 b (p + 12) = 1
+          && unsafe_u32 b (p + 4) = 0
+          && unsafe_u32 b (p + 8) = 0x3FF00000
+          && task < n1 && proc < n2)
+      then unit_record_error r p;
+      pos := p + 20;
+      f ~task ~proc
+    done;
+    r.chunk_pos <- !pos;
+    r.chunk_left <- 0
   done
 
 (* {2 Whole-file helpers} *)
@@ -365,7 +418,11 @@ let read_graph r =
   let hyperedges = if sealed hdr then min hdr.h_records (bytes_left / 20) else 0 in
   let pins = if sealed hdr then min hdr.h_pins (bytes_left / 4) else 0 in
   let b = Graph.builder ~n1:hdr.h_n1 ~n2:hdr.h_n2 ~hyperedges ~pins in
-  iter r (fun ~task ~procs ~weight -> Graph.add b ~task ~procs ~weight);
+  if singleton hdr && unit_weight hdr then
+    iter_unit r (fun ~task ~proc ->
+        Graph.add_pin b proc;
+        Graph.end_hyperedge b ~task ~weight:1.0)
+  else iter r (fun ~task ~procs ~weight -> Graph.add b ~task ~procs ~weight);
   Graph.build b
 
 let load path =

@@ -82,7 +82,16 @@ val iter : reader -> (task:int -> procs:int array -> weight:float -> unit) -> un
 (** One full pass from the current position.  Each record is range-checked
     against the header sizes; raises [Failure] at the first torn or corrupt
     frame ([validate] is the forgiving variant).  [procs] is a fresh array
-    per record that the callback owns: it may keep it across records. *)
+    per record that the callback owns: it may keep it across records.
+    Under a singleton header a record with several processors is an error,
+    and so is a weight other than 1.0 under a unit-weight header. *)
+
+val iter_unit : reader -> (task:int -> proc:int -> unit) -> unit
+(** {!iter} for a singleton unit-weight stream: each record's task and its
+    one processor, checked and in order as {!iter} gives them, raising its
+    [Failure] messages in its order.  Nothing is allocated per record.
+    Raises [Invalid_argument] unless the header says singleton and
+    unit-weight.  If the callback raises, {!rewind} before reading on. *)
 
 (** {1 Whole-file convenience} *)
 
@@ -93,8 +102,8 @@ val read_graph : reader -> Graph.t
 (** Materialize the records from the current position as an in-core graph
     — the ingest fallback for instances that fit.  The graph's arrays are
     sized from the sealed header's counts (capped by the bytes left in the
-    file).  Raises [Failure] like {!iter} and [Invalid_argument] like
-    {!Graph.build}. *)
+    file).  A singleton unit-weight stream is read by {!iter_unit}.  Raises
+    [Failure] like {!iter} and [Invalid_argument] like {!Graph.build}. *)
 
 val load : string -> Graph.t
 (** {!read_graph} of a whole file. *)

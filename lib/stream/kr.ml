@@ -131,9 +131,8 @@ let one_pass reader =
   let fallback = Array.make n (-1) in
   let load = Array.make p 0 in
   let edges = ref 0 in
-  Sio.iter reader (fun ~task:a ~procs ~weight:_ ->
+  Sio.iter_unit reader (fun ~task:a ~proc:b ->
       incr edges;
-      let b = procs.(0) in
       if assign.(a) < 0 then
         if load.(b) < t then begin
           assign.(a) <- b;
@@ -189,11 +188,10 @@ let few_pass reader =
     Bytes.fill saw 0 n '\000';
     let before = !unmatched in
     let seen = ref 0 in
-    Sio.iter reader (fun ~task:a ~procs ~weight:_ ->
+    Sio.iter_unit reader (fun ~task:a ~proc:b ->
         incr seen;
         if assign.(a) < 0 then begin
           Bytes.set saw a '\001';
-          let b = procs.(0) in
           if intake.(b) < !t then begin
             assign.(a) <- b;
             intake.(b) <- intake.(b) + 1;

@@ -43,9 +43,10 @@ type solution = {
 }
 
 val one_pass : Hyper.Stream_io.reader -> solution
-(** One scan from the reader's current position.  Requires a singleton
-    unit-weight stream ([Invalid_argument] otherwise); raises [Failure] on
-    an edgeless task (infeasible instance). *)
+(** One scan from the reader's current position, through
+    {!Hyper.Stream_io.iter_unit}.  Requires a singleton unit-weight stream
+    ([Invalid_argument] otherwise); raises [Failure] on an edgeless task
+    (infeasible instance) and, like the reader, on a bad record. *)
 
 val few_pass : Hyper.Stream_io.reader -> solution
 (** Multi-pass: rewinds the reader between passes.  Same preconditions as

@@ -282,7 +282,9 @@ let test_version () =
   Alcotest.(check int) "one line" 1 (count_lines out);
   check "names the package" true (contains ~needle:"semimatch " out);
   check "reports domains" true (contains ~needle:"domains=" out);
-  check "reports obs" true (contains ~needle:"obs=" out)
+  check "reports obs" true (contains ~needle:"obs=" out);
+  check "names the CRC kernel" true
+    (contains ~needle:"crc32=clmul" out || contains ~needle:"crc32=slicing-by-16" out)
 
 let test_client_without_server () =
   (* No daemon on the socket: one clean diagnostic, exit 2. *)

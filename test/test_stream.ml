@@ -1,10 +1,13 @@
 (* Streaming subsystem tests: the binary edge-stream format (round-trip,
-   version tag, flags, corruption/truncation reports), generator byte-
-   identity between the streamed and in-core paths, the Konrad–Rosén
-   solvers (feasibility, proven factors vs the raced exact optimum on ~100
-   random instances, memory bounds), the ingest tier decision, and the
-   daemon's chunked stream_begin/stream_chunk/stream_end ops over the
-   in-process loopback. *)
+   version tag, flags and their enforcement by every reader,
+   corruption/truncation reports), both CRC kernels against a bytewise
+   reference, the unit-stream record loop against the general one,
+   generator byte-identity between the streamed and in-core paths, the
+   Konrad–Rosén solvers (feasibility, proven factors vs the raced exact
+   optimum on ~100 random instances, golden answers, memory bounds, no
+   allocation per record), the ingest tier decision, and the daemon's
+   chunked stream_begin/stream_chunk/stream_end ops over the in-process
+   loopback. *)
 
 module Sio = Hyper.Stream_io
 module Kr = Stream.Kr
@@ -205,6 +208,54 @@ let test_crc32 () =
   Alcotest.check_raises "range outside the buffer" (Invalid_argument "Crc32.bytes") (fun () ->
       ignore (Hyper.Crc32.bytes (Bytes.create 4) ~pos:2 ~len:3))
 
+(* The table kernel alone, through its C symbol: [Crc32.bytes] runs the
+   carry-less-multiply kernel on 64 bytes or more where the CPU has it. *)
+external table_crc32 : Bytes.t -> (int[@untagged]) -> (int[@untagged]) -> (int[@untagged])
+  = "semimatch_crc32_table_bytecode" "semimatch_crc32_table"
+[@@noalloc]
+
+(* The bytewise CRC of every prefix of b.(pos ..): [prefixes.(len)] is the
+   CRC of the first [len] bytes. *)
+let reference_prefixes b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done;
+        !c)
+  in
+  let out = Array.make (len + 1) 0 in
+  let c = ref 0xFFFFFFFF in
+  for i = 0 to len do
+    out.(i) <- !c lxor 0xFFFFFFFF;
+    if i < len then c := table.((!c lxor Char.code (Bytes.get b (pos + i))) land 0xff) lxor (!c lsr 8)
+  done;
+  out
+
+let test_crc32_kernels () =
+  let rng = Prng.create ~seed:25 in
+  let random n = Bytes.init n (fun _ -> Char.chr (Prng.int rng 256)) in
+  let both what b ~pos ~len want =
+    Alcotest.(check int) (what ^ ": Crc32.bytes") want (Hyper.Crc32.bytes b ~pos ~len);
+    Alcotest.(check int) (what ^ ": table kernel") want (table_crc32 b pos len)
+  in
+  (* Every split of a range into 64-byte folds, 16-byte folds and a table
+     tail, at every alignment of its start. *)
+  let buf = random 1116 in
+  for pos = 0 to 15 do
+    let want = reference_prefixes buf ~pos ~len:1100 in
+    for len = 0 to 1100 do
+      both (Printf.sprintf "pos %d len %d" pos len) buf ~pos ~len want.(len)
+    done
+  done;
+  for i = 1 to 50 do
+    let b = random (1 + Prng.int rng (512 * 1024)) in
+    let pos = Prng.int rng (Bytes.length b) in
+    let len = Prng.int rng (Bytes.length b - pos + 1) in
+    both (Printf.sprintf "random buffer %d" i) b ~pos ~len (reference_crc32 b ~pos ~len)
+  done
+
 (* [iter] hands each record a fresh [procs] array that the callback owns:
    keeping every one across the whole pass must give back what was
    written. *)
@@ -252,6 +303,179 @@ let test_save_golden () =
       Alcotest.(check string) "file digest" "8404c958db9909e1826b413669031d5b"
         (Digest.to_hex (Digest.file path));
       check "file reads back as the graph" true (equal_hypergraphs h (Sio.load path)))
+
+(* --- the header's flags and the unit-stream loop ------------------------- *)
+
+let patch_byte path off v =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd (Bytes.make 1 (Char.chr v)) 0 1);
+  Unix.close fd
+
+(* The header has no CRC: a MULTIPROC stream whose flags byte says
+   singleton | unit-weight must be refused by every reader, not solved as
+   SINGLEPROC-UNIT. *)
+let write_flags_flipped path =
+  let w = Sio.create_writer ~path ~n1:40 ~n2:8 () in
+  for v = 0 to 39 do
+    Sio.add w ~task:v ~procs:[| v mod 8; (v + 1) mod 8; (v + 2) mod 8 |] ~weight:2.5
+  done;
+  Sio.close_writer w;
+  patch_byte path 8 3
+
+let test_flags_enforced () =
+  with_temp (fun path ->
+      write_flags_flipped path;
+      let rep = Sio.validate path in
+      (match rep.Sio.r_error with
+      | Some msg ->
+          check "validate names the chunk's offset" true
+            (contains ~needle:(Printf.sprintf "offset %d:" Sio.header_bytes) msg);
+          check "validate names the flag" true (contains ~needle:"singleton header" msg)
+      | None -> Alcotest.fail "validate accepted a record that breaks the header's flags");
+      check "counts do not match" false rep.Sio.r_counts_match;
+      let refused what f =
+        match f () with
+        | _ -> Alcotest.failf "%s accepted a record that breaks the header's flags" what
+        | exception Failure _ -> ()
+      in
+      refused "load" (fun () -> ignore (Sio.load path));
+      refused "streamed solve" (fun () -> ignore (Ingest.solve ~threshold_words:0 path));
+      refused "in-core solve" (fun () -> ignore (Ingest.solve path)));
+  (* A singleton stream whose header says unit-weight but whose weights
+     are 2.5. *)
+  with_temp (fun path ->
+      let w = Sio.create_writer ~path ~n1:4 ~n2:2 () in
+      for v = 0 to 3 do
+        Sio.add w ~task:v ~procs:[| v mod 2 |] ~weight:2.5
+      done;
+      Sio.close_writer w;
+      patch_byte path 8 7;
+      match (Sio.validate path).Sio.r_error with
+      | Some msg -> check "unit-weight flag enforced" true (contains ~needle:"unit-weight header" msg)
+      | None -> Alcotest.fail "validate accepted weight 2.5 under a unit-weight header")
+
+(* Every record of a stream file in order, through [read], and the message
+   of the [Failure] that stopped it, if any. *)
+let read_all path read =
+  let r = Sio.open_reader path in
+  let got = ref [] in
+  let stopped =
+    match read r (fun task proc -> got := (task, proc) :: !got) with
+    | () -> None
+    | exception Failure msg -> Some msg
+  in
+  Sio.close_reader r;
+  (List.rev !got, stopped)
+
+(* The (payload offset, payload length) of every chunk of a stream file's
+   bytes. *)
+let chunk_payloads b =
+  let rec go pos acc =
+    if pos + 8 > Bytes.length b then Array.of_list (List.rev acc)
+    else
+      let len = Int32.to_int (Bytes.get_int32_le b (pos + 4)) in
+      go (pos + 8 + len + 4) ((pos + 8, len) :: acc)
+  in
+  go Sio.header_bytes []
+
+let rewrite path f =
+  let b = Bytes.of_string (In_channel.with_open_bin path In_channel.input_all) in
+  let chunks = chunk_payloads b in
+  if Array.length chunks > 0 then begin
+    f b chunks;
+    Out_channel.with_open_bin path (fun oc -> Out_channel.output_bytes oc b)
+  end
+
+(* Overwrite [count] random payload bytes and recompute the CRC of every
+   chunk, so only the record checks can object. *)
+let mutate_payload rng path count =
+  rewrite path (fun b chunks ->
+      for _ = 1 to count do
+        let start, len = chunks.(Prng.int rng (Array.length chunks)) in
+        Bytes.set b (start + Prng.int rng len) (Char.chr (Prng.int rng 256))
+      done;
+      Array.iter
+        (fun (start, len) ->
+          Bytes.set_int32_le b (start + len) (Int32.of_int (Hyper.Crc32.bytes b ~pos:start ~len)))
+        chunks)
+
+(* Claim one record more in the last chunk's head, which the CRC does not
+   cover: its last record overruns the chunk and, when that chunk is the
+   partial one, lies over the previous chunk's bytes in the reader's
+   reused buffer. *)
+let overclaim_last_chunk path =
+  rewrite path (fun b chunks ->
+      let head = fst chunks.(Array.length chunks - 1) - 8 in
+      Bytes.set_int32_le b head (Int32.succ (Bytes.get_int32_le b head)))
+
+let iter_unit_prop =
+  QCheck.Test.make ~name:"iter_unit = iter on singleton unit streams" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      with_temp (fun path ->
+          let n1 = 1 + Prng.int rng 50 and n2 = 1 + Prng.int rng 20 in
+          let w = Sio.create_writer ~chunk_records:(1 + Prng.int rng 40) ~path ~n1 ~n2 () in
+          for _ = 1 to Prng.int rng 300 do
+            Sio.add w ~task:(Prng.int rng n1) ~procs:[| Prng.int rng n2 |] ~weight:1.0
+          done;
+          Sio.close_writer w;
+          (match Prng.int rng 3 with
+          | 0 -> ()
+          | 1 -> mutate_payload rng path (1 + Prng.int rng 3)
+          | _ -> overclaim_last_chunk path);
+          let general =
+            read_all path (fun r k -> Sio.iter r (fun ~task ~procs ~weight:_ -> k task procs.(0)))
+          in
+          let unit = read_all path (fun r k -> Sio.iter_unit r (fun ~task ~proc -> k task proc)) in
+          general = unit
+          || QCheck.Test.fail_reportf "seed %d: iter stopped at %s, iter_unit at %s" seed
+               (Option.value (snd general) ~default:"the end")
+               (Option.value (snd unit) ~default:"the end")))
+
+let test_iter_unit_needs_unit_header () =
+  with_temp (fun path ->
+      Sio.save path (sample ());
+      let r = Sio.open_reader path in
+      Fun.protect
+        ~finally:(fun () -> Sio.close_reader r)
+        (fun () ->
+          Alcotest.check_raises "general header refused"
+            (Invalid_argument "Stream_io.iter_unit: needs a singleton unit-weight stream") (fun () ->
+              Sio.iter_unit r (fun ~task:_ ~proc:_ -> ()))))
+
+(* A pass over a unit stream allocates nothing per record.  Three of each
+   task's four processors lie among the first 100, which the first pass
+   fills, so a second pass places the rest. *)
+let test_few_pass_allocation () =
+  with_temp (fun path ->
+      let n = 25_000 and p = 500 in
+      let w = Sio.create_writer ~path ~n1:n ~n2:p () in
+      for v = 0 to n - 1 do
+        Array.iter
+          (fun q -> Sio.add w ~task:v ~procs:[| q |] ~weight:1.0)
+          [| v mod 100; (v + 1) mod 100; (v + 2) mod 100; v mod p |]
+      done;
+      Sio.close_writer w;
+      let per_record solve =
+        let r = Sio.open_reader path in
+        Fun.protect
+          ~finally:(fun () -> Sio.close_reader r)
+          (fun () ->
+            let before = Gc.minor_words () in
+            let sol = solve r in
+            let words = Gc.minor_words () -. before in
+            Alcotest.(check int) "records" (4 * n) sol.Kr.edges;
+            (sol, words /. float_of_int (sol.Kr.edges * sol.Kr.passes)))
+      in
+      let few, few_words = per_record Kr.few_pass in
+      Alcotest.(check int) "few_pass passes" 2 few.Kr.passes;
+      if few_words >= 0.01 then
+        Alcotest.failf "few_pass allocated %.4f minor words per record per pass" few_words;
+      let _, one_words = per_record Kr.one_pass in
+      if one_words >= 0.01 then
+        Alcotest.failf "one_pass allocated %.4f minor words per record" one_words)
 
 (* --- generator byte-identity -------------------------------------------- *)
 
@@ -426,6 +650,50 @@ let test_online_greedy_general () =
           sol.Kr.lower_bound;
         check (tag "makespan >= LB") true (sol.Kr.makespan +. 1e-9 >= sol.Kr.lower_bound))
   done
+
+(* The streamed answers are pinned: both solvers on a seeded FewgManyg and a
+   HiLo unit stream, written 97 records to a chunk so every pass crosses
+   many chunk boundaries and ends on a partial chunk.  Each digest covers
+   the makespan, the pass and edge counts and the whole assignment; they
+   were taken before the record loop for unit streams existed. *)
+let kr_digest (sol : Kr.solution) =
+  let b = Buffer.create 65536 in
+  Printf.bprintf b "%h %d %d:" sol.Kr.makespan sol.Kr.passes sol.Kr.edges;
+  Array.iter (fun q -> Printf.bprintf b " %d" q) (Option.get sol.Kr.assignment);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_kr_golden () =
+  List.iter
+    (fun (family, seed, want_one, want_few) ->
+      with_temp (fun path ->
+          let n = 4000 and p = 128 in
+          let w = Sio.create_writer ~chunk_records:97 ~path ~n1:n ~n2:p () in
+          let records =
+            Hyper.Generate.stream_sp (Prng.create ~seed) ~family ~n ~p ~g:16 ~d:4
+              ~emit:(fun ~task ~proc -> Sio.add w ~task ~procs:[| proc |] ~weight:1.0)
+          in
+          Sio.close_writer w;
+          let name = Hyper.Generate.family_name family in
+          check (name ^ ": many chunks, the last partial") true
+            (records > 20 * 97 && records mod 97 <> 0);
+          let solve f =
+            let r = Sio.open_reader path in
+            Fun.protect ~finally:(fun () -> Sio.close_reader r) (fun () -> f r)
+          in
+          Alcotest.(check string)
+            (name ^ ": one_pass digest") want_one (kr_digest (solve Kr.one_pass));
+          Alcotest.(check string)
+            (name ^ ": few_pass digest") want_few (kr_digest (solve Kr.few_pass))))
+    [
+      ( Hyper.Generate.Fewg_manyg,
+        31,
+        "519dbc8212ac3ebfaeb0ede3e6b7d313",
+        "fc4fbc7dcd08f31548c8a68ccd87ec5f" );
+      ( Hyper.Generate.Hilo,
+        0,
+        "836234b676701bbd6703bddf58d031d4",
+        "96332e46110844791b075fa610094479" );
+    ]
 
 (* --- ingest tiers and memory bounds ------------------------------------- *)
 
@@ -649,6 +917,13 @@ let test_cli_stream_pipeline () =
       check "doctor diagnoses the tear" true
         (contains ~needle:"error" (String.lowercase_ascii bad)))
 
+let test_cli_flags_flipped () =
+  with_temp (fun path ->
+      write_flags_flipped path;
+      let doc = expect_exit 2 (run_capture [ "doctor"; path ]) in
+      check "doctor names the flag" true (contains ~needle:"singleton header" doc);
+      ignore (expect_failure (run_capture [ "solve"; "--stream"; path; "--stream-threshold-mb"; "0" ])))
+
 let suite =
   [
     Alcotest.test_case "format round-trip + version tag" `Quick test_roundtrip;
@@ -659,16 +934,23 @@ let suite =
     Alcotest.test_case "validate: corrupt payload" `Quick test_validate_corrupt;
     Alcotest.test_case "unsealed stream detected" `Quick test_unsealed_detected;
     Alcotest.test_case "crc32: slicing-by-16 = bytewise" `Quick test_crc32;
+    Alcotest.test_case "crc32: both kernels = bytewise" `Quick test_crc32_kernels;
     Alcotest.test_case "iter: callback owns procs" `Quick test_iter_procs_owned;
     Alcotest.test_case "save: golden file digest" `Quick test_save_golden;
+    Alcotest.test_case "every reader enforces the header's flags" `Quick test_flags_enforced;
+    QCheck_alcotest.to_alcotest iter_unit_prop;
+    Alcotest.test_case "iter_unit: general header refused" `Quick test_iter_unit_needs_unit_header;
+    Alcotest.test_case "few_pass: no allocation per record" `Quick test_few_pass_allocation;
     Alcotest.test_case "generator stream = in-core instance" `Quick test_gen_stream_identity;
     Alcotest.test_case "gen-sp stream = bipartite adjacency" `Quick test_gen_sp_stream_identity;
     Alcotest.test_case "differential vs exact (100 instances)" `Quick test_differential_vs_exact;
     Alcotest.test_case "online greedy: general streams" `Quick test_online_greedy_general;
+    Alcotest.test_case "kr: golden digests" `Quick test_kr_golden;
     Alcotest.test_case "ingest tier decision" `Quick test_ingest_tiers;
     Alcotest.test_case "memory bound vs CSR estimate" `Quick test_memory_bound;
     Alcotest.test_case "daemon: chunked upload, in-core fallback" `Quick test_daemon_stream_incore;
     Alcotest.test_case "daemon: forced streamed tier" `Quick test_daemon_stream_streamed;
     Alcotest.test_case "daemon: stream op errors" `Quick test_daemon_stream_errors;
     Alcotest.test_case "cli: gen/doctor/solve --stream" `Quick test_cli_stream_pipeline;
+    Alcotest.test_case "cli: doctor and solve refuse flipped flags" `Quick test_cli_flags_flipped;
   ]
