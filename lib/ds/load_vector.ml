@@ -71,7 +71,8 @@ let hypothetical_sorted t d =
    return how many each holds.  Loads outside both deltas are common to the
    two hypothetical vectors and cancel.  Deltas over one [procs] array also
    share their old values, and a processor both move to the same value
-   cancels too. *)
+   cancels too.  Over different arrays an amount of 0.0 puts the same load
+   on both sides, and cancels as well. *)
 let fill t a b =
   let cap = a.len + b.len in
   if Array.length t.ua < cap then begin
@@ -93,17 +94,26 @@ let fill t a b =
     !n
   end
   else begin
+    let n = ref 0 in
     for i = 0 to a.len - 1 do
-      let l = t.loads.(a.procs.(i)) in
-      ua.(i) <- l +. a.amounts.(i);
-      ub.(i) <- l
+      let x = a.amounts.(i) in
+      if x <> 0.0 then begin
+        let l = t.loads.(a.procs.(i)) in
+        ua.(!n) <- l +. x;
+        ub.(!n) <- l;
+        incr n
+      end
     done;
     for i = 0 to b.len - 1 do
-      let l = t.loads.(b.procs.(i)) in
-      ua.(a.len + i) <- l;
-      ub.(a.len + i) <- l +. b.amounts.(i)
+      let y = b.amounts.(i) in
+      if y <> 0.0 then begin
+        let l = t.loads.(b.procs.(i)) in
+        ua.(!n) <- l;
+        ub.(!n) <- l +. y;
+        incr n
+      end
     done;
-    cap
+    !n
   end
 
 (* Compare the descending orders of ua.(0 .. n-1) and ub.(0 .. n-1) by

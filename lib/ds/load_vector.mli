@@ -67,8 +67,12 @@ val compare_hypothetical : t -> delta -> delta -> int
     applied.  Every hypothetical load is computed as [load +. amount], so
     the result is exactly that of comparing the two [hypothetical_sorted]
     vectors.  Two deltas over one [procs] array with the same [len], as
-    EVG's candidates are, also cancel their common old values and every
-    processor they both move to the same value. *)
+    the vector greedies' candidates are, also cancel their common old values
+    and every processor they both move to the same value.  Over different
+    arrays an entry whose amount is 0.0 leaves its load unchanged on both
+    sides and is dropped: a local-search move between two configurations
+    that share processors at equal weights compares only the processors
+    whose loads actually change. *)
 
 val hypothetical_sorted : t -> delta -> float array
 (** Fully materialized hypothetical vector (descending), for the naive

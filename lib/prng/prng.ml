@@ -68,14 +68,18 @@ let int t bound =
   if bound land (bound - 1) = 0 then bits62 t land (bound - 1)
   else begin
     (* Rejection sampling on the top of the 62-bit range for exact
-       uniformity. *)
-    let max62 = (1 lsl 62) - 1 in
-    let limit = max62 - (max62 mod bound) in
+       uniformity: v lies in the block [v - r, v - r + bound) of the
+       multiples of [bound], and the top block, the one holding 2^62 - 1,
+       is rejected.  It is the only block whose end overflows the 63-bit
+       int, so one division per draw decides; the draws kept are exactly
+       those below m - m mod bound, m = 2^62 - 1. *)
     let v = ref (bits62 t) in
-    while !v >= limit do
-      v := bits62 t
+    let r = ref (!v mod bound) in
+    while !v - !r + bound < 0 do
+      v := bits62 t;
+      r := !v mod bound
     done;
-    !v mod bound
+    !r
   end
 
 let int_in_range t ~lo ~hi =

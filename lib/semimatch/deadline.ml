@@ -57,8 +57,11 @@ let solve ?jobs ~budget_s h =
   (* Tier 2 — the portfolio under the leftover wall clock.  Ties go to the
      portfolio so an undegraded run returns its bytes unchanged. *)
   let portfolio =
-    if remaining () > 0.0 && greedy_m > lower_bound then begin
-      let r = Portfolio.solve ?jobs ~timeout_s:(remaining ()) h in
+    (* One clock read: the budget must not run out between the test and the
+       timeout handed on, which has to be positive. *)
+    let left = remaining () in
+    if left > 0.0 && greedy_m > lower_bound then begin
+      let r = Portfolio.solve ?jobs ~timeout_s:left h in
       if r.Portfolio.best_makespan <= greedy_m then
         incumbent := (r.Portfolio.assignment, r.Portfolio.best_makespan, Tier_portfolio);
       emit_tier Tier_portfolio r.Portfolio.best_makespan (elapsed ());

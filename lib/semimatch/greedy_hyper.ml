@@ -4,7 +4,10 @@ module Lv = Ds.Load_vector
 (* Probe points shared by the four greedy variants: [candidates] counts
    configuration evaluations (the outer work term), [pin_scans] the
    processor touches inside them (the inner term ~ sum of |h∩V2| over
-   evaluated h).  Load-vector traffic of VGH/EVG lands in ds.loadvec.*. *)
+   evaluated h).  Every greedy evaluates each hyperedge once and realizes
+   each task once, so a run adds its totals in bulk: [candidates] = the
+   hyperedges, [realized] = the tasks and, for SGH and EGH, [pin_scans] =
+   the pins.  Load-vector traffic of VGH/EVG lands in ds.loadvec.*. *)
 let c_candidates = Obs.Metrics.counter "semimatch.greedy.candidates"
 let c_pin_scans = Obs.Metrics.counter "semimatch.greedy.pin_scans"
 let c_realized = Obs.Metrics.counter "semimatch.greedy.realized"
@@ -38,77 +41,109 @@ let degree_order h =
   Ds.Counting_sort.permutation ~n:h.H.n1 ~key:(fun v -> H.task_degree h v)
     ~max_key:(max 1 (H.max_task_degree h))
 
+let count_run h ~pin_scans =
+  Obs.Metrics.add c_candidates (H.num_hyperedges h);
+  if pin_scans then Obs.Metrics.add c_pin_scans (H.num_pins h);
+  Obs.Metrics.add c_realized h.H.n1
+
 (* Algorithm 4.  The bottleneck of realizing h is max_{u∈h}(l(u) + w_h);
    on unit weights this order coincides with the paper's max l(u). *)
 let run_sorted h =
+  let { H.task_off; h_off; h_adj; w; _ } = h in
   let l = Array.make h.H.n2 0.0 in
   let choice = Array.make h.H.n1 (-1) in
-  Array.iter
-    (fun v ->
-      let best = ref (-1) and best_key = ref infinity in
-      H.iter_task_hyperedges h v (fun e ->
-          Obs.Metrics.incr c_candidates;
-          let w = H.h_weight h e in
-          let bottleneck = ref 0.0 in
-          H.iter_h_procs h e (fun u ->
-              Obs.Metrics.incr c_pin_scans;
-              if l.(u) > !bottleneck then bottleneck := l.(u));
-          let key = !bottleneck +. w in
-          if key < !best_key then begin
-            best := e;
-            best_key := key
-          end);
-      choice.(v) <- !best;
-      Obs.Metrics.incr c_realized;
-      let w = H.h_weight h !best in
-      H.iter_h_procs h !best (fun u -> l.(u) <- l.(u) +. w))
-    (degree_order h);
+  let order = degree_order h in
+  for k = 0 to h.H.n1 - 1 do
+    let v = order.(k) in
+    let best = ref (-1) and best_key = ref infinity in
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      let bottleneck = ref 0.0 in
+      for i = h_off.(e) to h_off.(e + 1) - 1 do
+        let x = l.(h_adj.(i)) in
+        if x > !bottleneck then bottleneck := x
+      done;
+      let key = !bottleneck +. w.(e) in
+      if key < !best_key then begin
+        best := e;
+        best_key := key
+      end
+    done;
+    let e = !best in
+    choice.(v) <- e;
+    let we = w.(e) in
+    for i = h_off.(e) to h_off.(e + 1) - 1 do
+      let u = h_adj.(i) in
+      l.(u) <- l.(u) +. we
+    done
+  done;
+  count_run h ~pin_scans:true;
   choice
+
+(* The expected load o(u) = Σ w_h/d_v over every configuration h ∋ u, as
+   Algorithm 5 starts. *)
+let initial_expectations h =
+  let { H.task_off; h_off; h_adj; w; _ } = h in
+  let o = Array.make h.H.n2 0.0 in
+  for v = 0 to h.H.n1 - 1 do
+    let dv = float_of_int (task_off.(v + 1) - task_off.(v)) in
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      let contribution = w.(e) /. dv in
+      for i = h_off.(e) to h_off.(e + 1) - 1 do
+        let u = h_adj.(i) in
+        o.(u) <- o.(u) +. contribution
+      done
+    done
+  done;
+  o
 
 (* Algorithm 5.  o(u) carries the expected load of u; realizing h converts
    its expectation w_h/d_v into the full w_h and cancels the siblings'. *)
 let run_expected h =
-  let o = Array.make h.H.n2 0.0 in
-  for v = 0 to h.H.n1 - 1 do
-    let dv = float_of_int (H.task_degree h v) in
-    H.iter_task_hyperedges h v (fun e ->
-        let contribution = H.h_weight h e /. dv in
-        H.iter_h_procs h e (fun u -> o.(u) <- o.(u) +. contribution))
-  done;
+  let { H.task_off; h_off; h_adj; w; _ } = h in
+  let o = initial_expectations h in
   let choice = Array.make h.H.n1 (-1) in
-  Array.iter
-    (fun v ->
-      let dv = float_of_int (H.task_degree h v) in
-      let best = ref (-1) and best_key = ref infinity in
-      H.iter_task_hyperedges h v (fun e ->
-          (* Expected bottleneck if h were realized: every u ∈ h would carry
-             o(u) + w_h − w_h/d_v.  On unit weights the added term is the
-             same for all of v's options, so this order coincides with
-             Algorithm 5's literal "max o(u) minimum"; on weighted instances
-             it accounts for the candidate's own cost, mirroring the
-             tentative realization that defines EVG (Sec. IV-D4). *)
-          Obs.Metrics.incr c_candidates;
-          let w = H.h_weight h e in
-          let key = ref 0.0 in
-          H.iter_h_procs h e (fun u ->
-              Obs.Metrics.incr c_pin_scans;
-              if o.(u) > !key then key := o.(u));
-          let key = !key +. w -. (w /. dv) in
-          if key < !best_key then begin
-            best := e;
-            best_key := key
-          end);
-      choice.(v) <- !best;
-      Obs.Metrics.incr c_realized;
-      let chosen = !best in
-      let w = H.h_weight h chosen in
-      H.iter_h_procs h chosen (fun u -> o.(u) <- o.(u) +. w -. (w /. dv));
-      H.iter_task_hyperedges h v (fun e ->
-          if e <> chosen then begin
-            let w' = H.h_weight h e in
-            H.iter_h_procs h e (fun u -> o.(u) <- o.(u) -. (w' /. dv))
-          end))
-    (degree_order h);
+  let order = degree_order h in
+  for k = 0 to h.H.n1 - 1 do
+    let v = order.(k) in
+    let dv = float_of_int (task_off.(v + 1) - task_off.(v)) in
+    let best = ref (-1) and best_key = ref infinity in
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      (* Expected bottleneck if h were realized: every u ∈ h would carry
+         o(u) + w_h − w_h/d_v.  On unit weights the added term is the
+         same for all of v's options, so this order coincides with
+         Algorithm 5's literal "max o(u) minimum"; on weighted instances
+         it accounts for the candidate's own cost, mirroring the
+         tentative realization that defines EVG (Sec. IV-D4). *)
+      let key = ref 0.0 in
+      for i = h_off.(e) to h_off.(e + 1) - 1 do
+        let x = o.(h_adj.(i)) in
+        if x > !key then key := x
+      done;
+      let we = w.(e) in
+      let key = !key +. we -. (we /. dv) in
+      if key < !best_key then begin
+        best := e;
+        best_key := key
+      end
+    done;
+    let chosen = !best in
+    choice.(v) <- chosen;
+    let wc = w.(chosen) in
+    for i = h_off.(chosen) to h_off.(chosen + 1) - 1 do
+      let u = h_adj.(i) in
+      o.(u) <- o.(u) +. wc -. (wc /. dv)
+    done;
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      if e <> chosen then begin
+        let w' = w.(e) in
+        for i = h_off.(e) to h_off.(e + 1) - 1 do
+          let u = h_adj.(i) in
+          o.(u) <- o.(u) -. (w' /. dv)
+        done
+      end
+    done
+  done;
+  count_run h ~pin_scans:true;
   choice
 
 (* Does realizing [cand] give a lexicographically smaller load vector than
@@ -120,106 +155,123 @@ let better ~variant lv cand best =
   | Naive -> compare (Lv.hypothetical_sorted lv cand) (Lv.hypothetical_sorted lv best) < 0
 
 (* The two vector heuristics keep the incumbent and the candidate in two
-   reusable deltas and swap them when the candidate wins. *)
-let swap cand best =
-  let d = !cand in
-  cand := !best;
-  best := d
+   reusable deltas over one [procs] array, task v's neighbourhood (the
+   distinct processors of its configurations), and swap them when the
+   candidate wins.  Sharing the array lets the comparison cancel, in one
+   pass, every processor on which the two candidates agree. *)
+type scratch = {
+  stamp : int array;  (** [stamp.(u) = v]: u is in v's neighbourhood *)
+  index_of : int array;  (** u's position in the neighbourhood *)
+  mutable best : Lv.delta;
+  mutable cand : Lv.delta;
+}
 
+let scratch lv p =
+  let best = Lv.delta lv in
+  {
+    stamp = Array.make p (-1);
+    index_of = Array.make p (-1);
+    best;
+    cand = { best with Lv.amounts = Array.make p 0.0 };
+  }
+
+(* List v's neighbourhood in the shared [procs] array and return its
+   size. *)
+let neighbourhood h s v =
+  let procs = s.best.Lv.procs in
+  let k = ref 0 in
+  for i = h.H.h_off.(h.H.task_off.(v)) to h.H.h_off.(h.H.task_off.(v + 1)) - 1 do
+    let u = h.H.h_adj.(i) in
+    if s.stamp.(u) <> v then begin
+      s.stamp.(u) <- v;
+      s.index_of.(u) <- !k;
+      procs.(!k) <- u;
+      incr k
+    end
+  done;
+  !k
+
+(* Keep candidate [e], filled into [s.cand], if it beats the incumbent
+   [best_e]; returns the new incumbent. *)
+let consider ~variant lv s best_e e =
+  if best_e < 0 || better ~variant lv s.cand s.best then begin
+    let d = s.cand in
+    s.cand <- s.best;
+    s.best <- d;
+    e
+  end
+  else best_e
+
+(* VGH: candidate h adds w_h on its own processors and 0.0 on the rest of
+   the neighbourhood. *)
 let run_vector ~variant h =
+  let { H.task_off; h_off; h_adj; w; _ } = h in
   let lv = Lv.create h.H.n2 in
-  let cand = ref (Lv.delta lv) and best = ref (Lv.delta lv) in
+  let s = scratch lv h.H.n2 in
   let choice = Array.make h.H.n1 (-1) in
-  Array.iter
-    (fun v ->
-      let best_e = ref (-1) in
-      for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
-        Obs.Metrics.incr c_candidates;
-        let d = !cand and w = h.H.w.(e) and first = h.H.h_off.(e) in
-        d.len <- h.H.h_off.(e + 1) - first;
-        for i = 0 to d.len - 1 do
-          d.procs.(i) <- h.H.h_adj.(first + i);
-          d.amounts.(i) <- w
-        done;
-        if !best_e < 0 || better ~variant lv d !best then begin
-          best_e := e;
-          swap cand best
-        end
+  let order = degree_order h in
+  for k = 0 to h.H.n1 - 1 do
+    let v = order.(k) in
+    let len = neighbourhood h s v in
+    let best_e = ref (-1) in
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      let d = s.cand and we = w.(e) in
+      Array.fill d.Lv.amounts 0 len 0.0;
+      d.Lv.len <- len;
+      for i = h_off.(e) to h_off.(e + 1) - 1 do
+        d.Lv.amounts.(s.index_of.(h_adj.(i))) <- we
       done;
-      choice.(v) <- !best_e;
-      Obs.Metrics.incr c_realized;
-      Lv.apply_delta lv !best)
-    (degree_order h);
+      best_e := consider ~variant lv s !best_e e
+    done;
+    choice.(v) <- !best_e;
+    Lv.apply_delta lv s.best
+  done;
+  count_run h ~pin_scans:false;
   choice
 
 (* EVG: the load vector holds *expected* loads.  For task v, every candidate
    h perturbs the processors in v's whole neighbourhood: −w_h'/d_v for each
    sibling option h' (tentatively discarded) and additionally +w_h on h's own
-   processors (tentatively realized).  All of v's candidates share one
-   [procs] array, which lets the comparison cancel the processors on which
-   two candidates agree. *)
+   processors (tentatively realized). *)
 let run_expected_vector ~variant h =
+  let { H.task_off; h_off; h_adj; w; _ } = h in
   let lv = Lv.create h.H.n2 in
-  (* Initial expectations, as in Algorithm 5. *)
-  let o0 = Array.make h.H.n2 0.0 in
-  for v = 0 to h.H.n1 - 1 do
-    let dv = float_of_int (H.task_degree h v) in
-    H.iter_task_hyperedges h v (fun e ->
-        let contribution = H.h_weight h e /. dv in
-        H.iter_h_procs h e (fun u -> o0.(u) <- o0.(u) +. contribution))
-  done;
+  let o0 = initial_expectations h in
   for u = 0 to h.H.n2 - 1 do
     if o0.(u) <> 0.0 then Lv.add lv ~proc:u ~w:o0.(u)
   done;
-  (* Scratch space to aggregate per-processor deltas of one task: [base]
-     is the "discard everything" delta over v's neighbourhood. *)
-  let stamp = Array.make h.H.n2 (-1) in
-  let index_of = Array.make h.H.n2 (-1) in
+  let s = scratch lv h.H.n2 in
+  (* [base] is the "discard everything" delta over v's neighbourhood. *)
   let base = Array.make h.H.n2 0.0 in
-  let best = ref (Lv.delta lv) in
-  let cand = ref { !best with Lv.amounts = Array.make h.H.n2 0.0 } in
-  let procs = !best.Lv.procs in
   let choice = Array.make h.H.n1 (-1) in
-  Array.iter
-    (fun v ->
-      let dv = float_of_int (H.task_degree h v) in
-      let k = ref 0 in
-      for i = h.H.h_off.(h.H.task_off.(v)) to h.H.h_off.(h.H.task_off.(v + 1)) - 1 do
-        let u = h.H.h_adj.(i) in
-        if stamp.(u) <> v then begin
-          stamp.(u) <- v;
-          index_of.(u) <- !k;
-          procs.(!k) <- u;
-          base.(!k) <- 0.0;
-          incr k
-        end
+  let order = degree_order h in
+  for k = 0 to h.H.n1 - 1 do
+    let v = order.(k) in
+    let dv = float_of_int (task_off.(v + 1) - task_off.(v)) in
+    let len = neighbourhood h s v in
+    Array.fill base 0 len 0.0;
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      let w' = w.(e) /. dv in
+      for i = h_off.(e) to h_off.(e + 1) - 1 do
+        let j = s.index_of.(h_adj.(i)) in
+        base.(j) <- base.(j) -. w'
+      done
+    done;
+    let best_e = ref (-1) in
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      let d = s.cand and we = w.(e) in
+      Array.blit base 0 d.Lv.amounts 0 len;
+      d.Lv.len <- len;
+      for i = h_off.(e) to h_off.(e + 1) - 1 do
+        let j = s.index_of.(h_adj.(i)) in
+        d.Lv.amounts.(j) <- d.Lv.amounts.(j) +. we
       done;
-      for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
-        let w' = h.H.w.(e) /. dv in
-        for i = h.H.h_off.(e) to h.H.h_off.(e + 1) - 1 do
-          let j = index_of.(h.H.h_adj.(i)) in
-          base.(j) <- base.(j) -. w'
-        done
-      done;
-      let best_e = ref (-1) in
-      for e = h.H.task_off.(v) to h.H.task_off.(v + 1) - 1 do
-        Obs.Metrics.incr c_candidates;
-        let d = !cand and w = h.H.w.(e) in
-        Array.blit base 0 d.Lv.amounts 0 !k;
-        d.Lv.len <- !k;
-        for i = h.H.h_off.(e) to h.H.h_off.(e + 1) - 1 do
-          let j = index_of.(h.H.h_adj.(i)) in
-          d.Lv.amounts.(j) <- d.Lv.amounts.(j) +. w
-        done;
-        if !best_e < 0 || better ~variant lv d !best then begin
-          best_e := e;
-          swap cand best
-        end
-      done;
-      choice.(v) <- !best_e;
-      Obs.Metrics.incr c_realized;
-      Lv.apply_delta lv !best)
-    (degree_order h);
+      best_e := consider ~variant lv s !best_e e
+    done;
+    choice.(v) <- !best_e;
+    Lv.apply_delta lv s.best
+  done;
+  count_run h ~pin_scans:false;
   choice
 
 let run ?(vector_variant = Merged) algorithm h =

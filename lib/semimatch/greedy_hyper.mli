@@ -20,11 +20,25 @@
     load vector per candidate (O(Σ d_v·|V2| log |V2|), what the paper
     benchmarked) and [Merged] compares only the changed values, the
     candidate's new loads merged with the incumbent's old ones and the
-    other way round ({!Ds.Load_vector.compare_hypothetical}): O(k²) per
-    candidate, k the number of processors the two touch, and independent
+    other way round ({!Ds.Load_vector.compare_hypothetical}), independent
     of |V2| — the improvement Sec. IV-D3 asks for but left unimplemented.
     Both return identical assignments; the ablation bench measures the
-    gap. *)
+    gap.
+
+    Under [Merged] all candidates of task v are deltas over one processor
+    array, v's neighbourhood N(v) (the distinct processors of its
+    configurations): VGH's candidate h adds w_h on h's processors and 0 on
+    the rest of N(v), EVG's also discards every option's expectation.  A
+    candidate costs O(|N(v)|) to fill and to compare, plus O(k²) for the k
+    processors on which it and the incumbent differ: the processors where
+    both agree cancel in one pass, tied loads included.  On sparse
+    instances, where |N(v)| is several times a configuration's size, VGH
+    pays for the wider fill.
+
+    The greedies are plain loops over the CSR arrays and add their probe
+    counters once per run: [semimatch.greedy.candidates] is the number of
+    hyperedges, [realized] the number of tasks and, for SGH and EGH,
+    [pin_scans] the number of pins. *)
 
 type algorithm =
   | Sorted_greedy_hyp

@@ -17,15 +17,29 @@ let of_choices h choice =
 let alloc h t v = H.h_procs h t.choice.(v)
 
 let loads h t =
+  let { H.h_off; h_adj; w; _ } = h in
   let l = Array.make h.H.n2 0.0 in
-  Array.iter
-    (fun e ->
-      let w = H.h_weight h e in
-      H.iter_h_procs h e (fun u -> l.(u) <- l.(u) +. w))
-    t.choice;
+  let choice = t.choice in
+  for v = 0 to Array.length choice - 1 do
+    let e = choice.(v) in
+    let we = w.(e) in
+    for i = h_off.(e) to h_off.(e + 1) - 1 do
+      let u = h_adj.(i) in
+      l.(u) <- l.(u) +. we
+    done
+  done;
   l
 
-let makespan h t = Array.fold_left max 0.0 (loads h t)
+(* [Stdlib.max] from 0, written out: [m >= x] keeps [m], as [max m x]
+   does. *)
+let makespan h t =
+  let l = loads h t in
+  let m = ref 0.0 in
+  for u = 0 to Array.length l - 1 do
+    let x = l.(u) in
+    if not (!m >= x) then m := x
+  done;
+  !m
 
 let total_work h t =
   Array.fold_left

@@ -1,33 +1,36 @@
 module H = Hyper.Graph
 module G = Bipartite.Graph
 
-let cheapest_time h v =
-  if H.task_degree h v = 0 then invalid_arg "Lower_bound: task without configuration";
-  let best = ref infinity in
-  H.iter_task_hyperedges h v (fun e ->
-      let time = H.h_weight h e *. float_of_int (H.h_size h e) in
-      if time < !best then best := time);
-  !best
+(* One pass over the tasks: Σ_v min_h w_h·|h∩V2| and max_v min_h w_h. *)
+let cheapest_sums h =
+  let { H.task_off; h_off; w; _ } = h in
+  let total = ref 0.0 and heaviest = ref 0.0 in
+  for v = 0 to h.H.n1 - 1 do
+    if task_off.(v + 1) = task_off.(v) then
+      invalid_arg "Lower_bound: task without configuration";
+    let time = ref infinity and weight = ref infinity in
+    for e = task_off.(v) to task_off.(v + 1) - 1 do
+      let we = w.(e) in
+      let t = we *. float_of_int (h_off.(e + 1) - h_off.(e)) in
+      if t < !time then time := t;
+      if we < !weight then weight := we
+    done;
+    total := !total +. !time;
+    if !weight > !heaviest then heaviest := !weight
+  done;
+  (!total, !heaviest)
+
+let no_processors () = invalid_arg "Lower_bound.multiproc: no processors"
 
 let multiproc h =
-  if h.H.n2 = 0 then invalid_arg "Lower_bound.multiproc: no processors";
-  let total = ref 0.0 in
-  for v = 0 to h.H.n1 - 1 do
-    total := !total +. cheapest_time h v
-  done;
-  !total /. float_of_int h.H.n2
+  if h.H.n2 = 0 then no_processors ();
+  let total, _ = cheapest_sums h in
+  total /. float_of_int h.H.n2
 
 let multiproc_refined h =
-  let heaviest_cheapest = ref 0.0 in
-  for v = 0 to h.H.n1 - 1 do
-    let best_w = ref infinity in
-    H.iter_task_hyperedges h v (fun e ->
-        let w = H.h_weight h e in
-        if w < !best_w then best_w := w);
-    if H.task_degree h v = 0 then invalid_arg "Lower_bound: task without configuration";
-    if !best_w > !heaviest_cheapest then heaviest_cheapest := !best_w
-  done;
-  Float.max (multiproc h) !heaviest_cheapest
+  let total, heaviest = cheapest_sums h in
+  if h.H.n2 = 0 then no_processors ();
+  Float.max (total /. float_of_int h.H.n2) heaviest
 
 let singleproc g =
   if g.G.n2 = 0 then invalid_arg "Lower_bound.singleproc: no processors";

@@ -41,17 +41,22 @@ let rec atomic_min a v =
     if Atomic.compare_and_set a cur v then true else atomic_min a v
   else false
 
-let run_solver ~should_stop h = function
+(* [prepare] fetches a refinement's start — EVG+ls refines EVG's schedule,
+   an annealer, like [Annealing.solve], SGH's — and returns the solver's own
+   work, which is what gets timed. *)
+let prepare ~should_stop ~start h = function
   | Greedy a ->
-      let asg = Greedy_hyper.run a h in
-      (asg, Hyp_assignment.makespan h asg)
+      fun () ->
+        let asg = Greedy_hyper.run a h in
+        (asg, Hyp_assignment.makespan h asg)
   | Refined a ->
-      let start = Greedy_hyper.run a h in
-      let asg, _moves = Local_search.refine h start in
-      (asg, Hyp_assignment.makespan h asg)
+      let s = start a in
+      fun () ->
+        let asg, _moves = Local_search.refine h s in
+        (asg, Hyp_assignment.makespan h asg)
   | Annealed seed ->
-      let rng = Randkit.Prng.create ~seed in
-      Annealing.solve ~should_stop rng h
+      let s = start Greedy_hyper.Sorted_greedy_hyp in
+      fun () -> Annealing.refine ~should_stop (Randkit.Prng.create ~seed) h s
 
 let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
   let solvers = Array.of_list default_solvers in
@@ -66,6 +71,17 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
   let results = Array.make n None in
   let times = Array.make n 0.0 in
   let optimal_found () = cutoff && Atomic.get best <= lb in
+  (* Each greedy slot publishes its schedule here, and a refinement starts
+     from the published one.  Domains never wait for each other: a
+     refinement that finds its greedy's slot still empty runs that greedy
+     itself.  At [jobs = 1] the slots run in list order, so every greedy
+     runs once.  The starts are never mutated: both refinements copy. *)
+  let published = List.map (fun a -> (a, Atomic.make None)) Greedy_hyper.all in
+  let start a =
+    match Atomic.get (List.assoc a published) with
+    | Some asg -> asg
+    | None -> Greedy_hyper.run a h
+  in
   let task i () =
     let name = solver_name solvers.(i) in
     if optimal_found () || Cancel.is_cancelled token then begin
@@ -83,7 +99,10 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
     else begin
       Obs.Metrics.incr c_ran;
       let should_stop () = Cancel.is_cancelled token || optimal_found () in
-      let (asg, m), dt = Obs.Span.time_s (fun () -> run_solver ~should_stop h solvers.(i)) in
+      let (asg, m), dt = Obs.Span.time_s (prepare ~should_stop ~start h solvers.(i)) in
+      (match solvers.(i) with
+      | Greedy a -> Atomic.set (List.assoc a published) (Some asg)
+      | Refined _ | Annealed _ -> ());
       Obs.Metrics.observe h_solver_s dt;
       let improved = atomic_min best m in
       if Obs.is_enabled () then begin
@@ -106,7 +125,7 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
      result at all; fall back to the first solver, uninterrupted. *)
   if Array.for_all Option.is_none results then begin
     let (asg, m), dt =
-      Obs.Span.time_s (fun () -> run_solver ~should_stop:(fun () -> false) h solvers.(0))
+      Obs.Span.time_s (prepare ~should_stop:(fun () -> false) ~start h solvers.(0))
     in
     results.(0) <- Some (m, asg);
     times.(0) <- dt

@@ -35,6 +35,8 @@ type outcome = {
   o_solver : solver;
   o_makespan : float option;  (** [None]: skipped by cutoff or timeout *)
   o_time_s : float;
+      (** the solver's own work; a refinement's excludes computing its
+          start *)
 }
 
 type result = {
@@ -48,7 +50,16 @@ type result = {
 val solve : ?jobs:int -> ?cutoff:bool -> ?timeout_s:float -> Hyper.Graph.t -> result
 (** [solve h] runs {!default_solvers} and returns the best schedule found.
     The solvers run as one {!Parpool.Pool.run} batch on at most [jobs]
-    domains (default 1: fully sequential and deterministic).  [timeout_s]
+    domains (default 1: fully sequential and deterministic).
+
+    The refinements share their starts with the greedy slots: EVG+ls
+    refines the schedule the EVG slot produced and anneal@[s] the SGH
+    slot's — the starts [Local_search.refine h (Greedy_hyper.run a h)] and
+    {!Annealing.solve} build — so at [jobs = 1] every greedy runs once.  On
+    several domains a refinement whose greedy slot has not published its
+    schedule yet runs that greedy itself; no domain waits.  The shared
+    schedules are never mutated: with [cutoff:false] and no timeout every
+    outcome's makespan equals the standalone call's.  [timeout_s]
     bounds the wall clock: running annealers stop early at their next poll
     and unstarted solvers are skipped — at least the first solver always
     completes, so a result is always returned.  Raises [Invalid_argument]

@@ -237,9 +237,36 @@ let lazy_delta_compare_matches_naive =
       let rng = Randkit.Prng.create ~seed in
       let lv, _ = random_lv_scenario rng p (Randkit.Prng.int rng (p + 1)) in
       Lv.apply_delta lv (delta_of (random_procs rng p) (Array.init p (fun _ -> random_amount rng)));
+      (* Some amounts are 0.0: such an entry leaves its load unchanged and
+         must cancel. *)
       let random_delta () =
         let procs = random_procs rng p in
-        delta_of procs (Array.map (fun _ -> random_amount rng) procs)
+        delta_of procs
+          (Array.map (fun _ -> if Randkit.Prng.int rng 4 = 0 then 0.0 else random_amount rng) procs)
+      in
+      (* Local search's moves out of one configuration: −w_old on its
+         processors and +w_new on the new one's, summed where the two
+         overlap, so an overlap at equal weights sums to exactly 0.0.  A
+         move against staying put, or against another move. *)
+      let move_pair () =
+        let old_procs = random_procs rng p and w_old = random_weight rng in
+        let move () =
+          let kept = List.filter (fun _ -> Randkit.Prng.int rng 2 = 0) (Array.to_list old_procs) in
+          let fresh =
+            List.filter (fun u -> not (Array.mem u old_procs)) (Array.to_list (random_procs rng p))
+          in
+          let new_procs = kept @ fresh in
+          let w_new = if Randkit.Prng.int rng 2 = 0 then w_old else random_weight rng in
+          let procs = Array.append old_procs (Array.of_list fresh) in
+          delta_of procs
+            (Array.map
+               (fun u ->
+                 (if Array.mem u old_procs then 0.0 -. w_old else 0.0)
+                 +. if List.mem u new_procs then w_new else 0.0)
+               procs)
+        in
+        let a = move () in
+        (a, if Randkit.Prng.int rng 2 = 0 then Lv.delta lv else move ())
       in
       (* EVG's candidates: one [procs] array filled into a reusable delta,
          amounts that agree on some processors and differ on others. *)
@@ -260,9 +287,10 @@ let lazy_delta_compare_matches_naive =
       let ok = ref true in
       for _ = 1 to 10 do
         let a, b =
-          match Randkit.Prng.int rng 3 with
+          match Randkit.Prng.int rng 4 with
           | 0 -> shared_pair ()
           | 1 -> (random_delta (), Lv.delta lv) (* a move vs staying put *)
+          | 2 -> move_pair ()
           | _ -> (random_delta (), random_delta ())
         in
         if not (agrees_with_naive lv a b && agrees_with_naive lv b a) then ok := false

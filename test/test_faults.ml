@@ -250,6 +250,40 @@ let test_deadline_tight_budget_still_feasible () =
   check "LB respected" true (r.D.makespan >= r.D.lower_bound -. 1e-9);
   checkf "makespan is real" (A.makespan h r.D.assignment) r.D.makespan
 
+let test_deadline_budget_at_the_floor () =
+  (* Budgets that run out while the greedy floor finishes.  The test for
+     budget left and the timeout handed to the portfolio must read the
+     clock once: a budget positive at the test could otherwise reach the
+     portfolio spent, and its cancel token refuses a non-positive timeout.
+     The sweep spans half to one and a half times the floor's cost, so some
+     budgets run out right between the two reads. *)
+  let rng = Randkit.Prng.create ~seed:44 in
+  let h =
+    Hyper.Generate.generate rng ~family:Hyper.Generate.Fewg_manyg ~n:200 ~p:32 ~dv:3 ~dh:4 ~g:4
+      ~weights:Hyper.Weights.Unit
+  in
+  let floor_s () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Semimatch.Lower_bound.multiproc_refined h);
+    ignore (A.makespan h (G.run G.Sorted_greedy_hyp h));
+    Unix.gettimeofday () -. t0
+  in
+  let costs = Array.init 51 (fun _ -> floor_s ()) in
+  Array.sort compare costs;
+  let cost = costs.(25) in
+  let stop = Unix.gettimeofday () +. 2.0 in
+  let calls = ref 0 in
+  while Unix.gettimeofday () < stop do
+    let budget_s = cost *. (0.5 +. (float_of_int (!calls mod 101) /. 100.0)) in
+    (match D.solve ~jobs:1 ~budget_s h with
+    | r ->
+        if not (A.is_valid h r.D.assignment) then
+          Alcotest.failf "infeasible schedule at a budget of %g s" budget_s
+    | exception e ->
+        Alcotest.failf "a budget of %g s raised %s after %d calls" budget_s (Printexc.to_string e) !calls);
+    incr calls
+  done
+
 let test_deadline_exact_tier_settles_tiny () =
   (* 8 tasks with <= 3 configurations each: the space fits the exact tier's
      bound, so a generous budget must return the brute-force optimum. *)
@@ -328,6 +362,8 @@ let suite =
     Alcotest.test_case "exhausted budget degrades to greedy" `Quick
       test_deadline_exhausted_budget_degrades;
     Alcotest.test_case "tight budget stays feasible" `Quick test_deadline_tight_budget_still_feasible;
+    Alcotest.test_case "budgets at the floor's cost stay feasible" `Quick
+      test_deadline_budget_at_the_floor;
     Alcotest.test_case "exact tier settles tiny instances" `Quick
       test_deadline_exact_tier_settles_tiny;
     Alcotest.test_case "exact tier: bs-hk beats the portfolio" `Quick

@@ -497,10 +497,34 @@ let test_prom_scrape_while_observing () =
       | None -> ()
       | Some msg -> Alcotest.failf "scrape during observation fails lint: %s" msg)
 
+(* The greedies add their counters in bulk, one hyperedge evaluation and
+   one pin scan each; local search counts the settled tasks it skips, which
+   its second pass onward always has on this instance. *)
+let test_search_counters () =
+  let module Gh = Semimatch.Greedy_hyper in
+  let module I = Experiments.Instances in
+  let spec = I.scaled 8 (List.find (fun s -> s.I.name = "MG-20-4-MP") (I.paper_grid ())) in
+  let h = I.generate_multiproc ~seed:4 ~weights:Hyper.Weights.Unit spec in
+  let value name = Obs.Metrics.value (Obs.Metrics.counter name) in
+  Obs.with_recording (fun () ->
+      ignore (Gh.run Gh.Sorted_greedy_hyp h);
+      check_int "SGH scans every pin once" (Hyper.Graph.num_pins h) (value "semimatch.greedy.pin_scans");
+      check_int "one candidate per hyperedge" (Hyper.Graph.num_hyperedges h)
+        (value "semimatch.greedy.candidates");
+      check_int "one realization per task" h.Hyper.Graph.n1 (value "semimatch.greedy.realized"));
+  let start = Gh.run Gh.Expected_vector_greedy_hyp h in
+  Obs.with_recording (fun () ->
+      let _, moves = Semimatch.Local_search.refine h start in
+      check "at least two passes" true (value "semimatch.local_search.rounds" >= 2);
+      check_int "moves" moves (value "semimatch.local_search.moves");
+      check "settled tasks skipped" true (value "semimatch.local_search.skipped" > 0);
+      check "candidates evaluated" true (value "semimatch.local_search.candidates" > 0))
+
 let suite =
   [
     Alcotest.test_case "disabled probes record nothing" `Quick test_disabled_records_nothing;
     Alcotest.test_case "counters match engine stats" `Quick test_counters_match_engine_stats;
+    Alcotest.test_case "greedy bulk counts and skipped tasks" `Quick test_search_counters;
     Alcotest.test_case "histogram percentile math" `Quick test_histogram_percentiles;
     Alcotest.test_case "span aggregates and nesting" `Quick test_span_aggregates;
     Alcotest.test_case "JSON sink round-trips" `Quick test_json_sink_roundtrip;

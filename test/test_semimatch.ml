@@ -439,6 +439,77 @@ let test_local_search_improves_fig3 () =
   check "made moves" true (moves > 0);
   check "escapes below 3" true (Ba.makespan g refined <= 2.0)
 
+let test_local_search_wakes_settled_tasks () =
+  (* Task 0 sits on P1 (load 3), and its move to P0 (load 2) only ties, so
+     it settles in pass 1.  Task 1 then leaves P0 for P3, which frees P0: in
+     pass 2 task 0 must be evaluated again, although only a processor of
+     task 1's old configuration changed, and it moves. *)
+  let h =
+    H.create ~n1:4 ~n2:4
+      ~hyperedges:
+        [
+          (0, [| 1 |], 1.0);
+          (0, [| 0 |], 1.0);
+          (1, [| 0 |], 1.0);
+          (1, [| 3 |], 1.0);
+          (2, [| 1 |], 2.0);
+          (3, [| 0 |], 1.0);
+        ]
+  in
+  let start = Ha.of_choices h [| 0; 2; 4; 5 |] in
+  let refined, moves = Ls.refine h start in
+  Alcotest.(check (array int)) "both tasks moved" [| 1; 3; 4; 5 |] refined.Ha.choice;
+  Alcotest.(check int) "two moves" 2 moves;
+  check "the reference agrees" true ((refined.Ha.choice, moves) = reference_refine ~max_passes:50 h start)
+
+(* --------------------------------------------------------------- Portfolio *)
+
+(* The portfolio hands each refinement the schedule its greedy slot already
+   produced.  Every outcome must still equal the standalone call it stands
+   for, at one domain and at two, and a greedy winner's schedule must be
+   that greedy's: a refinement that mutated its shared start would show
+   there. *)
+let portfolio_matches_standalone_prop =
+  let module P = Semimatch.Portfolio in
+  QCheck.Test.make ~name:"portfolio outcomes = standalone solvers" ~count:60
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Randkit.Prng.create ~seed in
+      let n1 = 1 + Randkit.Prng.int rng 30 and n2 = 1 + Randkit.Prng.int rng 10 in
+      let weights = [| 0.1; 0.2; 0.25; 1.0 /. 3.0; 0.5; 1.0; 2.0; 3.0 |] in
+      let unit = Randkit.Prng.bool rng in
+      let hyperedges =
+        List.concat
+          (List.init n1 (fun v ->
+               List.init
+                 (1 + Randkit.Prng.int rng 4)
+                 (fun _ ->
+                   let k = 1 + Randkit.Prng.int rng (min 4 n2) in
+                   ( v,
+                     Randkit.Prng.sample_without_replacement rng ~k ~n:n2,
+                     if unit then 1.0 else weights.(Randkit.Prng.int rng 8) ))))
+      in
+      let h = H.create ~n1 ~n2 ~hyperedges in
+      let standalone = function
+        | P.Greedy a -> Ha.makespan h (Gh.run a h)
+        | P.Refined a -> Ha.makespan h (fst (Ls.refine h (Gh.run a h)))
+        | P.Annealed seed -> snd (Semimatch.Annealing.solve (Randkit.Prng.create ~seed) h)
+      in
+      List.for_all
+        (fun jobs ->
+          let r = P.solve ~jobs ~cutoff:false h in
+          List.for_all (fun o -> o.P.o_makespan = Some (standalone o.P.o_solver)) r.P.outcomes
+          (* Annealing tracks its makespan incrementally, which can drift
+             from the recomputed one by a rounding error on non-integer
+             weights. *)
+          && Float.abs (Ha.makespan h r.P.assignment -. r.P.best_makespan)
+             <= 1e-9 *. Float.max 1.0 r.P.best_makespan
+          &&
+          match r.P.winner with
+          | P.Greedy a -> r.P.assignment.Ha.choice = (Gh.run a h).Ha.choice
+          | P.Refined _ | P.Annealed _ -> true)
+        [ 1; 2 ])
+
 (* --------------------------------------------------------------- Reduction *)
 
 let yes_instance = { Red.q = 2; triples = [ (0, 1, 2); (3, 4, 5); (0, 1, 3) ] }
@@ -563,6 +634,8 @@ let suite =
     QCheck_alcotest.to_alcotest local_search_never_worse_prop;
     QCheck_alcotest.to_alcotest local_search_matches_reference_prop;
     Alcotest.test_case "local search improves fig3" `Quick test_local_search_improves_fig3;
+    Alcotest.test_case "local search wakes settled tasks" `Quick test_local_search_wakes_settled_tasks;
+    QCheck_alcotest.to_alcotest portfolio_matches_standalone_prop;
     Alcotest.test_case "X3C reduction shapes" `Quick test_reduction_shapes;
     Alcotest.test_case "X3C yes-instance" `Quick test_reduction_yes;
     Alcotest.test_case "X3C no-instance" `Quick test_reduction_no;
