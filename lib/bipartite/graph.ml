@@ -97,7 +97,10 @@ let in_degrees g =
   Array.iter (fun u -> deg.(u) <- deg.(u) + 1) g.adj;
   deg
 
-let is_unit_weighted g = Array.for_all (fun x -> x = 1.0) g.w
+let is_unit_weighted g =
+  let w = g.w in
+  let rec scan e = e = Array.length w || (w.(e) = 1.0 && scan (e + 1)) in
+  scan 0
 
 let has_isolated_task g =
   let rec scan v = v < g.n1 && (degree g v = 0 || scan (v + 1)) in

@@ -24,7 +24,11 @@
 
    semimatch_crc32_init fills the tables and picks the kernel once; the
    OCaml module calls it while it initialises, so every later call, from
-   any domain, only reads them. */
+   any domain, only reads them.
+
+   The file also holds the record check of Stream_io's SINGLEPROC-UNIT
+   loop (semimatch_unit_run, at the end), which runs over the chunk the
+   CRC has just covered. */
 
 #include <stdint.h>
 #include <caml/mlvalues.h>
@@ -173,4 +177,29 @@ intnat semimatch_crc32_table(value b, intnat pos, intnat len)
 CAMLprim value semimatch_crc32_table_bytecode(value b, value pos, value len)
 {
   return Val_long(semimatch_crc32_table(b, Long_val(pos), Long_val(len)));
+}
+
+/* The number of SINGLEPROC-UNIT records, out of the [count] 20-byte
+   records at [pos] in [b], that come before the first one refused.  A
+   record is accepted when its task (u32 at +0) is below [n1], its weight
+   (f64 at +4) has the bits of 1.0, 0x3FF0000000000000, its pin count (u32
+   at +12) is 1 and its processor (u32 at +16) is below [n2]; all fields
+   little-endian.  The caller has checked that the [count] records lie
+   inside [b]. */
+intnat semimatch_unit_run(value b, intnat pos, intnat count, intnat n1, intnat n2)
+{
+  const unsigned char *p = (const unsigned char *)Bytes_val(b) + pos;
+  intnat i;
+  for (i = 0; i < count; i++, p += 20) {
+    uint64_t weight = (uint64_t)le32(p + 4) | ((uint64_t)le32(p + 8) << 32);
+    if (le32(p) >= (uintnat)n1 || weight != 0x3FF0000000000000u || le32(p + 12) != 1
+        || le32(p + 16) >= (uintnat)n2)
+      break;
+  }
+  return i;
+}
+
+CAMLprim value semimatch_unit_run_bytecode(value b, value pos, value count, value n1, value n2)
+{
+  return Val_long(semimatch_unit_run(b, Long_val(pos), Long_val(count), Long_val(n1), Long_val(n2)));
 }

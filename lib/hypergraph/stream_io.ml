@@ -348,52 +348,62 @@ let iter r f =
     else if not (next_chunk r) then continue := false
   done
 
-(* Unchecked little-endian u32 loads, for [iter_unit] after its bound
-   check. *)
-external unsafe_get_int32_ne : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
-external swap32 : int32 -> int32 = "%bswap_int32"
+(* A SINGLEPROC-UNIT record is 20 bytes: task, the weight 1.0
+   (0x3FF0000000000000), k = 1 and the processor.  The C loop
+   (crc32_stubs.c) returns how many of the [count] records at [pos] come
+   before the first one it refuses. *)
+let unit_record_bytes = 20
 
-let[@inline] unsafe_u32 b pos =
-  let v = unsafe_get_int32_ne b pos in
-  Int32.to_int (if Sys.big_endian then swap32 v else v) land 0xFFFFFFFF
+external unit_run :
+  Bytes.t ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) = "semimatch_unit_run_bytecode" "semimatch_unit_run"
+[@@noalloc]
+
+let[@inline] unit_task b off = get_u32 b off
+let[@inline] unit_proc b off = get_u32 b (off + 16)
 
 (* Under a singleton unit-weight header [read_record] accepts exactly the
-   records [iter_unit]'s fast path accepts, so handing it a refused record
-   raises [read_record]'s error, in [read_record]'s order. *)
-let[@inline never] unit_record_error r pos =
-  r.chunk_pos <- pos;
+   records the C loop accepts, so handing it a refused record raises
+   [read_record]'s error, in [read_record]'s order. *)
+let[@inline never] unit_record_error r =
   read_record r (fun ~task:_ ~procs:_ ~weight:_ -> ());
   assert false
 
-(* A SINGLEPROC-UNIT record is 20 bytes: task, the weight 1.0
-   (0x3FF0000000000000), k = 1 and the processor.  One bound check covers
-   the record; the weight is compared on its two 32-bit halves, so no float
-   is built; only ints reach [f]. *)
-let iter_unit r f =
-  let hdr = r.hdr in
-  if not (singleton hdr && unit_weight hdr) then
-    invalid_arg "Stream_io.iter_unit: needs a singleton unit-weight stream";
-  let n1 = hdr.h_n1 and n2 = hdr.h_n2 in
+let require_unit name r =
+  if not (singleton r.hdr && unit_weight r.hdr) then
+    invalid_arg ("Stream_io." ^ name ^ ": needs a singleton unit-weight stream")
+
+(* The records a chunk holds whole, at most [chunk_left] of them, are
+   checked in one C call; the reader is past the run before [f] sees it,
+   and a record left in the chunk was refused.  The caller has checked
+   the header. *)
+let unit_runs r f =
+  let n1 = r.hdr.h_n1 and n2 = r.hdr.h_n2 in
   while r.chunk_left > 0 || next_chunk r do
-    let b = r.chunk and stop = r.chunk_len in
-    let pos = ref r.chunk_pos in
-    for _ = 1 to r.chunk_left do
-      let p = !pos in
-      if p + 20 > stop then unit_record_error r p;
-      let task = unsafe_u32 b p and proc = unsafe_u32 b (p + 16) in
-      if
-        not
-          (unsafe_u32 b (p + 12) = 1
-          && unsafe_u32 b (p + 4) = 0
-          && unsafe_u32 b (p + 8) = 0x3FF00000
-          && task < n1 && proc < n2)
-      then unit_record_error r p;
-      pos := p + 20;
-      f ~task ~proc
-    done;
-    r.chunk_pos <- !pos;
-    r.chunk_left <- 0
+    let b = r.chunk and pos = r.chunk_pos in
+    let whole = min r.chunk_left ((r.chunk_len - pos) / unit_record_bytes) in
+    let count = unit_run b pos whole n1 n2 in
+    r.chunk_pos <- pos + (unit_record_bytes * count);
+    r.chunk_left <- r.chunk_left - count;
+    if count > 0 then f b ~pos ~count;
+    if r.chunk_left > 0 then unit_record_error r
   done
+
+let iter_unit_chunks r f =
+  require_unit "iter_unit_chunks" r;
+  unit_runs r f
+
+let iter_unit r f =
+  require_unit "iter_unit" r;
+  unit_runs r (fun b ~pos ~count ->
+      for i = 0 to count - 1 do
+        let off = pos + (unit_record_bytes * i) in
+        f ~task:(unit_task b off) ~proc:(unit_proc b off)
+      done)
 
 (* {2 Whole-file helpers} *)
 
@@ -419,9 +429,12 @@ let read_graph r =
   let pins = if sealed hdr then min hdr.h_pins (bytes_left / 4) else 0 in
   let b = Graph.builder ~n1:hdr.h_n1 ~n2:hdr.h_n2 ~hyperedges ~pins in
   if singleton hdr && unit_weight hdr then
-    iter_unit r (fun ~task ~proc ->
-        Graph.add_pin b proc;
-        Graph.end_hyperedge b ~task ~weight:1.0)
+    unit_runs r (fun buf ~pos ~count ->
+        for i = 0 to count - 1 do
+          let off = pos + (unit_record_bytes * i) in
+          Graph.add_pin b (unit_proc buf off);
+          Graph.end_hyperedge b ~task:(unit_task buf off) ~weight:1.0
+        done)
   else iter r (fun ~task ~procs ~weight -> Graph.add b ~task ~procs ~weight);
   Graph.build b
 

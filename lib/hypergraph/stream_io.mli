@@ -91,7 +91,30 @@ val iter_unit : reader -> (task:int -> proc:int -> unit) -> unit
     one processor, checked and in order as {!iter} gives them, raising its
     [Failure] messages in its order.  Nothing is allocated per record.
     Raises [Invalid_argument] unless the header says singleton and
-    unit-weight.  If the callback raises, {!rewind} before reading on. *)
+    unit-weight.  If the callback raises, {!rewind} before reading on.  A
+    loop over {!iter_unit_chunks}. *)
+
+val iter_unit_chunks : reader -> (Bytes.t -> pos:int -> count:int -> unit) -> unit
+(** {!iter_unit} a run of records at a time: [f buf ~pos ~count] receives
+    [count >= 1] accepted records, back to back in [buf] from byte [pos],
+    [unit_record_bytes] each; read them with {!unit_task} and {!unit_proc}.
+    A C loop checks a chunk's records up to the first one it refuses (task
+    below n1, weight 1.0, one pin, processor below n2), and that record
+    then raises {!iter}'s [Failure] once the run before it has been
+    delivered, so [f] sees exactly {!iter}'s records in its order.  [buf]
+    is the reader's chunk buffer: it is valid until [f] returns, and [f]
+    must not modify it.  Same preconditions as {!iter_unit}. *)
+
+val unit_record_bytes : int
+(** Bytes per SINGLEPROC-UNIT record (20): task, weight, pin count, the
+    processor. *)
+
+val unit_task : Bytes.t -> int -> int
+(** [unit_task buf off]: the task of the record at byte [off] of a run. *)
+
+val unit_proc : Bytes.t -> int -> int
+(** [unit_proc buf off]: the processor of the record at byte [off] of a
+    run.  Both accessors check their bounds against [buf]. *)
 
 (** {1 Whole-file convenience} *)
 
@@ -102,8 +125,9 @@ val read_graph : reader -> Graph.t
 (** Materialize the records from the current position as an in-core graph
     — the ingest fallback for instances that fit.  The graph's arrays are
     sized from the sealed header's counts (capped by the bytes left in the
-    file).  A singleton unit-weight stream is read by {!iter_unit}.  Raises
-    [Failure] like {!iter} and [Invalid_argument] like {!Graph.build}. *)
+    file).  A singleton unit-weight stream is read in {!iter_unit_chunks}'s
+    runs.  Raises [Failure] like {!iter} and [Invalid_argument] like
+    {!Graph.build}. *)
 
 val load : string -> Graph.t
 (** {!read_graph} of a whole file. *)

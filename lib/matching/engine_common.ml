@@ -66,9 +66,12 @@ let greedy_init st =
   let order =
     Ds.Counting_sort.permutation ~n:g.G.n1 ~key:(fun v -> G.degree g v) ~max_key:(max 1 (G.max_degree g))
   in
+  let off = g.G.off and adj = g.G.adj in
   Array.iter
     (fun v ->
-      let chosen = ref (-1) in
-      G.iter_neighbors g v (fun u _w -> if !chosen < 0 && residual st u > 0 then chosen := u);
-      if !chosen >= 0 then assign st v !chosen)
+      let e = ref off.(v) and stop = off.(v + 1) in
+      while !e < stop && residual st adj.(!e) <= 0 do
+        incr e
+      done;
+      if !e < stop then assign st v adj.(!e))
     order

@@ -16,16 +16,16 @@ let of_edges g edge =
 
 let of_mates g mates =
   if Array.length mates <> g.G.n1 then invalid_arg "Bip_assignment.of_mates: length mismatch";
-  let edge =
-    Array.mapi
-      (fun v u ->
-        let found = ref (-1) in
-        G.fold_neighbors g v ~init:() ~f:(fun () ~edge u' _w ->
-            if !found < 0 && u' = u then found := edge);
-        if !found < 0 then invalid_arg "Bip_assignment.of_mates: no edge to assigned processor";
-        !found)
-      mates
-  in
+  let off = g.G.off and adj = g.G.adj in
+  let edge = Array.make g.G.n1 0 in
+  for v = 0 to g.G.n1 - 1 do
+    let u = mates.(v) and e = ref off.(v) and stop = off.(v + 1) in
+    while !e < stop && adj.(!e) <> u do
+      incr e
+    done;
+    if !e = stop then invalid_arg "Bip_assignment.of_mates: no edge to assigned processor";
+    edge.(v) <- !e
+  done;
   { edge }
 
 let processor g t v = G.edge_endpoint g t.edge.(v)

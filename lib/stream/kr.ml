@@ -131,14 +131,20 @@ let one_pass reader =
   let fallback = Array.make n (-1) in
   let load = Array.make p 0 in
   let edges = ref 0 in
-  Sio.iter_unit reader (fun ~task:a ~proc:b ->
-      incr edges;
-      if assign.(a) < 0 then
-        if load.(b) < t then begin
-          assign.(a) <- b;
-          load.(b) <- load.(b) + 1
+  Sio.iter_unit_chunks reader (fun buf ~pos ~count ->
+      edges := !edges + count;
+      for i = 0 to count - 1 do
+        let off = pos + (Sio.unit_record_bytes * i) in
+        let a = Sio.unit_task buf off in
+        if assign.(a) < 0 then begin
+          let b = Sio.unit_proc buf off in
+          if load.(b) < t then begin
+            assign.(a) <- b;
+            load.(b) <- load.(b) + 1
+          end
+          else if fallback.(a) < 0 || load.(b) < load.(fallback.(a)) then fallback.(a) <- b
         end
-        else if fallback.(a) < 0 || load.(b) < load.(fallback.(a)) then fallback.(a) <- b);
+      done);
   Obs.Metrics.add c_records !edges;
   Obs.Metrics.incr c_passes;
   for a = 0 to n - 1 do
@@ -188,17 +194,23 @@ let few_pass reader =
     Bytes.fill saw 0 n '\000';
     let before = !unmatched in
     let seen = ref 0 in
-    Sio.iter_unit reader (fun ~task:a ~proc:b ->
-        incr seen;
-        if assign.(a) < 0 then begin
-          Bytes.set saw a '\001';
-          if intake.(b) < !t then begin
-            assign.(a) <- b;
-            intake.(b) <- intake.(b) + 1;
-            load.(b) <- load.(b) + 1;
-            decr unmatched
+    Sio.iter_unit_chunks reader (fun buf ~pos ~count ->
+        seen := !seen + count;
+        let cap = !t in
+        for i = 0 to count - 1 do
+          let off = pos + (Sio.unit_record_bytes * i) in
+          let a = Sio.unit_task buf off in
+          if assign.(a) < 0 then begin
+            Bytes.set saw a '\001';
+            let b = Sio.unit_proc buf off in
+            if intake.(b) < cap then begin
+              assign.(a) <- b;
+              intake.(b) <- intake.(b) + 1;
+              load.(b) <- load.(b) + 1;
+              decr unmatched
+            end
           end
-        end);
+        done);
     Obs.Metrics.add c_records !seen;
     if !passes = 1 then edges := !seen;
     if !unmatched > 0 then begin

@@ -43,14 +43,16 @@ type solution = {
 }
 
 val one_pass : Hyper.Stream_io.reader -> solution
-(** One scan from the reader's current position, through
-    {!Hyper.Stream_io.iter_unit}.  Requires a singleton unit-weight stream
-    ([Invalid_argument] otherwise); raises [Failure] on an edgeless task
-    (infeasible instance) and, like the reader, on a bad record. *)
+(** One scan from the reader's current position.  The records arrive in
+    checked runs from {!Hyper.Stream_io.iter_unit_chunks} and are decoded
+    in the solver's own loop, so a record costs no callback.  Requires a
+    singleton unit-weight stream ([Invalid_argument] otherwise); raises
+    [Failure] on an edgeless task (infeasible instance) and, like the
+    reader, on a bad record. *)
 
 val few_pass : Hyper.Stream_io.reader -> solution
-(** Multi-pass: rewinds the reader between passes.  Same preconditions as
-    {!one_pass}. *)
+(** Multi-pass: rewinds the reader between passes, each pass read like
+    {!one_pass}'s.  Same preconditions as {!one_pass}. *)
 
 val online_greedy :
   ?on_choice:(task:int -> procs:int array -> weight:float -> unit) ->

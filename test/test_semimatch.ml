@@ -63,6 +63,33 @@ let test_bip_of_mates () =
   Alcotest.(check int) "T0 -> P1" 1 (Ba.processor g a 0);
   Alcotest.(check int) "T1 -> P0" 0 (Ba.processor g a 1)
 
+(* Both scan the CSR arrays in place and stop at the first hit: no weight
+   is boxed per edge.  Each task's mate is its last neighbour, so
+   [of_mates] scans every edge. *)
+let test_csr_scans_allocation () =
+  let g = Bipartite.Fewg_manyg.generate (Randkit.Prng.create ~seed:27) ~n1:2000 ~n2:64 ~g:4 ~d:6 in
+  let m = G.num_edges g in
+  check "over 10k edges" true (m > 10_000);
+  let words f =
+    let before = Gc.minor_words () in
+    let x = f () in
+    (x, Gc.minor_words () -. before)
+  in
+  let unit, unit_words = words (fun () -> G.is_unit_weighted g) in
+  check "unit weights" true unit;
+  check
+    (Printf.sprintf "is_unit_weighted: %.0f minor words for %d edges" unit_words m)
+    true
+    (unit_words /. float_of_int m < 0.01);
+  let mates = Array.init g.G.n1 (fun v -> g.G.adj.(g.G.off.(v + 1) - 1)) in
+  let a, mates_words = words (fun () -> Ba.of_mates g mates) in
+  check "of_mates: every task on its mate" true
+    (Array.for_all Fun.id (Array.mapi (fun v u -> Ba.processor g a v = u) mates));
+  check
+    (Printf.sprintf "of_mates: %.0f minor words for %d edges" mates_words m)
+    true
+    (mates_words /. float_of_int m < 0.01)
+
 let test_hyp_assignment_loads () =
   let h =
     H.create ~n1:2 ~n2:3
@@ -602,6 +629,7 @@ let suite =
     Alcotest.test_case "bip assignment loads" `Quick test_bip_assignment_loads;
     Alcotest.test_case "bip assignment validation" `Quick test_bip_assignment_validation;
     Alcotest.test_case "bip assignment of_mates" `Quick test_bip_of_mates;
+    Alcotest.test_case "is_unit_weighted, of_mates: no words per edge" `Quick test_csr_scans_allocation;
     Alcotest.test_case "hyp assignment loads" `Quick test_hyp_assignment_loads;
     Alcotest.test_case "hyp assignment validation" `Quick test_hyp_assignment_validation;
     Alcotest.test_case "lower bound on fig2" `Quick test_lb_fig2;

@@ -445,6 +445,112 @@ let test_iter_unit_needs_unit_header () =
             (Invalid_argument "Stream_io.iter_unit: needs a singleton unit-weight stream") (fun () ->
               Sio.iter_unit r (fun ~task:_ ~proc:_ -> ()))))
 
+(* [iter_unit_chunks]'s runs, decoded record by record; a run must hold
+   at least one record. *)
+let read_runs r k =
+  Sio.iter_unit_chunks r (fun buf ~pos ~count ->
+      if count < 1 then failwith (Printf.sprintf "empty run at byte %d" pos);
+      for i = 0 to count - 1 do
+        let off = pos + (Sio.unit_record_bytes * i) in
+        k (Sio.unit_task buf off) (Sio.unit_proc buf off)
+      done)
+
+let iter_unit_chunks_prop =
+  QCheck.Test.make ~name:"iter_unit_chunks = iter on singleton unit streams" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      with_temp (fun path ->
+          let n1 = 1 + Prng.int rng 50 and n2 = 1 + Prng.int rng 20 in
+          let w = Sio.create_writer ~chunk_records:(1 + Prng.int rng 40) ~path ~n1 ~n2 () in
+          for _ = 1 to Prng.int rng 300 do
+            Sio.add w ~task:(Prng.int rng n1) ~procs:[| Prng.int rng n2 |] ~weight:1.0
+          done;
+          Sio.close_writer w;
+          let how =
+            match Prng.int rng 3 with
+            | 0 -> "clean"
+            | 1 ->
+                mutate_payload rng path (1 + Prng.int rng 3);
+                "mutated"
+            | _ ->
+                overclaim_last_chunk path;
+                "over-claimed"
+          in
+          let general =
+            read_all path (fun r k -> Sio.iter r (fun ~task ~procs ~weight:_ -> k task procs.(0)))
+          in
+          let runs = read_all path read_runs in
+          general = runs
+          || QCheck.Test.fail_reportf "seed %d (%s): iter stopped at %s after %d records, the runs at %s after %d"
+               seed how
+               (Option.value (snd general) ~default:"the end")
+               (List.length (fst general))
+               (Option.value (snd runs) ~default:"the end")
+               (List.length (fst runs))))
+
+(* One field of one record of a 60-record unit stream (chunks of 16)
+   overwritten, the CRC recomputed: every unit reader delivers the records
+   before it and then fails with [iter]'s message, which names the chunk's
+   offset.  The records sit first in the file, last and first in a chunk,
+   inside one, and last in the file. *)
+let test_unit_field_errors () =
+  let n1 = 10 and n2 = 4 and records = 60 in
+  let written = List.init records (fun i -> ((7 * i) mod n1, (3 * i) mod n2)) in
+  let fields =
+    [
+      ("task = n1", 0, n1, "task out of range");
+      ("processor = n2", 16, n2, "processor out of range");
+      ("weight low word", 4, 1, "weight is not 1 under a unit-weight header");
+      ("weight high word", 8, 0x40000000, "weight is not 1 under a unit-weight header");
+      ("weight sign", 8, 0xBFF00000, "weight must be positive");
+      ("k = 0", 12, 0, "bad pin count");
+      ("k = 2", 12, 2, "several processors under a singleton header");
+    ]
+  in
+  List.iter
+    (fun (field, at, v, msg) ->
+      List.iter
+        (fun j ->
+          with_temp (fun path ->
+              let w = Sio.create_writer ~chunk_records:16 ~path ~n1 ~n2 () in
+              List.iter (fun (task, proc) -> Sio.add w ~task ~procs:[| proc |] ~weight:1.0) written;
+              Sio.close_writer w;
+              let frame = ref 0 in
+              rewrite path (fun b chunks ->
+                  let start, len = chunks.(j / 16) in
+                  frame := start - 8;
+                  Bytes.set_int32_le b (start + (Sio.unit_record_bytes * (j mod 16)) + at) (Int32.of_int v);
+                  Bytes.set_int32_le b (start + len) (Int32.of_int (Hyper.Crc32.bytes b ~pos:start ~len)));
+              let want =
+                (List.filteri (fun i _ -> i < j) written,
+                 Some (Printf.sprintf "Stream_io: offset %d: %s" !frame msg))
+              in
+              let case what got =
+                if got <> want then
+                  Alcotest.failf "%s of record %d, %s: %d records, then %s" field j what
+                    (List.length (fst got))
+                    (Option.value (snd got) ~default:"the end")
+              in
+              case "iter" (read_all path (fun r k -> Sio.iter r (fun ~task ~procs ~weight:_ -> k task procs.(0))));
+              case "iter_unit" (read_all path (fun r k -> Sio.iter_unit r (fun ~task ~proc -> k task proc)));
+              case "iter_unit_chunks" (read_all path read_runs);
+              let fails what f =
+                match f () with
+                | _ -> Alcotest.failf "%s accepted %s of record %d" what field j
+                | exception Failure got ->
+                    Alcotest.(check (option string)) (what ^ ", " ^ field) (snd want) (Some got)
+              in
+              let solve f () =
+                let r = Sio.open_reader path in
+                Fun.protect ~finally:(fun () -> Sio.close_reader r) (fun () -> ignore (f r))
+              in
+              fails "one_pass" (solve Kr.one_pass);
+              fails "few_pass" (solve Kr.few_pass);
+              fails "load" (fun () -> ignore (Sio.load path))))
+        [ 0; 15; 16; 37; records - 1 ])
+    fields
+
 (* A pass over a unit stream allocates nothing per record.  Three of each
    task's four processors lie among the first 100, which the first pass
    fills, so a second pass places the rest. *)
@@ -940,6 +1046,8 @@ let suite =
     Alcotest.test_case "every reader enforces the header's flags" `Quick test_flags_enforced;
     QCheck_alcotest.to_alcotest iter_unit_prop;
     Alcotest.test_case "iter_unit: general header refused" `Quick test_iter_unit_needs_unit_header;
+    QCheck_alcotest.to_alcotest iter_unit_chunks_prop;
+    Alcotest.test_case "unit readers: one bad field at a time" `Quick test_unit_field_errors;
     Alcotest.test_case "few_pass: no allocation per record" `Quick test_few_pass_allocation;
     Alcotest.test_case "generator stream = in-core instance" `Quick test_gen_stream_identity;
     Alcotest.test_case "gen-sp stream = bipartite adjacency" `Quick test_gen_sp_stream_identity;
