@@ -228,7 +228,7 @@ let faults_cmd =
     | None -> ()
     | Some path ->
         Experiments.Fault_sweep.write_json path rows;
-        Printf.printf "wrote %s\n" path
+        Printf.eprintf "wrote %s\n" path
   in
   let json_arg =
     Arg.(value & opt (some string) None

@@ -123,14 +123,6 @@ let with_telemetry ?(trace = None) ?(events = None) stats f =
 
 let with_stats stats f = with_telemetry stats f
 
-(* SINGLEPROC-UNIT detection and embedding, shared by [exact] and
-   [profile]: singleton unit-weight configurations are plain bipartite
-   edges (Hyper.Graph.to_bipartite does the structural half). *)
-let singleton_unit h =
-  match Hyper.Graph.to_bipartite h with
-  | Some g when Bipartite.Graph.is_unit_weighted g -> Some g
-  | Some _ | None -> None
-
 let weights_conv =
   Arg.enum
     [
@@ -559,7 +551,7 @@ let solve_cmd =
 let exact_cmd =
   let run strategy engine stats trace events file =
     let h = load_instance file in
-    match singleton_unit h with
+    match Semimatch.Exact_unit.of_hypergraph h with
     | None ->
         prerr_endline
           "exact: instance is not SINGLEPROC-UNIT (needs singleton unit-weight configurations);\n\
@@ -713,7 +705,7 @@ let profile_cmd =
           snd (Semimatch.Annealing.solve rng h) )
     in
     let engine_tasks =
-      match singleton_unit h with
+      match Semimatch.Exact_unit.of_hypergraph h with
       | None -> []
       | Some g ->
           List.map

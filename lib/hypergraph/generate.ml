@@ -2,64 +2,16 @@ type family = Fewg_manyg | Hilo
 
 let family_name = function Fewg_manyg -> "fewg-manyg" | Hilo -> "hilo"
 
-let generate rng ~family ~n ~p ~dv ~dh ~g ~weights =
+let check_sizes ~n ~p ~dv ~dh =
   if n <= 0 || p <= 0 then invalid_arg "Hyper.Generate: n and p must be positive";
-  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive";
-  (* Step 1: configuration counts, Binomial(2·dv, 1/2) has mean dv. *)
-  let degrees =
-    Array.init n (fun _ -> max 1 (Randkit.Binomial.sample rng ~trials:(2 * dv) ~p:0.5))
-  in
-  let nh = Array.fold_left ( + ) 0 degrees in
-  (* Step 2: hyperedges take the V1 role of a bipartite generator. *)
-  let pins =
-    match family with
-    | Hilo -> Bipartite.Hilo.adjacency ~n1:nh ~n2:p ~g ~d:dh
-    | Fewg_manyg -> Bipartite.Fewg_manyg.adjacency rng ~n1:nh ~n2:p ~g ~d:dh
-  in
-  let hyperedges = ref [] in
-  let next = ref nh in
-  for v = n - 1 downto 0 do
-    for _ = 1 to degrees.(v) do
-      decr next;
-      hyperedges := (v, pins.(!next), 1.0) :: !hyperedges
-    done
-  done;
-  assert (!next = 0);
-  let h = Graph.create ~n1:n ~n2:p ~hyperedges:!hyperedges in
-  Weights.apply ~rng weights h
+  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive"
 
 let degrees_step rng ~n ~dv =
   Array.init n (fun _ -> max 1 (Randkit.Binomial.sample rng ~trials:(2 * dv) ~p:0.5))
 
-let assemble ~n ~p ~degrees ~pins rng weights =
-  let hyperedges = ref [] in
-  let next = ref (Array.fold_left ( + ) 0 degrees) in
-  for v = n - 1 downto 0 do
-    for _ = 1 to degrees.(v) do
-      decr next;
-      hyperedges := (v, pins.(!next), 1.0) :: !hyperedges
-    done
-  done;
-  let h = Graph.create ~n1:n ~n2:p ~hyperedges:!hyperedges in
-  Weights.apply ~rng weights h
-
 (* Hyperedge sizes Binomial(2·dh, ½) clamped to [1, p]: variable like the
    paper's families, so the Related weight scheme stays meaningful. *)
 let draw_size rng ~dh ~p = min p (max 1 (Randkit.Binomial.sample rng ~trials:(2 * dh) ~p:0.5))
-
-let generate_uniform rng ~n ~p ~dv ~dh ~weights =
-  if n <= 0 || p <= 0 then invalid_arg "Hyper.Generate: n and p must be positive";
-  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive";
-  let degrees = degrees_step rng ~n ~dv in
-  let nh = Array.fold_left ( + ) 0 degrees in
-  let pins =
-    Array.init nh (fun _ ->
-        let size = draw_size rng ~dh ~p in
-        let picks = Randkit.Prng.sample_without_replacement rng ~k:size ~n:p in
-        Array.sort compare picks;
-        picks)
-  in
-  assemble ~n ~p ~degrees ~pins rng weights
 
 (* Zipf sampling by inversion over precomputed cumulative masses. *)
 let zipf_sampler rng ~p ~alpha =
@@ -79,25 +31,6 @@ let zipf_sampler rng ~p ~alpha =
       if cumulative.(mid) >= x then hi := mid else lo := mid + 1
     done;
     !lo
-
-let generate_powerlaw rng ~n ~p ~dv ~dh ~alpha ~weights =
-  if n <= 0 || p <= 0 then invalid_arg "Hyper.Generate: n and p must be positive";
-  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive";
-  let draw = zipf_sampler rng ~p ~alpha in
-  let degrees = degrees_step rng ~n ~dv in
-  let nh = Array.fold_left ( + ) 0 degrees in
-  let pins =
-    Array.init nh (fun _ ->
-        let size = draw_size rng ~dh ~p in
-        let seen = Hashtbl.create size in
-        while Hashtbl.length seen < size do
-          Hashtbl.replace seen (draw ()) ()
-        done;
-        let procs = Array.of_seq (Hashtbl.to_seq_keys seen) in
-        Array.sort compare procs;
-        procs)
-  in
-  assemble ~n ~p ~degrees ~pins rng weights
 
 (* {2 Streaming emission}
 
@@ -135,8 +68,7 @@ let task_cursor degrees =
     task
 
 let stream rng ~family ~n ~p ~dv ~dh ~g ~weights ~emit =
-  if n <= 0 || p <= 0 then invalid_arg "Hyper.Generate: n and p must be positive";
-  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive";
+  check_sizes ~n ~p ~dv ~dh;
   let draw_w = stream_weight_drawer rng weights in
   let degrees = degrees_step rng ~n ~dv in
   let nh = Array.fold_left ( + ) 0 degrees in
@@ -148,8 +80,7 @@ let stream rng ~family ~n ~p ~dv ~dh ~g ~weights ~emit =
   nh
 
 let stream_uniform rng ~n ~p ~dv ~dh ~weights ~emit =
-  if n <= 0 || p <= 0 then invalid_arg "Hyper.Generate: n and p must be positive";
-  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive";
+  check_sizes ~n ~p ~dv ~dh;
   let draw_w = stream_weight_drawer rng weights in
   let degrees = degrees_step rng ~n ~dv in
   let nh = Array.fold_left ( + ) 0 degrees in
@@ -163,8 +94,7 @@ let stream_uniform rng ~n ~p ~dv ~dh ~weights ~emit =
   nh
 
 let stream_powerlaw rng ~n ~p ~dv ~dh ~alpha ~weights ~emit =
-  if n <= 0 || p <= 0 then invalid_arg "Hyper.Generate: n and p must be positive";
-  if dv <= 0 || dh <= 0 then invalid_arg "Hyper.Generate: dv and dh must be positive";
+  check_sizes ~n ~p ~dv ~dh;
   let draw_w = stream_weight_drawer rng weights in
   let draw = zipf_sampler rng ~p ~alpha in
   let degrees = degrees_step rng ~n ~dv in
@@ -181,6 +111,27 @@ let stream_powerlaw rng ~n ~p ~dv ~dh ~alpha ~weights ~emit =
     emit ~task:(next_task ()) ~procs ~weight:(draw_w ())
   done;
   nh
+
+(* {2 In-core instances}
+
+   The emitters' unit-weight hyperedges collected into a graph, then the
+   weight scheme applied: its draws follow every structural draw, and with
+   [Unit] weights the graph is the streamed instance. *)
+
+let collect rng ~n ~p ~dv ~dh ~weights emit_all =
+  check_sizes ~n ~p ~dv ~dh;
+  let b = Graph.builder ~n1:n ~n2:p ~hyperedges:0 ~pins:0 in
+  ignore (emit_all ~weights:Weights.Unit ~emit:(Graph.add b));
+  Weights.apply ~rng weights (Graph.build b)
+
+let generate rng ~family ~n ~p ~dv ~dh ~g ~weights =
+  collect rng ~n ~p ~dv ~dh ~weights (stream rng ~family ~n ~p ~dv ~dh ~g)
+
+let generate_uniform rng ~n ~p ~dv ~dh ~weights =
+  collect rng ~n ~p ~dv ~dh ~weights (stream_uniform rng ~n ~p ~dv ~dh)
+
+let generate_powerlaw rng ~n ~p ~dv ~dh ~alpha ~weights =
+  collect rng ~n ~p ~dv ~dh ~weights (stream_powerlaw rng ~n ~p ~dv ~dh ~alpha)
 
 (* SINGLEPROC-UNIT edge streams: each bipartite edge becomes a singleton
    unit-weight hyperedge — the shape the Konrad–Rosén solvers consume. *)

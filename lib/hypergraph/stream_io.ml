@@ -373,10 +373,6 @@ let[@inline never] unit_record_error r =
   read_record r (fun ~task:_ ~procs:_ ~weight:_ -> ());
   assert false
 
-let require_unit name r =
-  if not (singleton r.hdr && unit_weight r.hdr) then
-    invalid_arg ("Stream_io." ^ name ^ ": needs a singleton unit-weight stream")
-
 (* The records a chunk holds whole, at most [chunk_left] of them, are
    checked in one C call; the reader is past the run before [f] sees it,
    and a record left in the chunk was refused.  The caller has checked
@@ -394,16 +390,9 @@ let unit_runs r f =
   done
 
 let iter_unit_chunks r f =
-  require_unit "iter_unit_chunks" r;
+  if not (singleton r.hdr && unit_weight r.hdr) then
+    invalid_arg "Stream_io.iter_unit_chunks: needs a singleton unit-weight stream";
   unit_runs r f
-
-let iter_unit r f =
-  require_unit "iter_unit" r;
-  unit_runs r (fun b ~pos ~count ->
-      for i = 0 to count - 1 do
-        let off = pos + (unit_record_bytes * i) in
-        f ~task:(unit_task b off) ~proc:(unit_proc b off)
-      done)
 
 (* {2 Whole-file helpers} *)
 

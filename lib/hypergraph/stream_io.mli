@@ -86,24 +86,19 @@ val iter : reader -> (task:int -> procs:int array -> weight:float -> unit) -> un
     Under a singleton header a record with several processors is an error,
     and so is a weight other than 1.0 under a unit-weight header. *)
 
-val iter_unit : reader -> (task:int -> proc:int -> unit) -> unit
-(** {!iter} for a singleton unit-weight stream: each record's task and its
-    one processor, checked and in order as {!iter} gives them, raising its
-    [Failure] messages in its order.  Nothing is allocated per record.
-    Raises [Invalid_argument] unless the header says singleton and
-    unit-weight.  If the callback raises, {!rewind} before reading on.  A
-    loop over {!iter_unit_chunks}. *)
-
 val iter_unit_chunks : reader -> (Bytes.t -> pos:int -> count:int -> unit) -> unit
-(** {!iter_unit} a run of records at a time: [f buf ~pos ~count] receives
-    [count >= 1] accepted records, back to back in [buf] from byte [pos],
-    [unit_record_bytes] each; read them with {!unit_task} and {!unit_proc}.
-    A C loop checks a chunk's records up to the first one it refuses (task
-    below n1, weight 1.0, one pin, processor below n2), and that record
-    then raises {!iter}'s [Failure] once the run before it has been
-    delivered, so [f] sees exactly {!iter}'s records in its order.  [buf]
-    is the reader's chunk buffer: it is valid until [f] returns, and [f]
-    must not modify it.  Same preconditions as {!iter_unit}. *)
+(** {!iter} for a singleton unit-weight stream, a run of records at a
+    time: [f buf ~pos ~count] receives [count >= 1] accepted records, back
+    to back in [buf] from byte [pos], [unit_record_bytes] each; read them
+    with {!unit_task} and {!unit_proc}.  A C loop checks a chunk's records
+    up to the first one it refuses (task below n1, weight 1.0, one pin,
+    processor below n2), and that record then raises {!iter}'s [Failure]
+    once the run before it has been delivered, so [f] sees exactly
+    {!iter}'s records in its order.  Nothing is allocated per record.
+    [buf] is the reader's chunk buffer: it is valid until [f] returns, and
+    [f] must not modify it.  Raises [Invalid_argument] unless the header
+    says singleton and unit-weight.  If [f] raises, {!rewind} before
+    reading on. *)
 
 val unit_record_bytes : int
 (** Bytes per SINGLEPROC-UNIT record (20): task, weight, pin count, the

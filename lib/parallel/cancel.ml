@@ -1,5 +1,3 @@
-exception Cancelled
-
 type t = {
   flag : bool Atomic.t;
   deadline : int64 option; (* monotonic ns *)
@@ -7,14 +5,11 @@ type t = {
 }
 
 let create ?timeout_s () =
-  let deadline =
-    match timeout_s with
-    | None -> None
-    | Some s ->
-        if not (s > 0.0) then invalid_arg "Cancel.create: timeout_s must be positive";
-        Obs.Span.deadline_after s
-  in
-  { flag = Atomic.make false; deadline; inert = false }
+  match timeout_s with
+  | Some s when not (s > 0.0) -> { flag = Atomic.make true; deadline = None; inert = false }
+  | _ ->
+      let deadline = Option.bind timeout_s Obs.Span.deadline_after in
+      { flag = Atomic.make false; deadline; inert = false }
 
 let never = { flag = Atomic.make false; deadline = None; inert = true }
 

@@ -16,7 +16,7 @@ let record_min slot i e =
   in
   go ()
 
-let run ?(cancel = Cancel.never) ~jobs tasks =
+let run ~jobs tasks =
   if jobs < 1 then invalid_arg "Pool.run: jobs must be positive";
   let n = Array.length tasks in
   if n > 0 then begin
@@ -36,12 +36,12 @@ let run ?(cancel = Cancel.never) ~jobs tasks =
     let internal = Cancel.create () in
     let fail = Atomic.make None in
     (* Every participant takes the next index until the batch runs out, so
-       tasks are claimed in ascending index order.  Once a task raised or
-       [cancel] tripped, the rest are claimed and skipped. *)
+       tasks are claimed in ascending index order.  Once a task raised, the
+       rest are claimed and skipped. *)
     let rec participate () =
       let i = Atomic.fetch_and_add next 1 in
       if i < n then begin
-        if not (Cancel.is_cancelled internal || Cancel.is_cancelled cancel) then
+        if not (Cancel.is_cancelled internal) then
           (* The depth guard bounds span-nesting drift at the task boundary:
              a task that leaks a span cannot skew the depths recorded by
              every later task on this participant (see Obs.Span.reset's
@@ -75,18 +75,12 @@ let run ?(cancel = Cancel.never) ~jobs tasks =
     match Atomic.get fail with Some (_, e) -> raise e | None -> ()
   end
 
-let map ?(cancel = Cancel.never) ?jobs ~f items =
+let map ?jobs ~f items =
   let jobs = match jobs with Some j -> j | None -> Domain.recommended_domain_count () in
   if jobs < 1 then invalid_arg "Pool.map: jobs must be positive";
   let results = Array.make (Array.length items) None in
-  run ~cancel ~jobs (Array.mapi (fun i x () -> results.(i) <- Some (f x)) items);
-  Array.map
-    (function
-      | Some v -> v
-      | None ->
-          (* No task raised (run would have), so a hole means [cancel]
-             tripped before the batch finished. *)
-          raise Cancel.Cancelled)
-    results
+  run ~jobs (Array.mapi (fun i x () -> results.(i) <- Some (f x)) items);
+  (* No task raised (run would have), so every slot is filled. *)
+  Array.map Option.get results
 
 let map_list ?jobs ~f items = Array.to_list (map ?jobs ~f (Array.of_list items))

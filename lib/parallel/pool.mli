@@ -16,10 +16,11 @@
     running finish the batch, so [jobs] caps the parallelism rather than
     promising it.
 
-    Cancellation is cooperative via {!Cancel} tokens.  A task that raises
-    trips the batch's internal token, so the remaining unstarted tasks are
-    {e skipped} and the batch drains promptly instead of running to
-    completion before re-raising — the smallest-index exception wins.
+    A task that raises makes the batch {e skip} its remaining unstarted
+    tasks, so the batch drains promptly instead of running to completion
+    before re-raising — the smallest-index exception wins.  A batch takes
+    no external cancellation: a caller that wants to stop early makes its
+    tasks return at once, as [Semimatch.Portfolio] does on its timeout.
 
     Telemetry (free when [Obs] is disabled): every batch records a
     ["pool.submit"] span with one flow-start instant per task, every
@@ -29,23 +30,20 @@
     [Obs.Span.with_depth_guard], so a span leaked by a task cannot skew
     later spans' recorded nesting depth. *)
 
-val run : ?cancel:Cancel.t -> jobs:int -> (unit -> unit) array -> unit
+val run : jobs:int -> (unit -> unit) array -> unit
 (** Execute every task on at most [jobs] domains, returning when all have
-    finished or been skipped.  Tasks are skipped (never aborted mid-flight)
-    once [cancel] trips or once any task raises; after the batch drains,
-    the raised exception with the smallest task index is re-raised.  A
-    tripped [cancel] alone does not raise — callers decide what partial
-    completion means ({!map} raises {!Cancel.Cancelled}).  Raises
+    finished or been skipped.  Once any task raises, the unstarted tasks are
+    skipped (never aborted mid-flight); after the batch drains, the raised
+    exception with the smallest task index is re-raised.  Raises
     [Invalid_argument] if [jobs < 1]. *)
 
-val map : ?cancel:Cancel.t -> ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
+val map : ?jobs:int -> f:('a -> 'b) -> 'a array -> 'b array
 (** [map ~f items] applies [f] to every element through {!run}, preserving
     the order of results.  [f] must be safe to run concurrently on distinct
     elements.  [jobs] defaults to [Domain.recommended_domain_count ()]; the
     batch never uses more domains than items.  If any application raises,
-    later items are skipped and the smallest-index exception is re-raised;
-    if [cancel] trips first, {!Cancel.Cancelled} is raised instead.  Raises
-    [Invalid_argument] if [jobs < 1]. *)
+    later items are skipped and the smallest-index exception is re-raised.
+    Raises [Invalid_argument] if [jobs < 1]. *)
 
 val map_list : ?jobs:int -> f:('a -> 'b) -> 'a list -> 'b list
 (** List convenience wrapper over {!map}. *)

@@ -79,23 +79,6 @@ type schedule = {
   lower_bound : float;
 }
 
-(* An instance is in the SINGLEPROC-UNIT fragment when every configuration
-   is one processor at time 1. *)
-let sequential_unit_bipartite t =
-  let h = t.hyper in
-  let ok = ref true in
-  let edges = ref [] in
-  for e = Hyper.Graph.num_hyperedges h - 1 downto 0 do
-    if Hyper.Graph.h_size h e <> 1 || Hyper.Graph.h_weight h e <> 1.0 then ok := false
-    else begin
-      let task = Hyper.Graph.h_task h e in
-      Hyper.Graph.iter_h_procs h e (fun u -> edges := (task, u) :: !edges)
-    end
-  done;
-  if !ok then
-    Some (Bipartite.Graph.unit_weights ~n1:h.Hyper.Graph.n1 ~n2:h.Hyper.Graph.n2 ~edges:!edges)
-  else None
-
 let schedule_of_choices t choices =
   let h = t.hyper in
   let a = Semimatch.Hyp_assignment.of_choices h choices in
@@ -132,7 +115,7 @@ let solve ?(algorithm = default_algorithm) ?deadline_s t =
       let refined, _moves = Semimatch.Local_search.refine t.hyper rough in
       schedule_of_choices t refined.Semimatch.Hyp_assignment.choice
   | Exact_unit_sequential -> (
-      match sequential_unit_bipartite t with
+      match Semimatch.Exact_unit.of_hypergraph t.hyper with
       | None ->
           invalid_arg
             "Sched.solve: Exact_unit_sequential needs single-processor unit-time configurations"

@@ -153,7 +153,11 @@ let refine ?params ?(should_stop = fun () -> false) rng h start =
   Obs.Metrics.add c_accepted !accepted;
   Obs.Metrics.add c_rejected !rejected;
   Obs.Metrics.add c_improved_best !improved;
-  (Hyp_assignment.of_choices h best_choice, !best_makespan)
+  (* The tracked loads steer the search; the reported makespan is the
+     returned schedule's own, which tracked non-integer loads can miss by
+     rounding. *)
+  let best = Hyp_assignment.of_choices h best_choice in
+  (best, Hyp_assignment.makespan h best)
 
 let solve ?params ?should_stop rng h =
   let start = Greedy_hyper.run Greedy_hyper.Sorted_greedy_hyp h in

@@ -26,8 +26,9 @@ val refine :
   Hyper.Graph.t ->
   Hyp_assignment.t ->
   Hyp_assignment.t * float
-(** [refine rng h start] returns the best assignment found and its makespan.
-    Deterministic in (rng seed, params, start) when [should_stop] never
+(** [refine rng h start] returns the best assignment found and its makespan,
+    recomputed from the assignment ({!Hyp_assignment.makespan}): the loads
+    tracked during the search only steer it.  Deterministic in (rng seed, params, start) when [should_stop] never
     fires.  [should_stop] (default never) is polled every few hundred
     iterations; once it returns true the loop ends early and the best-seen
     assignment is returned — {!Portfolio} uses this for cancellation and

@@ -60,11 +60,11 @@ let multiproc ?(limit = 10_000_000) h =
           end)
     end
   in
-  if n = 0 then (0.0, Hyp_assignment.of_choices h [||])
-  else begin
-    go 0 0.0;
-    (!best, Hyp_assignment.of_choices h best_choice)
-  end
+  go 0 0.0;
+  (* [best] steers the search; the add/subtract sums behind it can miss the
+     returned schedule's own makespan by rounding on non-integer weights. *)
+  let a = Hyp_assignment.of_choices h best_choice in
+  (Hyp_assignment.makespan h a, a)
 
 let singleproc ?limit g =
   let h = H.of_bipartite g in

@@ -8,7 +8,8 @@
     dozen configurations are out of scope. *)
 
 val multiproc : ?limit:int -> Hyper.Graph.t -> float * Hyp_assignment.t
-(** [multiproc h] is an optimal makespan with a witness schedule.  Raises
+(** [multiproc h] is an optimal makespan with a witness schedule; the
+    makespan is the witness's own ({!Hyp_assignment.makespan}).  Raises
     [Invalid_argument] when the instance is infeasible or the search space
     Π d_v exceeds [limit] (default 10^7) branches. *)
 

@@ -45,30 +45,18 @@ let emit_tier tier makespan elapsed_s =
 let solve ?jobs ~budget_s h =
   let start = Obs.Span.now_ns () in
   let elapsed () = Int64.to_float (Int64.sub (Obs.Span.now_ns ()) start) *. 1e-9 in
-  let remaining () = budget_s -. elapsed () in
-  let lower_bound = Lower_bound.multiproc_refined h in
-  (* Tier 1 — the floor.  SGH is the cheapest heuristic in the library and
-     runs to completion whatever the budget, so there is always a feasible
-     incumbent to hand back. *)
-  let greedy_asg = Greedy_hyper.run Greedy_hyper.Sorted_greedy_hyp h in
-  let greedy_m = Hyp_assignment.makespan h greedy_asg in
-  emit_tier Tier_greedy greedy_m (elapsed ());
-  let incumbent = ref (greedy_asg, greedy_m, Tier_greedy) in
-  (* Tier 2 — the portfolio under the leftover wall clock.  Ties go to the
-     portfolio so an undegraded run returns its bytes unchanged. *)
-  let portfolio =
-    (* One clock read: the budget must not run out between the test and the
-       timeout handed on, which has to be positive. *)
-    let left = remaining () in
-    if left > 0.0 && greedy_m > lower_bound then begin
-      let r = Portfolio.solve ?jobs ~timeout_s:left h in
-      if r.Portfolio.best_makespan <= greedy_m then
-        incumbent := (r.Portfolio.assignment, r.Portfolio.best_makespan, Tier_portfolio);
-      emit_tier Tier_portfolio r.Portfolio.best_makespan (elapsed ());
-      Some r
-    end
-    else None
+  (* Tiers 1 and 2 — the portfolio under the whole budget.  Its first
+     solver, SGH, runs whatever the budget, so there is always a feasible
+     incumbent; the tier is the greedy one when no other solver completed. *)
+  let r = Portfolio.solve ?jobs ~timeout_s:budget_s h in
+  let lower_bound = r.Portfolio.lower_bound in
+  let tier =
+    if List.exists (fun o -> o.Portfolio.o_makespan <> None) (List.tl r.Portfolio.outcomes) then
+      Tier_portfolio
+    else Tier_greedy
   in
+  emit_tier tier r.Portfolio.best_makespan (elapsed ());
+  let incumbent = ref (r.Portfolio.assignment, r.Portfolio.best_makespan, tier) in
   (* Tier 3 — exact.  SINGLEPROC-UNIT instances (every configuration a
      singleton of weight 1) get the polynomial deadline search (bs-hk)
      whatever their size; everything else falls back to brute force on tiny
@@ -76,16 +64,13 @@ let solve ?jobs ~budget_s h =
      a strictly smaller makespan, so that an undegraded run still returns
      the portfolio's bytes on ties; a load-vector-optimal engine would gain
      nothing here. *)
-  let _, best_m, _ = !incumbent in
-  if remaining () > 0.0 && best_m > lower_bound then begin
-    match Hyper.Graph.to_bipartite h with
-    | Some g when Bipartite.Graph.is_unit_weighted g ->
+  let best_m = r.Portfolio.best_makespan in
+  if budget_s -. elapsed () > 0.0 && best_m > lower_bound then begin
+    match Exact_unit.of_hypergraph h with
+    | Some g ->
         let s = Exact_unit.solve g in
         let m = float_of_int s.Exact_unit.makespan in
         if m < best_m then begin
-          (* to_bipartite's contract: bipartite edge index = hyperedge
-             index, so the bipartite choice is directly the hyperedge
-             choice. *)
           let choice = Array.copy s.Exact_unit.assignment.Bip_assignment.edge in
           incumbent := (Hyp_assignment.of_choices h choice, m, Tier_exact)
         end;
@@ -93,7 +78,7 @@ let solve ?jobs ~budget_s h =
           Obs.Events.emit "deadline.exact_engine"
             [ Obs.Events.str "engine" (Exact_unit.exact_engine_name Exact_unit.default_engine) ];
         emit_tier Tier_exact m (elapsed ())
-    | _ ->
+    | None ->
         if search_space_small h then begin
           let m, asg = Brute_force.multiproc h in
           if m <= best_m then incumbent := (asg, m, Tier_exact);
@@ -102,15 +87,11 @@ let solve ?jobs ~budget_s h =
   end;
   let assignment, makespan, tier = !incumbent in
   (* Degraded: the budget cut off work that could still have improved the
-     schedule — the portfolio never started, or some of its solvers were
-     skipped while the incumbent sat above the lower bound. *)
+     schedule — some portfolio solver was skipped while the incumbent sat
+     above the lower bound. *)
   let degraded =
     makespan > lower_bound
-    &&
-    match portfolio with
-    | None -> true
-    | Some r ->
-        List.exists (fun o -> o.Portfolio.o_makespan = None) r.Portfolio.outcomes
+    && List.exists (fun o -> o.Portfolio.o_makespan = None) r.Portfolio.outcomes
   in
   if degraded then begin
     Obs.Metrics.incr c_degraded;

@@ -4,30 +4,30 @@
     tiers and always returns the best {e feasible} schedule found when the
     budget trips — never an exception, never an empty hand:
 
-    - {b greedy}: sorted-greedy-hyp runs first, uninterrupted.  It is the
-      floor of the cascade; even a zero (or negative) budget returns its
-      schedule.
-    - {b portfolio}: with budget remaining, {!Portfolio.solve} races the
-      remaining heuristics (greedies, local search, annealing) under the
-      leftover wall clock.
+    - {b greedy}: {!Portfolio.solve} runs under the whole budget, and its
+      first solver, sorted-greedy-hyp, runs to completion whatever the
+      budget: it is the floor of the cascade.  A zero, negative or [nan]
+      budget returns its schedule.  The tier is [greedy] when no other
+      solver of the portfolio completed.
+    - {b portfolio}: the remaining heuristics (greedies, local search,
+      annealing) race under the budget; the tier is [portfolio] once any
+      of them completed.
     - {b exact}: with budget still remaining, a SINGLEPROC-UNIT instance
-      (every hyperedge a unit-weight singleton) is settled by
-      {!Exact_unit.solve}, the deadline search over Hopcroft–Karp matchings
-      (bs-hk) — polynomial, so no size bound is needed — adopted only when
-      it strictly improves the incumbent, and a ["deadline.exact_engine"]
-      event names the engine.  Otherwise, with a
-      search space of at most [200_000] configurations (Π d_v),
-      {!Brute_force.multiproc} settles the instance optimally.  The bound
-      keeps brute force off any instance large enough that the portfolio's
-      answer matters, so a generous budget reproduces [Portfolio.solve]
-      byte-for-byte there.
+      ({!Exact_unit.of_hypergraph}) is settled by {!Exact_unit.solve}, the
+      deadline search over Hopcroft–Karp matchings (bs-hk) — polynomial,
+      so no size bound is needed — adopted only when it strictly improves
+      the incumbent, and a ["deadline.exact_engine"] event names the
+      engine.  Otherwise, with a search space of at most [200_000]
+      configurations (Π d_v), {!Brute_force.multiproc} settles the
+      instance optimally, and its schedule is adopted on ties too.  The bound keeps brute force off any instance
+      large enough that the portfolio's answer matters, so a generous
+      budget reproduces [Portfolio.solve] byte-for-byte there.
 
     The result is {e degraded} when the budget cut solvers off before they
-    could have mattered: the portfolio tier never started, or some of its
-    solvers were skipped while the incumbent still sat above the lower
-    bound.  Every tier completion emits a ["deadline.tier"] event and every
-    degradation a ["deadline.degraded"] warning, so traces show why quality
-    dropped. *)
+    could have mattered: some of the portfolio's solvers were skipped while
+    the incumbent still sat above the lower bound.  Each tier that answers
+    emits a ["deadline.tier"] event and every degradation a
+    ["deadline.degraded"] warning, so traces show why quality dropped. *)
 
 type tier = Tier_greedy | Tier_portfolio | Tier_exact
 
@@ -44,10 +44,10 @@ type result = {
 }
 
 val solve : ?jobs:int -> budget_s:float -> Hyper.Graph.t -> result
-(** Ties between tiers resolve toward the later tier (portfolio over greedy,
-    exact over both), so an undegraded run returns the portfolio's exact
-    bytes.  [jobs] is passed through to {!Portfolio.solve}.  Raises
-    [Invalid_argument] only on infeasible instances (a task with no
+(** The lower bound and the incumbent are the portfolio's, so an
+    undegraded run returns the portfolio's exact bytes unless the exact
+    tier improves on them.  [jobs] is passed through to {!Portfolio.solve}.
+    Raises [Invalid_argument] only on infeasible instances (a task with no
     configuration). *)
 
 (** {2 Delta application}

@@ -21,6 +21,11 @@ let check g =
   if G.has_isolated_task g then invalid_arg "Exact_unit: task with no allowed processor";
   if g.G.n1 > 0 && g.G.n2 = 0 then invalid_arg "Exact_unit: no processors"
 
+let of_hypergraph h =
+  match Hyper.Graph.to_bipartite h with
+  | Some g when G.is_unit_weighted g -> Some g
+  | Some _ | None -> None
+
 (* One maximum matching of G_d: every processor takes up to [d] tasks. *)
 let matching_at ?engine g ~d =
   if d < 0 then invalid_arg "Exact_unit.feasible: negative deadline";

@@ -73,6 +73,13 @@ val solve :
     steals, where Hopcroft–Karp's scans 31 k vertices.  The result is
     [Makespan_optimal] only. *)
 
+val of_hypergraph : Hyper.Graph.t -> Bipartite.Graph.t option
+(** [of_hypergraph h] is [Some g] exactly when [h] is SINGLEPROC-UNIT:
+    every configuration is one processor at weight 1.  Edge [e] of [g] is
+    hyperedge [e] ({!Hyper.Graph.to_bipartite} shares the arrays), so a
+    bipartite edge choice is directly a hyperedge choice.  Isolated tasks
+    are not checked: {!solve} refuses them. *)
+
 val feasible : ?engine:Matching.engine -> Bipartite.Graph.t -> d:int -> Bip_assignment.t option
 (** [feasible g ~d] is a schedule of makespan ≤ [d] if one exists — the
     single decision step, exposed for tests and for external search

@@ -66,7 +66,7 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
      only condition under which the cutoff skips work.  This is what keeps
      the returned makespan identical across job counts. *)
   let lb = Lower_bound.multiproc_refined h in
-  let token = match timeout_s with Some s -> Cancel.create ~timeout_s:s () | None -> Cancel.never in
+  let token = Cancel.create ?timeout_s () in
   let best = Atomic.make infinity in
   let results = Array.make n None in
   let times = Array.make n 0.0 in
@@ -82,12 +82,15 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
     | Some asg -> asg
     | None -> Greedy_hyper.run a h
   in
+  (* Slot 0, SGH, always runs: it is the floor every budgeted solve hands
+     back, so a timeout that fires before anything completed still leaves a
+     result. *)
   let task i () =
     let name = solver_name solvers.(i) in
-    if optimal_found () || Cancel.is_cancelled token then begin
+    if i > 0 && (optimal_found () || Cancel.is_cancelled token) then begin
       Obs.Metrics.incr c_skipped;
       (* Why the slot never ran: the LB cutoff proved optimality, or the
-         caller's timeout/cancellation fired first. *)
+         timeout fired first. *)
       if Obs.is_enabled () then
         if optimal_found () then
           Obs.Events.emit "portfolio.cutoff"
@@ -120,16 +123,7 @@ let solve ?(jobs = 1) ?(cutoff = true) ?timeout_s h =
       times.(i) <- dt
     end
   in
-  Pool.run ~cancel:token ~jobs (Array.init n task);
-  (* A timeout that fires before anything completed would otherwise leave no
-     result at all; fall back to the first solver, uninterrupted. *)
-  if Array.for_all Option.is_none results then begin
-    let (asg, m), dt =
-      Obs.Span.time_s (prepare ~should_stop:(fun () -> false) ~start h solvers.(0))
-    in
-    results.(0) <- Some (m, asg);
-    times.(0) <- dt
-  end;
+  Pool.run ~jobs (Array.init n task);
   let best_makespan =
     Array.fold_left
       (fun acc -> function Some (m, _) -> Float.min acc m | None -> acc)

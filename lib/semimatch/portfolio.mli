@@ -59,11 +59,18 @@ val solve : ?jobs:int -> ?cutoff:bool -> ?timeout_s:float -> Hyper.Graph.t -> re
     several domains a refinement whose greedy slot has not published its
     schedule yet runs that greedy itself; no domain waits.  The shared
     schedules are never mutated: with [cutoff:false] and no timeout every
-    outcome's makespan equals the standalone call's.  [timeout_s]
-    bounds the wall clock: running annealers stop early at their next poll
-    and unstarted solvers are skipped — at least the first solver always
-    completes, so a result is always returned.  Raises [Invalid_argument]
-    on infeasible instances. *)
+    outcome's makespan equals the standalone call's.
+
+    The first solver, SGH, is the floor: neither the cutoff nor the
+    timeout skips it, so a result is always returned.  [timeout_s] bounds
+    the rest: once it expires, running annealers stop at their next poll
+    and unstarted solvers are skipped, each counted in
+    [semimatch.portfolio.solvers_skipped] and logged as a
+    ["portfolio.cancelled"] event.  A [timeout_s] that is not positive
+    ([0.], negative, [nan]) has already expired, so SGH runs alone.
+    Every reported makespan, [best_makespan] included, is recomputed from
+    the schedule it belongs to.  Raises [Invalid_argument] on infeasible
+    instances. *)
 
 val solve_exact_unit :
   ?jobs:int -> Bipartite.Graph.t -> Exact_unit.solution * Exact_unit.exact_engine

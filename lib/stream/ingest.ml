@@ -51,9 +51,8 @@ let () =
   Obs.Prom.describe "stream.ingest.streamed" "Stream ingests solved by the streaming tier."
 
 let solve_in_core ?jobs h =
-  match Hyper.Graph.to_bipartite h with
-  | Some g when Bipartite.Graph.is_unit_weighted g && not (Bipartite.Graph.has_isolated_task g)
-    ->
+  match Semimatch.Exact_unit.of_hypergraph h with
+  | Some g when not (Bipartite.Graph.has_isolated_task g) ->
       let open Semimatch.Exact_unit in
       ( In_core_exact,
         float_of_int (solve g).makespan,

@@ -2,8 +2,9 @@
    loads for the makespan and every proposal bumped its telemetry counter,
    kept as the oracle for the library's version: on every instance, seed and
    parameter set the two must return the same choices and makespan, bit for
-   bit, and add the same counter totals.  The code is verbatim; comments are
-   left out. *)
+   bit, and add the same counter totals.  The code is verbatim but for the
+   makespan it returns, which is the returned schedule's own, as the
+   library's is; comments are left out. *)
 
 module H = Hyper.Graph
 module A = Semimatch.Annealing
@@ -98,4 +99,5 @@ let refine ?params ?(should_stop = fun () -> false) rng h start =
        temperature := !temperature *. params.A.cooling
      done
    with Exit -> ());
-  (Semimatch.Hyp_assignment.of_choices h best_choice, !best_makespan)
+  let best = Semimatch.Hyp_assignment.of_choices h best_choice in
+  (best, Semimatch.Hyp_assignment.makespan h best)

@@ -241,6 +241,48 @@ let test_deadline_exhausted_budget_degrades () =
       check "tier event logged" true (List.mem "deadline.tier" names);
       check "degradation event logged" true (List.mem "deadline.degraded" names))
 
+let test_portfolio_expired_timeout () =
+  (* A timeout that has expired, whether given so (zero, negative, nan) or
+     passed before SGH finishes, runs SGH alone: the floor's schedule comes
+     back, and each of the five skipped solvers is counted and logged. *)
+  let module P = Semimatch.Portfolio in
+  let h = instance ~seed:41 () in
+  let sgh = G.run G.Sorted_greedy_hyp h in
+  check "instance is not greedy-trivial" true
+    (A.makespan h sgh > Semimatch.Lower_bound.multiproc_refined h);
+  let skipped = Obs.Metrics.counter "semimatch.portfolio.solvers_skipped" in
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun timeout_s ->
+          let what = Printf.sprintf "jobs %d, timeout %g" jobs timeout_s in
+          Obs.with_recording (fun () ->
+              let r = P.solve ~jobs ~timeout_s h in
+              check (what ^ ": SGH's schedule") true (r.P.assignment.A.choice = sgh.A.choice);
+              checkf (what ^ ": SGH's makespan") (A.makespan h sgh) r.P.best_makespan;
+              check (what ^ ": SGH ran") true ((List.hd r.P.outcomes).P.o_makespan <> None);
+              check (what ^ ": the others skipped") true
+                (List.for_all (fun o -> o.P.o_makespan = None) (List.tl r.P.outcomes));
+              Alcotest.(check int) (what ^ ": solvers_skipped") 5 (Obs.Metrics.value skipped);
+              let cancelled =
+                List.filter
+                  (fun e -> e.Obs.Events.e_name = "portfolio.cancelled")
+                  (Obs.Events.records ())
+              in
+              Alcotest.(check int) (what ^ ": cancelled events") 5 (List.length cancelled)))
+        [ 0.0; -1.0; Float.nan; 1e-9 ])
+    [ 1; 4 ]
+
+let test_deadline_runs_portfolio_once () =
+  (* The cascade's floor and lower bound are the portfolio's own: a
+     generous budget runs each of the four greedies once, SGH included. *)
+  let h = instance ~seed:41 () in
+  let realized = Obs.Metrics.counter "semimatch.greedy.realized" in
+  Obs.with_recording (fun () ->
+      let r = D.solve ~jobs:1 ~budget_s:60.0 h in
+      check "portfolio tier answered" true (r.D.tier = D.Tier_portfolio);
+      Alcotest.(check int) "four greedy runs" (4 * h.H.n1) (Obs.Metrics.value realized))
+
 let test_deadline_tight_budget_still_feasible () =
   (* The ISSUE's 1 ms case: whatever tier the clock reaches, the result is
      feasible and bounded below by the LB — never an exception. *)
@@ -361,6 +403,10 @@ let suite =
       test_deadline_generous_matches_portfolio;
     Alcotest.test_case "exhausted budget degrades to greedy" `Quick
       test_deadline_exhausted_budget_degrades;
+    Alcotest.test_case "expired timeouts run the SGH floor alone" `Quick
+      test_portfolio_expired_timeout;
+    Alcotest.test_case "the cascade runs the portfolio once" `Quick
+      test_deadline_runs_portfolio_once;
     Alcotest.test_case "tight budget stays feasible" `Quick test_deadline_tight_budget_still_feasible;
     Alcotest.test_case "budgets at the floor's cost stay feasible" `Quick
       test_deadline_budget_at_the_floor;

@@ -88,27 +88,6 @@ let test_early_failure_drains () =
   let ran = Atomic.get executed in
   check "skipped most of the batch" true (ran < 900)
 
-let test_map_cancelled_token () =
-  let token = Cancel.create () in
-  Cancel.cancel token;
-  Alcotest.check_raises "tripped before start" Cancel.Cancelled (fun () ->
-      ignore (Pool.map ~cancel:token ~jobs:2 ~f:Fun.id (Array.init 10 Fun.id)))
-
-let test_map_timeout () =
-  (* A microscopic deadline trips between items; Cancelled must surface
-     rather than a partial result. *)
-  let token = Cancel.create ~timeout_s:1e-6 () in
-  match
-    Pool.map ~cancel:token ~jobs:1
-      ~f:(fun x ->
-        ignore (Sys.opaque_identity (Hashtbl.hash x));
-        Unix.sleepf 0.002;
-        x)
-      (Array.init 50 Fun.id)
-  with
-  | exception Cancel.Cancelled -> ()
-  | _ -> Alcotest.fail "expected Cancelled"
-
 let test_cancel_deadline () =
   let t = Cancel.create ~timeout_s:1e-9 () in
   Unix.sleepf 0.002;
@@ -125,19 +104,6 @@ let test_cancel_deadline () =
       Cancel.cancel t;
       check (Printf.sprintf "timeout %g still cancellable" s) true (Cancel.is_cancelled t))
     [ 1e10; infinity ]
-
-let test_past_deadline_runs_nothing () =
-  (* A deadline already in the past must cancel the batch before any task
-     starts: zero executions, not one-then-stop. *)
-  let token = Cancel.create ~timeout_s:1e-9 () in
-  let deadline = Unix.gettimeofday () +. 0.002 in
-  while Unix.gettimeofday () < deadline do
-    Domain.cpu_relax ()
-  done;
-  check "token already tripped" true (Cancel.is_cancelled token);
-  let executed = Atomic.make 0 in
-  Pool.run ~cancel:token ~jobs:2 (Array.init 50 (fun _ () -> Atomic.incr executed));
-  Alcotest.(check int) "no task started" 0 (Atomic.get executed)
 
 exception Raised_at of int
 
@@ -197,10 +163,7 @@ let suite =
     Alcotest.test_case "experiments identical across jobs" `Quick
       test_experiment_results_identical_across_jobs;
     Alcotest.test_case "early failure drains promptly" `Quick test_early_failure_drains;
-    Alcotest.test_case "map on a cancelled token" `Quick test_map_cancelled_token;
-    Alcotest.test_case "map timeout" `Quick test_map_timeout;
     Alcotest.test_case "cancel deadlines" `Quick test_cancel_deadline;
-    Alcotest.test_case "past deadline runs nothing" `Quick test_past_deadline_runs_nothing;
     QCheck_alcotest.to_alcotest prop_map_contract;
     Alcotest.test_case "helpers never outlive their batch" `Quick test_helpers_joined;
   ]

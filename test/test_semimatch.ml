@@ -537,6 +537,34 @@ let portfolio_matches_standalone_prop =
           | P.Refined _ | P.Annealed _ -> true)
         [ 1; 2 ])
 
+(* On non-integer weights a solver's tracked sums can round away from its
+   schedule's loads; the makespan the portfolio reports must still be the
+   one its schedule has, whichever solver wins. *)
+let portfolio_reports_its_schedule_prop =
+  let module P = Semimatch.Portfolio in
+  QCheck.Test.make ~name:"portfolio makespan = its schedule's, real weights" ~count:100
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Randkit.Prng.create ~seed in
+      let n1 = 5 + Randkit.Prng.int rng 25 and n2 = 1 + Randkit.Prng.int rng 10 in
+      let hyperedges =
+        List.concat
+          (List.init n1 (fun v ->
+               List.init
+                 (1 + Randkit.Prng.int rng 4)
+                 (fun _ ->
+                   let k = 1 + Randkit.Prng.int rng (min 4 n2) in
+                   ( v,
+                     Randkit.Prng.sample_without_replacement rng ~k ~n:n2,
+                     0.1 +. Randkit.Prng.float rng 3.0 ))))
+      in
+      let h = H.create ~n1 ~n2 ~hyperedges in
+      let r = P.solve ~jobs:1 h in
+      let real = Ha.makespan h r.P.assignment in
+      r.P.best_makespan = real
+      || QCheck.Test.fail_reportf "%s reported %h, its schedule has %h" (P.solver_name r.P.winner)
+           r.P.best_makespan real)
+
 (* --------------------------------------------------------------- Reduction *)
 
 let yes_instance = { Red.q = 2; triples = [ (0, 1, 2); (3, 4, 5); (0, 1, 3) ] }
@@ -664,6 +692,7 @@ let suite =
     Alcotest.test_case "local search improves fig3" `Quick test_local_search_improves_fig3;
     Alcotest.test_case "local search wakes settled tasks" `Quick test_local_search_wakes_settled_tasks;
     QCheck_alcotest.to_alcotest portfolio_matches_standalone_prop;
+    QCheck_alcotest.to_alcotest portfolio_reports_its_schedule_prop;
     Alcotest.test_case "X3C reduction shapes" `Quick test_reduction_shapes;
     Alcotest.test_case "X3C yes-instance" `Quick test_reduction_yes;
     Alcotest.test_case "X3C no-instance" `Quick test_reduction_no;

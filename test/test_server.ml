@@ -211,6 +211,34 @@ let test_random_sequence_vs_portfolio () =
       let fresh = (Semimatch.Portfolio.solve ~jobs:1 h).Semimatch.Portfolio.best_makespan in
       check "served <= from-scratch portfolio" true (served <= fresh +. 1e-9))
 
+(* [Session.resolve] adopts a candidate only when it is strictly better, so
+   re-solving an unchanged session must not adopt again.  Non-integer
+   weights are where a reported makespan that is not the schedule's own
+   would show. *)
+let second_resolve_not_adopted_prop =
+  QCheck.Test.make ~name:"a second identical resolve is not adopted" ~count:100
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let rng = Randkit.Prng.create ~seed in
+      let n1 = 5 + Randkit.Prng.int rng 25 and n2 = 1 + Randkit.Prng.int rng 10 in
+      let hyperedges =
+        List.concat
+          (List.init n1 (fun v ->
+               List.init
+                 (1 + Randkit.Prng.int rng 4)
+                 (fun _ ->
+                   let k = 1 + Randkit.Prng.int rng (min 4 n2) in
+                   ( v,
+                     Randkit.Prng.sample_without_replacement rng ~k ~n:n2,
+                     0.1 +. Randkit.Prng.float rng 3.0 ))))
+      in
+      let s, _ = Server.Session.of_graph ~id:"r" (H.create ~n1 ~n2 ~hyperedges) in
+      ignore (Server.Session.resolve ~jobs:1 ~budget_s:60.0 s);
+      let before = Server.Session.makespan s in
+      let d, replaced = Server.Session.resolve ~jobs:1 ~budget_s:60.0 s in
+      (not replaced)
+      || QCheck.Test.fail_reportf "adopted %h over %h" d.Semimatch.Deadline.d_makespan before)
+
 (* --- snapshot / restore round trip -------------------------------------- *)
 
 let preamble lb session =
@@ -589,6 +617,7 @@ let suite =
     Alcotest.test_case "golden transcript" `Quick test_golden_transcript;
     Alcotest.test_case "random online sequence vs portfolio" `Quick
       test_random_sequence_vs_portfolio;
+    QCheck_alcotest.to_alcotest second_resolve_not_adopted_prop;
     Alcotest.test_case "snapshot/restore/solve identity" `Quick test_snapshot_restore_identity;
     QCheck_alcotest.to_alcotest fuzz_parse_total;
     QCheck_alcotest.to_alcotest fuzz_parse_truncations;

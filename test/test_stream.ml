@@ -409,31 +409,6 @@ let overclaim_last_chunk path =
       let head = fst chunks.(Array.length chunks - 1) - 8 in
       Bytes.set_int32_le b head (Int32.succ (Bytes.get_int32_le b head)))
 
-let iter_unit_prop =
-  QCheck.Test.make ~name:"iter_unit = iter on singleton unit streams" ~count:300
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let rng = Prng.create ~seed in
-      with_temp (fun path ->
-          let n1 = 1 + Prng.int rng 50 and n2 = 1 + Prng.int rng 20 in
-          let w = Sio.create_writer ~chunk_records:(1 + Prng.int rng 40) ~path ~n1 ~n2 () in
-          for _ = 1 to Prng.int rng 300 do
-            Sio.add w ~task:(Prng.int rng n1) ~procs:[| Prng.int rng n2 |] ~weight:1.0
-          done;
-          Sio.close_writer w;
-          (match Prng.int rng 3 with
-          | 0 -> ()
-          | 1 -> mutate_payload rng path (1 + Prng.int rng 3)
-          | _ -> overclaim_last_chunk path);
-          let general =
-            read_all path (fun r k -> Sio.iter r (fun ~task ~procs ~weight:_ -> k task procs.(0)))
-          in
-          let unit = read_all path (fun r k -> Sio.iter_unit r (fun ~task ~proc -> k task proc)) in
-          general = unit
-          || QCheck.Test.fail_reportf "seed %d: iter stopped at %s, iter_unit at %s" seed
-               (Option.value (snd general) ~default:"the end")
-               (Option.value (snd unit) ~default:"the end")))
-
 let test_iter_unit_needs_unit_header () =
   with_temp (fun path ->
       Sio.save path (sample ());
@@ -442,8 +417,8 @@ let test_iter_unit_needs_unit_header () =
         ~finally:(fun () -> Sio.close_reader r)
         (fun () ->
           Alcotest.check_raises "general header refused"
-            (Invalid_argument "Stream_io.iter_unit: needs a singleton unit-weight stream") (fun () ->
-              Sio.iter_unit r (fun ~task:_ ~proc:_ -> ()))))
+            (Invalid_argument "Stream_io.iter_unit_chunks: needs a singleton unit-weight stream")
+            (fun () -> Sio.iter_unit_chunks r (fun _ ~pos:_ ~count:_ -> ()))))
 
 (* [iter_unit_chunks]'s runs, decoded record by record; a run must hold
    at least one record. *)
@@ -533,7 +508,6 @@ let test_unit_field_errors () =
                     (Option.value (snd got) ~default:"the end")
               in
               case "iter" (read_all path (fun r k -> Sio.iter r (fun ~task ~procs ~weight:_ -> k task procs.(0))));
-              case "iter_unit" (read_all path (fun r k -> Sio.iter_unit r (fun ~task ~proc -> k task proc)));
               case "iter_unit_chunks" (read_all path read_runs);
               let fails what f =
                 match f () with
@@ -1044,7 +1018,6 @@ let suite =
     Alcotest.test_case "iter: callback owns procs" `Quick test_iter_procs_owned;
     Alcotest.test_case "save: golden file digest" `Quick test_save_golden;
     Alcotest.test_case "every reader enforces the header's flags" `Quick test_flags_enforced;
-    QCheck_alcotest.to_alcotest iter_unit_prop;
     Alcotest.test_case "iter_unit: general header refused" `Quick test_iter_unit_needs_unit_header;
     QCheck_alcotest.to_alcotest iter_unit_chunks_prop;
     Alcotest.test_case "unit readers: one bad field at a time" `Quick test_unit_field_errors;
