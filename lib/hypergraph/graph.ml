@@ -191,6 +191,38 @@ let add b ~task ~procs ~weight =
   done;
   end_hyperedge b ~task ~weight
 
+(* hg_stubs.c: the builder's state, written in place.  [counters] carries
+   [b_nh], [b_np] and [b_last] in and out. *)
+external canonical_lines :
+  string ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  (int[@untagged]) ->
+  int array ->
+  int array ->
+  int array ->
+  int array ->
+  float array ->
+  int array ->
+  (int[@untagged]) = "semimatch_hg_lines_bytecode" "semimatch_hg_lines"
+[@@noalloc]
+
+let add_canonical_lines b text pos =
+  check_open b;
+  if pos < 0 || pos > String.length text then invalid_arg "Hyper.Graph.add_canonical_lines";
+  if Option.is_some b.b_error then pos
+  else begin
+    let counters = [| b.b_nh; b.b_np; b.b_last |] in
+    let next =
+      canonical_lines text pos b.b_n2 (Bool.to_int b.b_grouped) counters b.b_count b.b_off b.b_adj b.b_w
+        b.b_tasks
+    in
+    b.b_nh <- counters.(0);
+    b.b_np <- counters.(1);
+    b.b_last <- counters.(2);
+    next
+  end
+
 let fit a n = if Array.length a = n then a else Array.sub a 0 n
 
 let build b =

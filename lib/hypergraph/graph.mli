@@ -53,6 +53,30 @@ val end_hyperedge : builder -> task:int -> weight:float -> unit
 val add : builder -> task:int -> procs:int array -> weight:float -> unit
 (** [add_pin] every processor of [procs], then [end_hyperedge]. *)
 
+val add_canonical_lines : builder -> string -> int -> int
+(** [add_canonical_lines b text pos] appends the hyperedges of the
+    canonical [.hg] lines of [text] from byte [pos], the first byte of a
+    line, and returns the first byte of the first line it refuses, or
+    [String.length text + 1] when it takes a last line that has no
+    ['\n'].  Each line taken is one hyperedge.
+
+    A canonical line is [h], then fields of plain digits, each after
+    exactly one space, ending at ['\n'] or at the end of [text]: the task
+    (at most 18 digits), the weight (at most 15) and the pins (at most 18
+    each).  A line is taken only when {!end_hyperedge} would accept its
+    hyperedge in place: the task is below [n1] and, while the input is
+    grouped by task, not below the previous hyperedge's; the weight is at
+    least 1; it has 1 to 32 pins, each below [n2], none repeated; and
+    every array has room.  Any other line is the caller's to read.
+
+    One C loop ([hg_stubs.c]) writes the builder's state in place: the pin
+    offsets, the pins, the weights, the per-task counts and, once the input
+    has left task order, the per-hyperedge tasks, then the hyperedge and
+    pin counts and the last task.  The loop allocates nothing (a call
+    allocates one three-slot array) and takes no line once a hyperedge has
+    failed validation.  Raises [Invalid_argument] when [pos] is outside
+    [0, String.length text]. *)
+
 val build : builder -> t
 (** The graph, grouped by task as {!create} groups it (no work when the
     input is already task-grouped).  Hyperedges are validated in input

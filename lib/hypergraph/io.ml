@@ -1,15 +1,22 @@
 (* The .hg text format, read and written without intermediate lists.
 
-   Reading is two passes over the bytes with index cursors.  The first only
-   counts the [h] lines and their fields, so that the graph builder's arrays
-   are sized exactly for well-formed text; the second reads each field once,
-   converting digits as it goes, and appends pins straight into the
-   builder.  Neither makes a string, list or tuple per line or per field.
+   Reading is two passes over the bytes.  The first, in C (hg_stubs.c),
+   counts the [h] lines and their pins, so that the graph builder's arrays
+   are sized exactly for every text [to_string] writes.  The second gives
+   each line to one of two readers:
 
-   In the second pass a canonical line, as [to_string] writes every
-   hyperedge of integer weight below 1e6, is read by one loop
-   ([canonical_line]); every other line goes to the general scanner, from
-   the line's first byte.
+   - Canonical hyperedge lines ([h], then plain-digit fields each after one
+     space, at most 18 digits or 15 for the weight, ending at '\n' or at the
+     end of the text), as [to_string] writes every hyperedge of integer
+     weight below 1e6, go to one C loop, [Graph.add_canonical_lines], which
+     checks each as the builder would and writes it straight into the
+     builder's arrays.  It stops before the first line it refuses: a line
+     that is not canonical, or whose hyperedge is invalid, would regroup the
+     builder, would grow an array or has more than 32 pins.
+   - The general scanner reads that line, with index cursors and without a
+     string, list or tuple per line or per field, and the C loop resumes
+     after it.  So every message, and the builder's work on every case the
+     C loop leaves alone, are the general scanner's.
 
    The accepted language is exactly that of a split-and-trim reading: lines
    split on '\n'; each trimmed of String.trim's whitespace; '#' starts a
@@ -59,8 +66,6 @@ let to_string h =
   done;
   Buffer.contents buf
 
-let fail line_no msg = failwith (Printf.sprintf "Hyper.Io: line %d: %s" line_no msg)
-
 (* Header sizes bound allocations (the graph's [task_off] has n1+1 slots;
    nothing is sized by n2, which only bounds processor ids), so a hostile
    20-byte header must not be able to request terabytes: cap them here,
@@ -69,8 +74,9 @@ let max_side = 100_000_000
 
 let[@inline] is_blank c = c = ' ' || c = '\012' || c = '\n' || c = '\r' || c = '\t'
 
-(* Scanner state.  [pos] is the next byte to read; the current field is
-   [tok, stop), and [num] its value when it is a run of plain digits.
+(* Scanner state.  [pos] is the next byte to read and [line_start] the
+   first byte of the line being read; the current field is [tok, stop), and
+   [num] its value when it is a run of plain digits.
 
    Fields end at ' ' or at the '\n' that ends the line, so a line is
    trimmed without first finding its end, except in one case: a field
@@ -81,13 +87,21 @@ type scanner = {
   text : string;
   len : int;
   mutable pos : int;
-  mutable line_no : int;
+  mutable line_start : int;
   mutable line_end : int;
   mutable tok : int;
   mutable stop : int;
   mutable num : int;
-  mutable pins : int array;  (* a canonical line's pins until it is accepted *)
 }
+
+(* The current line's number is one more than the '\n's before it: counted
+   only for the message, since the C loop reads lines uncounted. *)
+let fail s msg =
+  let line_no = ref 1 in
+  for i = 0 to s.line_start - 1 do
+    if String.unsafe_get s.text i = '\n' then incr line_no
+  done;
+  failwith (Printf.sprintf "Hyper.Io: line %d: %s" !line_no msg)
 
 let trimmed_end s =
   if s.line_end < 0 then begin
@@ -175,7 +189,7 @@ let int_at s ~tok ~stop ~num err =
   else
     match int_of_string_opt (String.sub s.text tok (stop - tok)) with
     | Some v -> v
-    | None -> fail s.line_no err
+    | None -> fail s err
 
 let int_field s err = int_at s ~tok:s.tok ~stop:s.stop ~num:s.num err
 
@@ -184,57 +198,30 @@ let float_field s err =
   else
     match float_of_string_opt (String.sub s.text s.tok (s.stop - s.tok)) with
     | Some x -> x
-    | None -> fail s.line_no err
-
-(* Array sizes for the builder: the [h] lines that start a line and
-   separate their fields by single spaces, and those fields' pins.  Exact
-   for every file [to_string] writes; on other texts only a capacity hint,
-   so the builder grows or trims. *)
-let count_hyperedges text =
-  let len = String.length text in
-  let hyperedges = ref 0 and spaces = ref 0 and i = ref 0 in
-  while !i < len do
-    if String.unsafe_get text !i = 'h' && !i + 1 < len && String.unsafe_get text (!i + 1) = ' ' then begin
-      incr hyperedges;
-      (* no branch per space: where fields end is not predictable *)
-      let c = ref 'h' in
-      while !c <> '\n' do
-        spaces := !spaces + Bool.to_int (!c = ' ');
-        incr i;
-        c := if !i < len then String.unsafe_get text !i else '\n'
-      done
-    end
-    else
-      while !i < len && String.unsafe_get text !i <> '\n' do
-        incr i
-      done;
-    incr i
-  done;
-  (!hyperedges, max 0 (!spaces - (2 * !hyperedges)))
+    | None -> fail s err
 
 (* One non-blank, non-comment line, from its first field: a header, which
    creates the builder, or a hyperedge, whose pins go straight into it. *)
 let parse_line s builder ~hyperedges ~pins =
-  let line_no = s.line_no in
   ignore (next_field s : bool);
   if field_is s "hypergraph" then begin
-    if Option.is_some !builder then fail line_no "duplicate header";
+    if Option.is_some !builder then fail s "duplicate header";
     let err = "expected: hypergraph <n1> <n2>" in
-    if not (next_field s) then fail line_no err;
+    if not (next_field s) then fail s err;
     let n1 = int_field s err in
-    if not (next_field s) then fail line_no err;
+    if not (next_field s) then fail s err;
     let n2 = int_field s err in
-    if next_field s then fail line_no err;
-    if n1 < 0 || n2 < 0 then fail line_no "sizes must be non-negative";
-    if n1 > max_side || n2 > max_side then fail line_no "sizes out of range";
+    if next_field s then fail s err;
+    if n1 < 0 || n2 < 0 then fail s "sizes must be non-negative";
+    if n1 > max_side || n2 > max_side then fail s "sizes out of range";
     builder := Some (Graph.builder ~n1 ~n2 ~hyperedges ~pins)
   end
   else if field_is s "h" then begin
-    if not (next_field s) then fail line_no "unrecognized line";
+    if not (next_field s) then fail s "unrecognized line";
     let tok = s.tok and stop = s.stop and num = s.num in
-    if not (next_field s) then fail line_no "unrecognized line";
+    if not (next_field s) then fail s "unrecognized line";
     match !builder with
-    | None -> fail line_no "hyperedge before header"
+    | None -> fail s "hyperedge before header"
     | Some g ->
         let err = "expected: h <task> <weight> <procs...>" in
         let task = int_at s ~tok ~stop ~num err in
@@ -244,80 +231,28 @@ let parse_line s builder ~hyperedges ~pins =
         done;
         Graph.end_hyperedge g ~task ~weight
   end
-  else fail line_no "unrecognized line"
+  else fail s "unrecognized line"
 
-(* A canonical hyperedge line from its first byte [start]: "h", then fields
-   of plain digits (at most 18, or 15 for the weight), each after exactly
-   one space, ending at '\n' or at the end of the text.  Such a line reads
-   as the general scanner would read it and cannot fail to parse.  The
-   fields stay in locals, and the pins in [s.pins], until the line is
-   accepted; only then do they reach the builder, so a line rejected at any
-   byte costs nothing but the rescan.  The next line's first byte, or -1
-   when the line is not canonical. *)
-let canonical_line s b start =
-  let text = s.text and len = s.len in
-  if start + 1 >= len || String.unsafe_get text start <> 'h' || String.unsafe_get text (start + 1) <> ' '
-  then -1
-  else begin
-    (* [next] is -2 while fields remain, then -1 or the next line's start;
-       past the text's last byte [c] reads '\n'. *)
-    let i = ref (start + 2) and fields = ref 0 and task = ref 0 and weight = ref 0 and next = ref (-2) in
-    while !next = -2 do
-      let first = !i and v = ref 0 in
-      let c = ref (if first < len then String.unsafe_get text first else '\n') in
-      while '0' <= !c && !c <= '9' do
-        v := (!v * 10) + Char.code !c - 48;
-        incr i;
-        c := if !i < len then String.unsafe_get text !i else '\n'
-      done;
-      let digits = !i - first in
-      if digits = 0 || digits > (if !fields = 1 then 15 else 18) || (!c <> ' ' && !c <> '\n') then next := -1
-      else begin
-        if !fields = 0 then task := !v
-        else if !fields = 1 then weight := !v
-        else begin
-          let k = !fields - 2 in
-          if k = Array.length s.pins then begin
-            let a = Array.make (2 * k) 0 in
-            Array.blit s.pins 0 a 0 k;
-            s.pins <- a
-          end;
-          Array.unsafe_set s.pins k !v
-        end;
-        incr fields;
-        incr i;
-        if !c = '\n' then next := if !fields >= 2 then !i else -1
-      end
-    done;
-    if !next >= 0 then begin
-      for k = 0 to !fields - 3 do
-        Graph.add_pin b (Array.unsafe_get s.pins k)
-      done;
-      Graph.end_hyperedge b ~task:!task ~weight:(float_of_int !weight)
-    end;
-    !next
-  end
+external count_lines : string -> int array -> unit = "semimatch_hg_count" [@@noalloc]
 
 let of_string text =
-  let hyperedges, pins = count_hyperedges text in
+  let counts = [| 0; 0 |] in
+  count_lines text counts;
   let len = String.length text in
-  let s =
-    { text; len; pos = 0; line_no = 0; line_end = -1; tok = 0; stop = 0; num = 0; pins = Array.make 8 0 }
-  in
+  let s = { text; len; pos = 0; line_start = 0; line_end = -1; tok = 0; stop = 0; num = 0 } in
   let builder = ref None in
   (* Lines as String.split_on_char '\n' gives them: "" is one line, and a
      trailing '\n' ends one more. *)
   while s.pos <= len do
-    s.line_no <- s.line_no + 1;
-    let next = match !builder with Some b -> canonical_line s b s.pos | None -> -1 in
-    if next >= 0 then s.pos <- next
-    else begin
+    (match !builder with Some b -> s.pos <- Graph.add_canonical_lines b text s.pos | None -> ());
+    if s.pos <= len then begin
+      s.line_start <- s.pos;
       s.line_end <- -1;
       while s.pos < len && String.unsafe_get text s.pos <> '\n' && is_blank (String.unsafe_get text s.pos) do
         s.pos <- s.pos + 1
       done;
       if s.pos < len && String.unsafe_get text s.pos <> '\n' && String.unsafe_get text s.pos <> '#' then
-        parse_line s builder ~hyperedges ~pins;
+        parse_line s builder ~hyperedges:counts.(0) ~pins:counts.(1);
       while s.pos < len && String.unsafe_get text s.pos <> '\n' do
         s.pos <- s.pos + 1
       done;

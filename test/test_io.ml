@@ -562,6 +562,96 @@ let test_golden_digests () =
       ("MULTIPROC", multiproc, "590c26cbcc8a7abaf323ffc8f33ada35");
     ]
 
+(* --------------------------------------------------- the C line loop *)
+
+(* Canonical lines go to one C loop that refuses any line the builder would
+   not take in place; the general scanner reads that line and the loop
+   resumes.  Each case below spells one hyperedge line so that exactly one
+   check refuses it, at the first, a middle and the last hyperedge line of a
+   text whose other lines are canonical; the outcome must be the reference
+   reader's, graph or message. *)
+let refusal_base =
+  [| (0, "1", [ "0"; "1" ]); (1, "2", [ "2" ]); (1, "3", [ "3"; "4"; "5" ]); (2, "1", [ "6" ]); (3, "4", [ "7"; "8" ]) |]
+
+let refusal_cases =
+  let line task weight pins = String.concat " " ("h" :: task :: weight :: pins) in
+  let pad19 d = String.make (19 - String.length d) '0' ^ d in
+  [
+    ("task = n1", fun _ w ps -> line "4" w ps);
+    ("processor = n2", fun t w ps -> line t w (ps @ [ "40" ]));
+    ("weight 0", fun t _ ps -> line t "0" ps);
+    ("16-digit weight", fun t _ ps -> line t "1234567890123456" ps);
+    (* 2^64 + k: a loop without the digit limit would wrap it to k *)
+    ("20-digit weight", fun t _ ps -> line t "18446744073709551621" ps);
+    ("19-digit task", fun t w ps -> line (pad19 t) w ps);
+    ("20-digit task", fun _ w ps -> line "18446744073709551617" w ps);
+    ("19-digit processor", fun t w ps -> line t w (pad19 (List.hd ps) :: List.tl ps));
+    ("20-digit processor", fun t w ps -> line t w (ps @ [ "18446744073709551625" ]));
+    ("duplicate pin", fun t w ps -> line t w (ps @ [ List.hd ps ]));
+    ("33 pins", fun t w _ -> line t w (List.init 33 string_of_int));
+    ("33 pins, one repeated", fun t w _ -> line t w (List.init 33 (fun i -> string_of_int (min i 31))));
+    ("no pin", fun t w _ -> line t w []);
+    ("task 0, below the previous", fun _ w ps -> line "0" w ps);
+    ("task n1 - 1, above the next", fun _ w ps -> line "3" w ps);
+    ("CR before the newline", fun t w ps -> line t w ps ^ "\r");
+    ("a tab for a space", fun t w ps -> "h " ^ t ^ "\t" ^ String.concat " " (w :: ps));
+    ("a trailing tab", fun t w ps -> line t w ps ^ "\t");
+    ("a doubled space", fun t w ps -> "h " ^ t ^ "  " ^ String.concat " " (w :: ps));
+    ("a leading blank", fun t w ps -> " " ^ line t w ps);
+  ]
+
+let test_refusal_points () =
+  let n = Array.length refusal_base in
+  let text ~edit ~at ~upto ~blanks =
+    let lines =
+      List.init upto (fun i ->
+          let t, w, ps = refusal_base.(i) in
+          let t = string_of_int t in
+          let l = if i = at then edit t w ps else String.concat " " ("h" :: t :: w :: ps) in
+          if blanks && i mod 2 = 1 then " " ^ l else l)
+    in
+    String.concat "\n" ("hypergraph 4 40" :: lines)
+  in
+  List.iter
+    (fun (name, edit) ->
+      List.iter
+        (fun (where, at) ->
+          List.iter
+            (fun (layout, text) ->
+              if not (agrees_with_reference text) then Alcotest.failf "%s, %s line, %s" name where layout)
+            [
+              ("final newline", text ~edit ~at ~upto:n ~blanks:false ^ "\n");
+              ("no final newline", text ~edit ~at ~upto:(at + 1) ~blanks:false);
+              ("leading blanks on every other line", text ~edit ~at ~upto:n ~blanks:true ^ "\n");
+            ])
+        [ ("first", 0); ("middle", n / 2); ("last", n - 1) ])
+    refusal_cases
+
+(* The C loop writes straight into the builder's arrays, so a canonical
+   text allocates the four CSR arrays and a few words per parse, in every
+   build profile.  A full collection first, so that no major slice falls
+   inside the parse: a slice starts with a minor collection, which would
+   promote the caller's live words and count them as major words. *)
+let test_parse_allocation () =
+  let text =
+    let rng = Randkit.Prng.create ~seed:24 in
+    Io.to_string (H.of_bipartite (Bipartite.Fewg_manyg.generate rng ~n1:5120 ~n2:256 ~g:32 ~d:2))
+  in
+  let lines = float (List.length (String.split_on_char '\n' text)) in
+  check "over 10k lines" true (lines > 10_000.);
+  Gc.full_major ();
+  let minor, _, major = Gc.counters () in
+  let h = Io.of_string text in
+  let minor', _, major' = Gc.counters () in
+  let minor = minor' -. minor and major = major' -. major in
+  let csr =
+    List.fold_left ( + ) 0
+      (List.map Obj.reachable_words
+         [ Obj.repr h.H.task_off; Obj.repr h.H.h_off; Obj.repr h.H.h_adj; Obj.repr h.H.w ])
+  in
+  check (Printf.sprintf "%.4f minor words per line" (minor /. lines)) true (minor /. lines < 0.01);
+  Alcotest.(check int) "major words = the four CSR arrays" csr (int_of_float major)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest parser_total_prop;
@@ -586,4 +676,6 @@ let suite =
     Alcotest.test_case "to_string bytes = sprintf reference" `Quick test_to_string_bytes;
     QCheck_alcotest.to_alcotest builder_checks_prop;
     Alcotest.test_case "golden digests of 10k-line parses, four spellings" `Quick test_golden_digests;
+    Alcotest.test_case "C line loop = general scanner at every refusal point" `Quick test_refusal_points;
+    Alcotest.test_case "a canonical parse allocates only the CSR arrays" `Quick test_parse_allocation;
   ]
