@@ -17,20 +17,8 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let scale_arg =
-  let doc = "Divide instance sizes by $(docv) (1 = the paper's full sizes)." in
-  Arg.(value & opt int 1 & info [ "scale" ] ~docv:"K" ~doc)
-
-let seeds_arg =
-  let doc = "Random replicates per instance (the paper uses 10)." in
-  Arg.(value & opt int 10 & info [ "seeds" ] ~docv:"N" ~doc)
-
-let csv_arg =
-  let doc = "Also write results as CSV to $(docv)." in
-  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
-
-(* Zero or negative domain counts are a usage error, reported before any
-   row runs. *)
+(* Zero or negative counts (scale, seeds, degree, domains, orders,
+   trials) are a usage error, reported before any row runs. *)
 let positive_int =
   let parse s =
     match int_of_string_opt s with
@@ -39,13 +27,32 @@ let positive_int =
   in
   Arg.conv (parse, Format.pp_print_int)
 
+let scale_arg =
+  let doc = "Divide instance sizes by $(docv) (1 = the paper's full sizes)." in
+  Arg.(value & opt positive_int 1 & info [ "scale" ] ~docv:"K" ~doc)
+
+let seeds_arg =
+  let doc = "Random replicates per instance (the paper uses 10)." in
+  Arg.(value & opt positive_int 10 & info [ "seeds" ] ~docv:"N" ~doc)
+
+let csv_arg =
+  let doc = "Also write results as CSV to $(docv)." in
+  Arg.(value & opt (some string) None & info [ "csv" ] ~docv:"FILE" ~doc)
+
 let jobs_arg =
   let doc = "Parallel domains for instance evaluation (quality unchanged;              keep 1 when timings matter)." in
   Arg.(value & opt positive_int 1 & info [ "jobs"; "j" ] ~docv:"J" ~doc)
 
 let d_arg =
   let doc = "Average degree d for SINGLEPROC instances (paper details d=10)." in
-  Arg.(value & opt int 10 & info [ "d" ] ~docv:"D" ~doc)
+  Arg.(value & opt positive_int 10 & info [ "d" ] ~docv:"D" ~doc)
+
+let weights_arg default =
+  let schemes =
+    [ ("unit", Hyper.Weights.Unit); ("related", Hyper.Weights.Related);
+      ("random", Hyper.Weights.default_random) ]
+  in
+  Arg.(value & opt (enum schemes) default & info [ "weights" ] ~docv:"SCHEME" ~doc:"unit, related or random")
 
 let run_multiproc ?(jobs = 1) ~weights ~title ~with_table1 scale seeds csv =
   let t0 = Obs.Span.now_ns () in
@@ -127,14 +134,7 @@ let ablations_cmd =
     Term.(const run $ scale_arg $ seeds_arg)
 
 let sweep_cmd =
-  let run seeds weights_name jobs =
-    let weights =
-      match weights_name with
-      | "unit" -> Hyper.Weights.Unit
-      | "related" -> Hyper.Weights.Related
-      | "random" -> Hyper.Weights.default_random
-      | other -> invalid_arg (Printf.sprintf "unknown weight scheme %S" other)
-    in
+  let run seeds weights jobs =
     let t0 = Obs.Span.now_ns () in
     let results = Experiments.Sweep.run ~seeds ~jobs ~weights () in
     print_string
@@ -144,13 +144,10 @@ let sweep_cmd =
     print_string (Experiments.Sweep.render results);
     Printf.printf "\n(total %.1f s)\n" (Obs.Span.ns_to_s (Int64.sub (Obs.Span.now_ns ()) t0))
   in
-  let weights_arg =
-    Arg.(value & opt string "related" & info [ "weights" ] ~docv:"SCHEME" ~doc:"unit, related or random")
-  in
   Cmd.v
     (Cmd.info "sweep"
        ~doc:"Check the paper's claim that heuristic rankings are stable across dv/dh/g")
-    Term.(const run $ seeds_arg $ weights_arg $ jobs_arg)
+    Term.(const run $ seeds_arg $ weights_arg Hyper.Weights.Related $ jobs_arg)
 
 let weighted_sp_cmd =
   let run seeds =
@@ -169,7 +166,7 @@ let online_cmd =
     Printf.printf "\n(total %.1f s)\n" (Obs.Span.ns_to_s (Int64.sub (Obs.Span.now_ns ()) t0))
   in
   let orders_arg =
-    Arg.(value & opt int 20 & info [ "orders" ] ~docv:"K" ~doc:"arrival permutations per replicate")
+    Arg.(value & opt positive_int 20 & info [ "orders" ] ~docv:"K" ~doc:"arrival permutations per replicate")
   in
   Cmd.v
     (Cmd.info "online" ~doc:"Online-arrival competitive-ratio extension study")
@@ -182,31 +179,21 @@ let hardness_cmd =
     Printf.printf "\n(total %.1f s)\n" (Obs.Span.ns_to_s (Int64.sub (Obs.Span.now_ns ()) t0))
   in
   let trials_arg =
-    Arg.(value & opt int 50 & info [ "trials" ] ~docv:"T" ~doc:"planted instances per row")
+    Arg.(value & opt positive_int 50 & info [ "trials" ] ~docv:"T" ~doc:"planted instances per row")
   in
   Cmd.v
     (Cmd.info "hardness" ~doc:"Planted X3C covers: heuristics vs the Theorem-1 threshold")
     Term.(const run $ trials_arg)
 
 let bounds_cmd =
-  let run scale seeds weights_name =
-    let weights =
-      match weights_name with
-      | "unit" -> Hyper.Weights.Unit
-      | "related" -> Hyper.Weights.Related
-      | "random" -> Hyper.Weights.default_random
-      | other -> invalid_arg (Printf.sprintf "unknown weight scheme %S" other)
-    in
+  let run scale seeds weights =
     let t0 = Obs.Span.now_ns () in
     print_string (Experiments.Bounds.render (Experiments.Bounds.run ~seeds ~scale ~weights ()));
     Printf.printf "\n(total %.1f s)\n" (Obs.Span.ns_to_s (Int64.sub (Obs.Span.now_ns ()) t0))
   in
-  let weights_arg =
-    Arg.(value & opt string "unit" & info [ "weights" ] ~docv:"SCHEME" ~doc:"unit, related or random")
-  in
   Cmd.v
     (Cmd.info "bounds" ~doc:"Lower-bound quality study (bound looseness vs heuristic error)")
-    Term.(const run $ scale_arg $ seeds_arg $ weights_arg)
+    Term.(const run $ scale_arg $ seeds_arg $ weights_arg Hyper.Weights.Unit)
 
 let robustness_cmd =
   let run seeds =

@@ -848,7 +848,7 @@ let simulate_cmd =
          & info [ "algorithm"; "a" ] ~docv:"ALGO" ~doc:"sgh, egh, vgh or evg")
   and policy =
     Arg.(value & opt string "fifo" & info [ "policy" ] ~docv:"P" ~doc:"fifo, spt, lpt or a seed")
-  and width = Arg.(value & opt int 72 & info [ "width" ] ~docv:"W" ~doc:"gantt width")
+  and width = Arg.(value & opt positive_int 72 & info [ "width" ] ~docv:"W" ~doc:"gantt width")
   and faults =
     Arg.(value & opt (some string) None
          & info [ "faults" ] ~docv:"SPEC"
@@ -1037,6 +1037,7 @@ let connect_client socket tcp =
    contract scripts rely on). *)
 let client_cmd =
   let run socket tcp request script metrics stream session chunk threshold_mb solver timeout =
+    let module P = Server.Protocol in
     let conn = connect_client socket tcp in
     let timeout_s = if timeout <= 0.0 then None else Some timeout in
     let send line =
@@ -1059,47 +1060,37 @@ let client_cmd =
         let h = Hyper.Stream_io.header r in
         if not (Hyper.Stream_io.sealed h) then
           die "%s: unsealed stream (writer never closed) — run doctor" path;
-        let send_ok line =
-          let rec go attempt =
-            let reply = send line in
-            match J.of_string reply with
-            | exception Failure _ -> die "unparseable reply: %s" reply
-            | j -> (
-                match (J.member "ok" j, J.member "error" j) with
-                | Some (J.Bool true), _ -> j
-                | _, Some (J.Str "busy") when attempt < 200 ->
-                    Unix.sleepf 0.05;
-                    go (attempt + 1)
-                | _ -> (
-                    match Option.bind (J.member "message" j) J.to_str with
-                    | Some m -> die "server replied with an error: %s" m
-                    | None -> die "server replied with an error: %s" reply))
-          in
-          go 0
+        let rec send_ok ?(attempt = 0) line =
+          let reply = send line in
+          match P.decode_reply reply with
+          | Error _ -> die "unparseable reply: %s" reply
+          | Ok r when r.P.ok -> ()
+          | Ok r when r.P.code = Some (P.code_name P.Busy) && attempt < 200 ->
+              Unix.sleepf 0.05;
+              send_ok ~attempt:(attempt + 1) line
+          | Ok r -> die "server replied with an error: %s" r.P.message
         in
         let int_j n = J.Num (float_of_int n) in
-        ignore
-          (send_ok
-             (J.to_string
-                (J.Obj
-                   [
-                     ("op", J.Str "stream_begin");
-                     ("session", J.Str session);
-                     ("n1", int_j h.Hyper.Stream_io.h_n1);
-                     ("n2", int_j h.Hyper.Stream_io.h_n2);
-                   ])));
+        send_ok
+          (J.to_string
+             (J.Obj
+                [
+                  ("op", J.Str "stream_begin");
+                  ("session", J.Str session);
+                  ("n1", int_j h.Hyper.Stream_io.h_n1);
+                  ("n2", int_j h.Hyper.Stream_io.h_n2);
+                ]));
         let buf = ref [] and nbuf = ref 0 and sent = ref 0 in
         let flush_chunk () =
           if !nbuf > 0 then begin
-            ignore
-              (send_ok
-                 (J.to_string
-                    (J.Obj
-                       [
-                         ("op", J.Str "stream_chunk");
-                         ("session", J.Str session);
-                         ("edges", J.List (List.rev !buf));
-                       ])));
+            send_ok
+              (J.to_string
+                 (J.Obj
+                    [
+                      ("op", J.Str "stream_chunk");
+                      ("session", J.Str session);
+                      ("edges", J.List (List.rev !buf));
+                    ]));
             sent := !sent + !nbuf;
             buf := [];
             nbuf := 0
@@ -1130,33 +1121,24 @@ let client_cmd =
         in
         print_endline reply;
         Server.Client.close conn;
-        (match J.of_string reply with
-        | j when J.member "ok" j = Some (J.Bool true) -> ()
-        | _ | (exception Failure _) -> die "stream_end failed: %s" reply)
+        (match P.decode_reply reply with
+        | Ok r when r.P.ok -> ()
+        | _ -> die "stream_end failed: %s" reply)
     | None ->
     if metrics then begin
       if request <> None || script <> None then
         die "--metrics is exclusive with --request/--script";
       let reply = send {|{"op":"metrics"}|} in
       Server.Client.close conn;
-      match Obs.Json.of_string reply with
-      | exception Failure _ -> die "unparseable reply: %s" reply
-      | j -> (
-          match
-            ( Obs.Json.member "ok" j,
-              Option.bind (Obs.Json.member "exposition" j) Obs.Json.to_str )
-          with
-          | Some (Obs.Json.Bool true), Some text -> (
+      match P.decode_reply reply with
+      | Error _ -> die "unparseable reply: %s" reply
+      | Ok r -> (
+          match Option.bind (Obs.Json.member "exposition" r.P.json) Obs.Json.to_str with
+          | Some text when r.P.ok -> (
               match Obs.Prom.lint text with
               | Ok () -> print_string text
               | Error msg -> die "metrics exposition failed the format lint: %s" msg)
-          | _ ->
-              let msg =
-                match Option.bind (Obs.Json.member "message" j) Obs.Json.to_str with
-                | Some m -> m
-                | None -> reply
-              in
-              die "server replied with an error: %s" msg)
+          | _ -> die "server replied with an error: %s" r.P.message)
     end
     else begin
       let requests =
@@ -1178,18 +1160,9 @@ let client_cmd =
           let reply = send line in
           print_endline reply;
           if !failed = None then
-            match Obs.Json.of_string reply with
-            | exception Failure _ -> failed := Some ("unparseable reply: " ^ reply)
-            | j -> (
-                match Obs.Json.member "ok" j with
-                | Some (Obs.Json.Bool true) -> ()
-                | _ ->
-                    let msg =
-                      match Option.bind (Obs.Json.member "message" j) Obs.Json.to_str with
-                      | Some m -> m
-                      | None -> reply
-                    in
-                    failed := Some msg))
+            match P.decode_reply reply with
+            | Error _ -> failed := Some ("unparseable reply: " ^ reply)
+            | Ok r -> if not r.P.ok then failed := Some r.P.message)
         requests;
       Server.Client.close conn;
       match !failed with None -> () | Some msg -> die "server replied with an error: %s" msg
@@ -1489,7 +1462,7 @@ let doctor_cmd =
     | false -> doctor_stream dir; exit 0
     | exception Sys_error msg -> die "%s" msg);
     let looks_persist =
-      (not (Sys.file_exists (path "manifest.json")))
+      (not (Sys.file_exists (path Obs.Manifest.file)))
       && Array.exists
            (fun name ->
              String.length name >= 8
@@ -1505,45 +1478,18 @@ let doctor_cmd =
     in
     (* The manifest is written last: a directory without one is a bundle
        that never completed. *)
-    if not (Sys.file_exists (path "manifest.json")) then
-      die "%s: no manifest.json (incomplete or corrupt bundle)" dir;
-    let manifest =
-      match Obs.Json.of_string (read "manifest.json") with
-      | j -> j
-      | exception Failure msg -> die "manifest.json: %s" msg
+    let manifest, files =
+      match Obs.Manifest.read ~format:Obs.Recorder.format_tag dir with
+      | Ok m -> m
+      | Error msg -> die "%s" msg
     in
     let str_field name =
       match Option.bind (Obs.Json.member name manifest) Obs.Json.to_str with
       | Some s -> s
       | None -> die "manifest.json: missing %S" name
     in
-    let format = str_field "format" in
-    if format <> Obs.Recorder.format_tag then
-      die "manifest.json: format %S (this doctor understands %S)" format Obs.Recorder.format_tag;
     let trigger = str_field "trigger" in
     let version = str_field "version" in
-    let files =
-      match Obs.Json.member "files" manifest with
-      | Some (Obs.Json.List l) ->
-          List.map
-            (fun f ->
-              match
-                ( Option.bind (Obs.Json.member "name" f) Obs.Json.to_str,
-                  Option.bind (Obs.Json.member "bytes" f) Obs.Json.to_float )
-              with
-              | Some n, Some b -> (n, int_of_float b)
-              | _ -> die "manifest.json: malformed files entry")
-            l
-      | _ -> die "manifest.json: missing files list"
-    in
-    List.iter
-      (fun (name, bytes) ->
-        match (Unix.stat (path name)).Unix.st_size with
-        | size when size = bytes -> ()
-        | size -> die "%s: %d bytes on disk but the manifest recorded %d" name size bytes
-        | exception Unix.Unix_error (e, _, _) ->
-            die "%s: listed in the manifest but %s" name (Unix.error_message e))
-      files;
     (* trace.json: Chrome trace-event schema — a traceEvents array whose
        entries all carry a name and a phase. *)
     let trace =

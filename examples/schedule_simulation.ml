@@ -5,7 +5,7 @@
    A semi-matching only decides *where* work goes; the concurrent-job-shop
    semantics (paper Sec. II) lets each processor order its parts freely.
    This example computes a schedule for a small render-farm workload, then
-   simulates it event by event under different per-processor ordering
+   runs it part by part under different per-processor ordering
    policies: the makespan is invariant (it equals the maximum load — the
    quantity the heuristics minimized), while task completion times are not.
    An ASCII Gantt chart shows the final timeline. *)

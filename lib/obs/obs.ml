@@ -6,6 +6,7 @@ module Sink = Sink
 module Json = Json
 module Prom = Prom
 module Runtime = Runtime
+module Manifest = Manifest
 module Recorder = Recorder
 module Anomaly = Anomaly
 

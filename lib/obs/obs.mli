@@ -215,6 +215,27 @@ module Json : sig
   val to_str : t -> string option
 end
 
+module Manifest : sig
+  (** [manifest.json], the file a diagnostic bundle ({!Recorder}) or a
+      daemon checkpoint writes last into its directory, so its presence
+      marks the directory complete: a format tag, the writer's own fields
+      and the byte size of every other file it wrote. *)
+
+  val file : string
+  (** ["manifest.json"]. *)
+
+  val to_string : format:string -> (string * Json.t) list -> files:(string * string) list -> string
+  (** [to_string ~format fields ~files] is the object [{"format":format,
+      ...fields, "files":[{"name","bytes"}...]}], one entry per
+      [(name, contents)] of [files]. *)
+
+  val read : format:string -> string -> (Json.t * (string * int) list, string) result
+  (** [read ~format dir] parses [dir]'s manifest and checks it: the format
+      tag is [format], every [files] entry has a name and a byte count, and
+      every listed file exists with that size.  Returns the manifest and
+      its [(name, bytes)] list, or a one-line reason. *)
+end
+
 module Events : sig
   (** Leveled, domain-safe structured event log: bounded ring of
       timestamped key→value records emitted at coarse decision points

@@ -189,33 +189,19 @@ let write_bundle ~dir ~trigger ?rule ?(detail = []) ?prom ?(extra = []) ~version
     in
     List.iter (fun (fname, text) -> write_text (Filename.concat bundle fname) text) files;
     let manifest =
-      Json.Obj
-        ([
-           ("format", Json.Str format_tag);
-           ("trigger", Json.Str trigger);
-         ]
+      Manifest.to_string ~format:format_tag ~files
+        ([ ("trigger", Json.Str trigger) ]
         @ (match rule with None -> [] | Some r -> [ ("rule", Json.Str r) ])
         @ [
             ("detail", Json.Obj detail);
             ("written_unix_s", Json.Num now_wall);
             ("mono_ns", Json.Num (Int64.to_float now_mono));
-            ( "window_s",
-              match config () with None -> Json.Null | Some c -> Json.Num c.window_s );
+            ("window_s", match config () with None -> Json.Null | Some c -> Json.Num c.window_s);
             ("version", Json.Str version);
             ("snapshots", Json.Num (float_of_int (List.length snaps)));
-            ( "files",
-              Json.List
-                (List.map
-                   (fun (fname, text) ->
-                     Json.Obj
-                       [
-                         ("name", Json.Str fname);
-                         ("bytes", Json.Num (float_of_int (String.length text)));
-                       ])
-                   files) );
           ])
     in
-    write_text (Filename.concat bundle "manifest.json") (Json.to_string manifest);
+    write_text (Filename.concat bundle Manifest.file) manifest;
     Metrics.incr c_bundles;
     Events.emit ~level:Events.Warn "bundle.written"
       [ Events.str "dir" bundle; Events.str "trigger" trigger ];

@@ -183,10 +183,10 @@ let run ?connect fd opts =
   in
   let process_line line =
     if line <> "" then
-      match J.of_string line with
-      | exception Failure msg -> fail "unparseable reply: %s" msg
-      | j -> (
-          match Option.bind (J.member "id" j) J.to_float with
+      match Protocol.decode_reply line with
+      | Error msg -> fail "unparseable reply: %s" msg
+      | Ok r -> (
+          match Option.bind (J.member "id" r.Protocol.json) J.to_float with
           | None -> fail "reply without a numeric id: %s" line
           | Some f -> (
               let id = int_of_float f in
@@ -198,8 +198,9 @@ let run ?connect fd opts =
                   let ms =
                     Int64.to_float (Int64.sub (Obs.Span.now_ns ()) t_send) /. 1e6
                   in
-                  if J.member "ok" j = Some (J.Bool true) then record op ms
-                  else if J.member "error" j = Some (J.Str "busy") then Stdlib.incr busy
+                  if r.Protocol.ok then record op ms
+                  else if r.Protocol.code = Some (Protocol.code_name Protocol.Busy) then
+                    Stdlib.incr busy
                   else Stdlib.incr errors))
   in
   let chunk = Bytes.create 65536 in

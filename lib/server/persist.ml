@@ -90,58 +90,14 @@ let seq_of_name prefix name =
   then int_of_string_opt (String.sub name (String.length prefix) (String.length name - String.length prefix))
   else None
 
-(* Full structural validation, mirroring the doctor contract for bundles:
-   manifest present (written last, so presence means complete), format tag,
-   listed sizes match disk, every session line parses. *)
+(* Full structural validation: the manifest (written last, so presence
+   means complete) with its format tag and file sizes, then every session
+   line parses. *)
 let load_checkpoint dir =
-  let path name = Filename.concat dir name in
-  let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-  let* manifest_text =
-    match read_file (path "manifest.json") with
-    | Some t -> Ok t
-    | None -> Error "no manifest.json (checkpoint never completed)"
-  in
-  let* manifest =
-    match J.of_string manifest_text with
-    | j -> Ok j
-    | exception Failure msg -> Error ("manifest.json: " ^ msg)
-  in
-  let* () =
-    match Option.bind (J.member "format" manifest) J.to_str with
-    | Some tag when tag = ckpt_format -> Ok ()
-    | Some tag -> Error (Printf.sprintf "manifest.json: format %S (want %S)" tag ckpt_format)
-    | None -> Error "manifest.json: missing format"
-  in
-  let* files =
-    match J.member "files" manifest with
-    | Some (J.List l) ->
-        let entries =
-          List.filter_map
-            (fun f ->
-              match
-                (Option.bind (J.member "name" f) J.to_str, Option.bind (J.member "bytes" f) J.to_float)
-              with
-              | Some n, Some b -> Some (n, int_of_float b)
-              | _ -> None)
-            l
-        in
-        if List.length entries = List.length l then Ok entries
-        else Error "manifest.json: malformed files entry"
-    | _ -> Error "manifest.json: missing files list"
-  in
-  let* () =
-    List.fold_left
-      (fun acc (name, bytes) ->
-        let* () = acc in
-        match (Unix.stat (path name)).Unix.st_size with
-        | size when size = bytes -> Ok ()
-        | size -> Error (Printf.sprintf "%s: %d bytes on disk, manifest recorded %d" name size bytes)
-        | exception Unix.Unix_error (e, _, _) ->
-            Error (Printf.sprintf "%s: listed in the manifest but %s" name (Unix.error_message e)))
-      (Ok ()) files
-  in
+  let ( let* ) = Result.bind in
+  let* _ = Obs.Manifest.read ~format:ckpt_format dir in
   let* text =
-    match read_file (path "sessions.jsonl") with
+    match read_file (Filename.concat dir "sessions.jsonl") with
     | Some t -> Ok t
     | None -> Error "missing sessions.jsonl"
   in
@@ -294,27 +250,15 @@ let checkpoint t ~sessions =
            sessions)
     in
     write_file_sync (Filename.concat tmp "sessions.jsonl") sessions_text;
-    let manifest =
-      J.to_string
-        (J.Obj
-           [
-             ("format", J.Str ckpt_format);
-             ("seq", J.Num (float_of_int seq));
-             ("version", J.Str t.version);
-             ("sessions", J.Num (float_of_int (List.length sessions)));
-             ( "files",
-               J.List
-                 [
-                   J.Obj
-                     [
-                       ("name", J.Str "sessions.jsonl");
-                       ("bytes", J.Num (float_of_int (String.length sessions_text)));
-                     ];
-                 ] );
-             ("written_unix_s", J.Num (Unix.gettimeofday ()));
-           ])
-    in
-    write_file_sync (Filename.concat tmp "manifest.json") manifest;
+    write_file_sync (Filename.concat tmp Obs.Manifest.file)
+      (Obs.Manifest.to_string ~format:ckpt_format
+         ~files:[ ("sessions.jsonl", sessions_text) ]
+         [
+           ("seq", J.Num (float_of_int seq));
+           ("version", J.Str t.version);
+           ("sessions", J.Num (float_of_int (List.length sessions)));
+           ("written_unix_s", J.Num (Unix.gettimeofday ()));
+         ]);
     let final = Filename.concat t.dir (ckpt_name seq) in
     rm_rf final;
     Unix.rename tmp final;

@@ -47,6 +47,20 @@ let error_reply ?id ~code msg =
   let fields = match id with None -> base | Some id -> ("id", id) :: base in
   J.to_string (J.Obj fields)
 
+type reply = { json : J.t; ok : bool; code : string option; message : string }
+
+let decode_reply line =
+  match J.of_string line with
+  | exception Failure msg -> Error msg
+  | json ->
+      Ok
+        {
+          json;
+          ok = J.member "ok" json = Some (J.Bool true);
+          code = Option.bind (J.member "error" json) J.to_str;
+          message = Option.value ~default:line (Option.bind (J.member "message" json) J.to_str);
+        }
+
 (* --- request parsing: total over arbitrary bytes --- *)
 
 exception Reject of error_code * string

@@ -109,3 +109,14 @@ val ok_reply : ?id:Obs.Json.t -> op:string -> (string * Obs.Json.t) list -> stri
 
 val error_reply : ?id:Obs.Json.t -> code:error_code -> string -> string
 (** [{"id":...,"ok":false,"error":CODE,"message":MSG}]. *)
+
+type reply = {
+  json : Obs.Json.t;  (** the whole reply object *)
+  ok : bool;  (** ["ok":true] *)
+  code : string option;  (** an error reply's ["error"], a {!code_name} *)
+  message : string;  (** ["message"], or the reply line itself when it has none *)
+}
+
+val decode_reply : string -> (reply, string) result
+(** Decode one reply line, the inverse of {!ok_reply} and {!error_reply}
+    for every client.  [Error] carries the JSON parser's message. *)

@@ -177,18 +177,19 @@ let test_unknown_flag () =
   in
   Alcotest.(check int) "experiments_main unknown flag: one line" 1 (count_lines out)
 
-(* A domain count or a portfolio budget of zero or less is a usage error:
-   one line naming the option, exit 2, before any work (an instance that
-   would otherwise solve is given, and serve gets no listener, so only the
-   option can be what fails). *)
+(* A count, a width or a portfolio budget of zero or less is a usage
+   error: one line naming the option, exit 2, before any work (an instance
+   that would otherwise solve is given, and serve gets no listener, so
+   only the option can be what fails).  experiments_main keeps the same
+   contract for its counts and its weight schemes. *)
 let test_nonpositive_jobs_and_timeout () =
   with_temp (fun path ->
       ignore
         (expect_ok
            (run_capture [ "gen"; "--tasks"; "20"; "--procs"; "4"; "--groups"; "2"; "-o"; path ]));
-      let rejects ~option ~expected args =
+      let rejects ?exe ~option ~expected args =
         let name = String.concat " " args in
-        let out = expect_clean_failure name (run_capture_err args) in
+        let out = expect_clean_failure name (run_capture_err ?exe args) in
         Alcotest.(check int) (name ^ ": one line") 1 (count_lines out);
         check (name ^ ": names " ^ option) true (contains ~needle:option out);
         check (name ^ ": says what is expected") true (contains ~needle:expected out);
@@ -208,19 +209,28 @@ let test_nonpositive_jobs_and_timeout () =
           [ "solve"; "--portfolio"; "--timeout=-1"; path ];
           [ "solve"; "--portfolio"; "--timeout=nan"; path ];
         ];
+      rejects ~option:"--width" ~expected:"expected a positive integer"
+        [ "simulate"; "--width"; "0"; path ];
       let out = expect_ok (run_capture [ "solve"; "--portfolio"; "--timeout"; "inf"; path ]) in
-      check "--timeout inf: no deadline" true (contains ~needle:"winner:" out));
-  (* experiments_main reports the same mistake under the same contract. *)
-  let out =
-    expect_clean_failure "experiments_main --jobs 0"
-      (run_capture_err ~exe:experiments [ "sweep"; "--jobs"; "0" ])
-  in
-  Alcotest.(check int) "experiments_main --jobs 0: one line" 1 (count_lines out);
-  check "experiments_main --jobs 0: names the option" true (contains ~needle:"--jobs" out);
-  check "experiments_main --jobs 0: says what is expected" true
-    (contains ~needle:"positive" out);
-  check "experiments_main --jobs 0: no internal error" false
-    (contains ~needle:"internal error" out)
+      check "--timeout inf: no deadline" true (contains ~needle:"winner:" out);
+      List.iter
+        (fun (option, args) ->
+          rejects ~exe:experiments ~option ~expected:"expected a positive integer" args)
+        [
+          ("--jobs", [ "sweep"; "--jobs"; "0" ]);
+          ("--scale", [ "table2"; "--scale"; "0" ]);
+          ("--scale", [ "table2"; "--scale=-1" ]);
+          ("--seeds", [ "table2"; "--seeds"; "0" ]);
+          ("--seeds", [ "faults"; "--seeds"; "0" ]);
+          ("--seeds", [ "robustness"; "--seeds"; "0" ]);
+          ("--seeds", [ "singleproc-weighted"; "--seeds"; "0" ]);
+          ("-d", [ "singleproc"; "-d"; "0" ]);
+          ("-d", [ "online"; "-d"; "0" ]);
+          ("--orders", [ "online"; "--orders"; "0" ]);
+          ("--trials", [ "hardness"; "--trials"; "0" ]);
+        ];
+      List.iter (rejects ~exe:experiments ~option:"--weights" ~expected:"expected one of")
+        [ [ "sweep"; "--weights"; "foo" ]; [ "bounds"; "--weights"; "foo" ] ])
 
 let test_unwritable_trace () =
   with_temp (fun path ->

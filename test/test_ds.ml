@@ -1,5 +1,4 @@
 module Vec = Ds.Vec
-module Heap = Ds.Indexed_heap
 module Lv = Ds.Load_vector
 
 let check = Alcotest.(check bool)
@@ -42,57 +41,6 @@ let test_vec_conversions () =
   let collected = ref [] in
   Vec.iteri (fun i x -> collected := (i, x) :: !collected) v;
   Alcotest.(check int) "iteri count" 3 (List.length !collected)
-
-(* ----------------------------------------------------------------- Heap *)
-
-let test_heap_pop_order () =
-  let h = Heap.create 10 in
-  List.iter (fun (k, p) -> Heap.insert h k p) [ (0, 5.0); (1, 1.0); (2, 3.0); (3, 0.5); (4, 4.0) ];
-  let order = ref [] in
-  let rec drain () =
-    match Heap.pop_min h with
-    | Some (k, _) ->
-        order := k :: !order;
-        drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check (list int)) "ascending priority order" [ 3; 1; 2; 4; 0 ] (List.rev !order)
-
-let test_heap_update () =
-  let h = Heap.create 4 in
-  Heap.insert h 0 10.0;
-  Heap.insert h 1 20.0;
-  Heap.insert h 2 30.0;
-  Heap.update h 2 1.0;
-  Alcotest.(check (option (pair int (float 1e-9)))) "decrease-key" (Some (2, 1.0)) (Heap.min h);
-  Heap.update h 2 40.0;
-  Alcotest.(check (option (pair int (float 1e-9)))) "increase-key" (Some (0, 10.0)) (Heap.min h)
-
-let test_heap_mem_and_errors () =
-  let h = Heap.create 3 in
-  Heap.insert h 1 2.0;
-  check "mem" true (Heap.mem h 1);
-  check "not mem" false (Heap.mem h 0);
-  Alcotest.check_raises "double insert" (Invalid_argument "Indexed_heap.insert: key already present")
-    (fun () -> Heap.insert h 1 3.0);
-  Alcotest.check_raises "update absent" (Invalid_argument "Indexed_heap.update: key absent")
-    (fun () -> Heap.update h 0 1.0)
-
-let heap_property =
-  QCheck.Test.make ~name:"heap pops in sorted order" ~count:200
-    QCheck.(list (pair (int_bound 999) (float_range 0.0 100.0)))
-    (fun pairs ->
-      (* Dedupe keys: each key may be present at most once. *)
-      let tbl = Hashtbl.create 16 in
-      List.iter (fun (k, p) -> if not (Hashtbl.mem tbl k) then Hashtbl.add tbl k p) pairs;
-      let h = Heap.create 1000 in
-      Hashtbl.iter (fun k p -> Heap.insert h k p) tbl;
-      let rec drain acc =
-        match Heap.pop_min h with Some (_, p) -> drain (p :: acc) | None -> List.rev acc
-      in
-      let popped = drain [] in
-      List.sort compare popped = popped && List.length popped = Hashtbl.length tbl)
 
 (* -------------------------------------------------------- Counting sort *)
 
@@ -303,10 +251,6 @@ let suite =
     Alcotest.test_case "vec bounds" `Quick test_vec_bounds;
     Alcotest.test_case "vec pop/clear" `Quick test_vec_pop_clear;
     Alcotest.test_case "vec conversions" `Quick test_vec_conversions;
-    Alcotest.test_case "heap pop order" `Quick test_heap_pop_order;
-    Alcotest.test_case "heap update" `Quick test_heap_update;
-    Alcotest.test_case "heap membership/errors" `Quick test_heap_mem_and_errors;
-    QCheck_alcotest.to_alcotest heap_property;
     Alcotest.test_case "counting sort permutation" `Quick test_counting_sort_permutation;
     QCheck_alcotest.to_alcotest counting_sort_property;
     Alcotest.test_case "stats median" `Quick test_stats_median;

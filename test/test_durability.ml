@@ -187,6 +187,87 @@ let test_checkpoint_atomicity () =
       Alcotest.(check int) "session state intact" 1 (List.length r.Persist.r_sessions);
       Alcotest.(check int) "journal suffix intact" 1 r.Persist.r_records)
 
+(* --- manifest defects: a diagnostic bundle and a daemon checkpoint share
+   one manifest.json reader, so each defect is run through both: doctor on
+   a bundle exits 2 with one line, Persist.load skips the checkpoint. --- *)
+
+let test_manifest_defects () =
+  let manifest dir = Filename.concat dir "manifest.json" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let write path text = Out_channel.with_open_bin path (fun oc -> output_string oc text) in
+  let rewrite dir f =
+    match J.of_string (read (manifest dir)) with
+    | J.Obj fields -> write (manifest dir) (J.to_string (J.Obj (f fields)))
+    | _ -> Alcotest.fail "manifest is not an object"
+  in
+  let first_listed dir =
+    match Option.bind (J.member "files" (J.of_string (read (manifest dir)))) (function
+            | J.List (f :: _) -> J.member "name" f
+            | _ -> None) with
+    | Some (J.Str name) -> Filename.concat dir name
+    | _ -> Alcotest.fail "manifest lists no file"
+  in
+  let defects =
+    [
+      ("missing manifest", fun dir -> Sys.remove (manifest dir));
+      ("unparseable JSON", fun dir -> write (manifest dir) "{not json");
+      ( "wrong format tag",
+        fun dir ->
+          rewrite dir
+            (List.map (function "format", _ -> ("format", J.Str "semimatch.other/9") | kv -> kv)) );
+      ( "files entry without bytes",
+        fun dir ->
+          rewrite dir
+            (List.map (function
+              | "files", J.List (J.Obj entry :: rest) ->
+                  ("files", J.List (J.Obj (List.remove_assoc "bytes" entry) :: rest))
+              | kv -> kv)) );
+      ("listed file absent", fun dir -> Sys.remove (first_listed dir));
+      ( "size mismatch",
+        fun dir ->
+          let path = first_listed dir in
+          write path (read path ^ "x") );
+    ]
+  in
+  let bundle dir =
+    match Obs.Recorder.write_bundle ~dir ~trigger:"manual" ~version:"test" () with
+    | Ok b -> b
+    | Error msg -> Alcotest.failf "write_bundle failed: %s" msg
+  in
+  let checkpoint dir =
+    let p, _ = Persist.open_ ~dir ~policy:Journal.Never ~version:"test" in
+    let name =
+      match Persist.checkpoint p ~sessions:[ ("s", J.Obj []) ] with
+      | Ok name -> name
+      | Error msg -> Alcotest.failf "checkpoint failed: %s" msg
+    in
+    Persist.close p;
+    Filename.concat dir name
+  in
+  with_temp_dir "manifest" (fun dir ->
+      ignore (Test_cli.expect_ok (Test_cli.run_capture [ "doctor"; bundle dir ])));
+  with_temp_dir "manifest" (fun dir ->
+      ignore (checkpoint dir);
+      check "an intact checkpoint is not skipped" true ((Persist.load dir).Persist.r_skipped = []));
+  List.iter
+    (fun (name, damage) ->
+      with_temp_dir "manifest" (fun dir ->
+          let b = bundle dir in
+          damage b;
+          let out =
+            Test_cli.expect_clean_failure ("doctor, " ^ name)
+              (Test_cli.run_capture_err [ "doctor"; b ])
+          in
+          Alcotest.(check int) ("doctor, " ^ name ^ ": one line") 1 (Test_cli.count_lines out));
+      with_temp_dir "manifest" (fun dir ->
+          let ckpt = checkpoint dir in
+          damage ckpt;
+          Alcotest.(check (list string))
+            ("Persist.load, " ^ name ^ ": checkpoint skipped")
+            [ Filename.basename ckpt ]
+            (List.map fst (Persist.load dir).Persist.r_skipped)))
+    defects
+
 (* --- idempotency over loopback ------------------------------------------ *)
 
 let tiny_instance () =
@@ -637,4 +718,5 @@ let suite =
     Alcotest.test_case "recovery counts a failed replayed step" `Quick test_failed_replay_counted;
     Alcotest.test_case "journal segment golden digest" `Quick test_journal_golden;
     Alcotest.test_case "journal phase histograms" `Quick test_journal_histograms;
+    Alcotest.test_case "manifest defects: doctor and Persist.load" `Quick test_manifest_defects;
   ]

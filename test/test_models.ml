@@ -53,69 +53,7 @@ let vec_model_prop =
           && List.for_all2 (fun a b -> a = b) (Array.to_list (Ds.Vec.to_array v)) !model)
         cmds)
 
-(* --------------------------- Indexed_heap vs an association-list model *)
-
-type heap_cmd = HInsert of int * float | HUpdate of int * float | HPop
-
-let heap_model_prop =
-  QCheck.Test.make ~name:"Indexed_heap agrees with an assoc model" ~count:300
-    (QCheck.make
-       QCheck.Gen.(
-         list_size (int_bound 80)
-           (frequency
-              [
-                (4, map2 (fun k p -> HInsert (k, p)) (int_bound 30) (float_range 0.0 100.0));
-                (3, map2 (fun k p -> HUpdate (k, p)) (int_bound 30) (float_range 0.0 100.0));
-                (3, return HPop);
-              ])))
-    (fun cmds ->
-      let h = Ds.Indexed_heap.create 31 in
-      let model = Hashtbl.create 16 in
-      List.for_all
-        (fun cmd ->
-          (match cmd with
-          | HInsert (k, p) ->
-              if not (Hashtbl.mem model k) then begin
-                Ds.Indexed_heap.insert h k p;
-                Hashtbl.add model k p
-              end
-          | HUpdate (k, p) ->
-              if Hashtbl.mem model k then begin
-                Ds.Indexed_heap.update h k p;
-                Hashtbl.replace model k p
-              end
-          | HPop -> (
-              let expected =
-                Hashtbl.fold
-                  (fun k p acc ->
-                    match acc with
-                    | None -> Some (k, p)
-                    | Some (_, bp) when p < bp -> Some (k, p)
-                    | _ -> acc)
-                  model None
-              in
-              match (Ds.Indexed_heap.pop_min h, expected) with
-              | None, None -> ()
-              | Some (_, pa), Some (kb, pb) when pa = pb ->
-                  (* Ties may pop either key; trust priority equality and
-                     remove the key the heap chose. *)
-                  let popped_key =
-                    (* Recover which key the heap removed: it is no longer a
-                       member. *)
-                    Hashtbl.fold
-                      (fun k _ acc -> if not (Ds.Indexed_heap.mem h k) then k :: acc else acc)
-                      model []
-                    |> function
-                    | [ k ] -> k
-                    | _ -> kb
-                  in
-                  Hashtbl.remove model popped_key
-              | _ -> failwith "pop mismatch"));
-          Ds.Indexed_heap.length h = Hashtbl.length model)
-        cmds)
-
 let suite =
   [
     QCheck_alcotest.to_alcotest vec_model_prop;
-    QCheck_alcotest.to_alcotest heap_model_prop;
   ]

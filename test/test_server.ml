@@ -545,6 +545,26 @@ let test_metrics_exposition () =
       check "per-op latency histogram" true (has "semimatch_server_latency_ping_us_bucket");
       check "cumulative +Inf bucket" true (has {|le="+Inf"|}))
 
+(* The clients' one reply decoder reads back what the daemon writes: every
+   error code (busy drives the upload retry and loadgen's busy count), the
+   ok flag with the other fields, a reply without a message and a line that
+   is not JSON. *)
+let test_decode_reply () =
+  let decode line =
+    match P.decode_reply line with Ok r -> r | Error msg -> Alcotest.failf "%s: %s" line msg
+  in
+  let r = decode (P.ok_reply ~id:(J.Num 7.) ~op:"metrics" [ ("exposition", J.Str "x") ]) in
+  check "ok reply" true (r.P.ok && r.P.code = None);
+  check "ok reply keeps its fields" true (J.member "exposition" r.P.json = Some (J.Str "x"));
+  List.iter
+    (fun code ->
+      let r = decode (P.error_reply ~id:(J.Num 7.) ~code "why") in
+      check (P.code_name code) true
+        ((not r.P.ok) && r.P.code = Some (P.code_name code) && r.P.message = "why"))
+    [ P.Protocol; P.Bad_request; P.Unknown_session; P.Busy; P.Too_large; P.Internal ];
+  check "no message: the line itself" true ((decode {|{"ok":false}|}).P.message = {|{"ok":false}|});
+  check "not JSON" true (Result.is_error (P.decode_reply "not json"))
+
 (* --- client timeout and mid-request hangup ------------------------------- *)
 
 let test_client_timeout () =
@@ -632,6 +652,7 @@ let suite =
     Alcotest.test_case "stats basics answer with Obs disabled" `Quick
       test_stats_basics_without_obs;
     Alcotest.test_case "metrics exposition over loopback" `Quick test_metrics_exposition;
+    Alcotest.test_case "reply decoder reads every reply shape" `Quick test_decode_reply;
     Alcotest.test_case "client read timeout" `Quick test_client_timeout;
     Alcotest.test_case "client sees EOF when the server dies mid-request" `Quick
       test_client_server_death_mid_request;

@@ -36,7 +36,7 @@ let test_average_completion () =
   let t = Sim.run h a in
   Alcotest.(check (float 1e-9)) "avg" 3.5 (Sim.average_completion t)
 
-let random_instance seed =
+let random_instance ?(real_weights = false) seed =
   let rng = Randkit.Prng.create ~seed in
   let n1 = 2 + Randkit.Prng.int rng 30 and n2 = 1 + Randkit.Prng.int rng 8 in
   let hyperedges = ref [] in
@@ -45,10 +45,72 @@ let random_instance seed =
     for _ = 1 to configs do
       let size = 1 + Randkit.Prng.int rng (min 3 n2) in
       let procs = Randkit.Prng.sample_without_replacement rng ~k:size ~n:n2 in
-      hyperedges := (v, procs, float_of_int (1 + Randkit.Prng.int rng 5)) :: !hyperedges
+      let w =
+        if real_weights then 0.5 +. Randkit.Prng.float rng 4.5
+        else float_of_int (1 + Randkit.Prng.int rng 5)
+      in
+      hyperedges := (v, procs, w) :: !hyperedges
     done
   done;
   H.create ~n1 ~n2 ~hyperedges:(List.rev !hyperedges)
+
+(* The execution model of Sec. II, checked against the schedule itself
+   rather than against a second simulator: processor [u] runs one part of
+   every task whose realized configuration holds [u], of that
+   configuration's weight, one part after another from time 0, in the
+   policy's order of the task-ordered queue. *)
+let policy_order policy parts =
+  let a = Array.of_list parts in
+  (match policy with
+  | Sim.Fifo -> ()
+  | Sim.Spt -> Array.stable_sort (fun (_, x) (_, y) -> compare x y) a
+  | Sim.Lpt -> Array.stable_sort (fun (_, x) (_, y) -> compare y x) a
+  | Sim.Random_order seed -> Randkit.Prng.shuffle_in_place (Randkit.Prng.create ~seed) a);
+  Array.to_list a
+
+let execution_model_prop =
+  QCheck.Test.make
+    ~name:"parts run back to back in policy order; busy = loads; completion = last part"
+    ~count:200
+    QCheck.(int_bound 1000000)
+    (fun seed ->
+      let h = random_instance ~real_weights:(seed mod 2 = 1) seed in
+      let algo = List.nth Semimatch.Greedy_hyper.all (seed / 2 mod 4) in
+      let a = Semimatch.Greedy_hyper.run algo h in
+      let loads = Ha.loads h a in
+      let max_load = Array.fold_left Float.max 0.0 loads in
+      let close x y = abs_float (x -. y) <= 1e-9 *. Float.max 1.0 (abs_float y) in
+      let queues = Array.make h.H.n2 [] in
+      for v = h.H.n1 - 1 downto 0 do
+        let e = a.Ha.choice.(v) in
+        H.iter_h_procs h e (fun u -> queues.(u) <- (v, H.h_weight h e) :: queues.(u))
+      done;
+      List.for_all
+        (fun policy ->
+          let t = Sim.run ~policy h a in
+          let back_to_back u =
+            let rec chain clock events expected =
+              match (events, expected) with
+              | [], [] -> true
+              | e :: events, (v, w) :: expected ->
+                  e.Sim.task = v && e.Sim.start = clock
+                  && e.Sim.finish = clock +. w
+                  && chain e.Sim.finish events expected
+              | _ -> false
+            in
+            chain 0.0
+              (List.filter (fun e -> e.Sim.proc = u) t.Sim.events)
+              (policy_order policy queues.(u))
+          in
+          let last_part = Array.make h.H.n1 0.0 in
+          List.iter
+            (fun e -> last_part.(e.Sim.task) <- Float.max last_part.(e.Sim.task) e.Sim.finish)
+            t.Sim.events;
+          List.for_all back_to_back (List.init h.H.n2 Fun.id)
+          && Array.for_all2 close t.Sim.proc_busy loads
+          && close t.Sim.makespan max_load
+          && t.Sim.task_completion = last_part)
+        [ Sim.Fifo; Sim.Spt; Sim.Lpt; Sim.Random_order seed; Sim.Random_order (seed + 1) ])
 
 let simulation_matches_loads_prop =
   QCheck.Test.make
@@ -122,5 +184,6 @@ let suite =
     QCheck_alcotest.to_alcotest simulation_matches_loads_prop;
     QCheck_alcotest.to_alcotest no_overlap_prop;
     QCheck_alcotest.to_alcotest completion_covers_all_parts_prop;
+    QCheck_alcotest.to_alcotest execution_model_prop;
     Alcotest.test_case "gantt rendering" `Quick test_gantt;
   ]
